@@ -28,14 +28,6 @@ class ParityQuery:
 
 
 @dataclass(frozen=True)
-class ParityAnswer:
-    """A resolved parity for ``interval``."""
-
-    interval: Interval
-    parity: int
-
-
-@dataclass(frozen=True)
 class BinarySearchState:
     """Immutable snapshot of one running (or finished) search."""
 

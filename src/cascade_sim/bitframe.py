@@ -13,9 +13,14 @@ permutation families are provided, both keyed by ``(length, round, seed)``:
   rotated by ``round mod n``; the rotation guarantees that rounds
   ``0 .. n - 1`` all get distinct permutations, which bare out-shuffle
   powers cannot (the shuffle group is tiny for small ``n``).
-* ``lcg`` - each index is assigned a key from a linear congruential
-  generator (a=1664525, c=1013904223, m=2**32) seeded from ``(seed,
-  round)``; the permutation is the stable argsort of the keys.
+* ``lcg`` - index ``k`` is assigned the ``(k + 1)``-th state of a linear
+  congruential generator (a=1664525, c=1013904223, m=2**32) seeded from
+  ``(seed, round)``, and the permutation is the argsort of these keys.  The
+  keys come from the closed form ``a^(k+1)*s + c*(1 + a + ... + a^k) mod m``
+  in vectorised numpy rather than by walking the recurrence.  The generator
+  has full period ``m`` (Hull-Dobell: ``c`` is odd and ``a - 1`` is a
+  multiple of 4), so the keys of any frame up to ``2**32`` bits are
+  distinct and their argsort order is unique.
 """
 
 from __future__ import annotations
@@ -134,7 +139,12 @@ class Permutation:
         arr = np.asarray(self.mapping, dtype=np.int64)
         if arr.ndim != 1:
             raise ConfigurationError("mapping must be one-dimensional")
-        if not np.array_equal(np.sort(arr), np.arange(arr.size)):
+        # O(n) bijection check; bounds first so a negative index cannot wrap.
+        if arr.size and (int(arr.min()) < 0 or int(arr.max()) >= arr.size):
+            raise ConfigurationError("mapping is not a bijection")
+        seen = np.zeros(arr.size, dtype=bool)
+        seen[arr] = True
+        if not seen.all():
             raise ConfigurationError("mapping is not a bijection")
         arr = arr.copy()
         arr.setflags(write=False)
@@ -213,27 +223,36 @@ def gen_shuffle_permutation(length: int, round_index: int, seed: int) -> Permuta
 
 
 def _lcg_keys(lcg_seed: int, count: int) -> np.ndarray:
-    keys = np.empty(count, dtype=np.int64)
-    state = lcg_seed % _LCG_M
-    for i in range(count):
-        state = (_LCG_A * state + _LCG_C) % _LCG_M
-        keys[i] = state
-    return keys
+    """The first ``count`` LCG states after ``lcg_seed`` (reduced mod 2**32).
 
-
-def stable_argsort(keys: Sequence[int]) -> np.ndarray:
-    """Indices that sort ``keys`` ascending, ties kept in input order."""
-    return np.argsort(np.asarray(keys), kind="stable").astype(np.int64)
+    Jump-ahead: ``state_k = a^k*s + c*(1 + a + ... + a^(k-1)) mod 2**32``
+    for ``k = 1 .. count``.  The arithmetic wraps modulo 2**64 in uint64,
+    which 2**32 divides, so masking at the end yields the exact stream.
+    Every step works in place to keep the transient memory at two arrays.
+    """
+    keys = np.full(count, _LCG_A, dtype=np.uint64)
+    np.multiply.accumulate(keys, out=keys)  # a^k
+    geometric = np.empty(count, dtype=np.uint64)
+    geometric[:1] = 1
+    geometric[1:] = keys[:-1]
+    np.cumsum(geometric, out=geometric)  # 1 + a + ... + a^(k-1)
+    geometric *= np.uint64(_LCG_C)
+    keys *= np.uint64(lcg_seed % _LCG_M)
+    keys += geometric
+    keys &= np.uint64(_LCG_M - 1)
+    return keys.view(np.int64)
 
 
 def gen_lcg_permutation(length: int, round_index: int, seed: int) -> Permutation:
-    """LCG-keyed permutation: stable argsort of a per-round LCG key stream."""
+    """LCG-keyed permutation: argsort of a per-round LCG key stream."""
     if length < 0:
         raise ConfigurationError("length must be nonnegative")
     if round_index < 0:
         raise ConfigurationError("round index must be nonnegative")
     lcg_seed = SeededRng(seed).derive(_LCG_LABEL, round_index).next_u64() % _LCG_M
-    return Permutation(stable_argsort(_lcg_keys(lcg_seed, length)))
+    # The LCG has full period 2**32, so the keys are distinct and any sort
+    # gives the one order a stable sort would; the default sort is faster.
+    return Permutation(np.argsort(_lcg_keys(lcg_seed, length)))
 
 
 @dataclass(frozen=True)

@@ -43,7 +43,7 @@ import numpy as np
 from . import binary_search as bisect_search
 from . import channel as wire
 from .bitframe import BitFrame, gen_lcg_permutation, gen_shuffle_permutation
-from .errors import ConfigurationError, ProtocolError, TransportError
+from .errors import ConfigurationError, ProtocolError, SyndromeConflictError, TransportError
 from .paritytree import (
     ColoredTree,
     Interval,
@@ -516,10 +516,22 @@ class _Responder:
                     return query.interval
                 self._apply_step(task, value, from_reuse=True)
 
+    def _learn_syndrome(
+        self, key: Tuple[int, Interval], interval: Interval, value: int, learn_round: int
+    ) -> None:
+        # Honest parities never contradict each other within a round, so a
+        # conflict can only come from the peer's answers.
+        try:
+            self.trees[key] = set_syndrome(self.trees[key], interval, value, learn_round)
+        except SyndromeConflictError as exc:
+            raise ProtocolError(
+                f"inconsistent peer parities for [{interval[0]}, {interval[1]}) "
+                f"of round {key[0]}, learned in round {learn_round}"
+            ) from exc
+
     def _feed_wire(self, task: _SearchTask, interval: Interval, parity: int, learn_round: int) -> None:
         self.stored[(task.round_index, interval)] = parity
-        key = (task.round_index, task.block)
-        self.trees[key] = set_syndrome(self.trees[key], interval, parity, learn_round)
+        self._learn_syndrome((task.round_index, task.block), interval, parity, learn_round)
         if task.stage is _Stage.PROBING:
             if task.probe_interval != interval:
                 raise ProtocolError("answer does not match the outstanding probe")
@@ -543,10 +555,8 @@ class _Responder:
             self.views[r_idx][pos] ^= 1
             block = self._block_of(r_idx, pos)
             key = (r_idx, block)
-            tree = mark_error_leaf(self.trees[key], pos)
-            tree = mark_compromised(tree, pos)
-            tree = set_syndrome(tree, (pos, pos + 1), value, learn_round)
-            self.trees[key] = tree
+            self.trees[key] = mark_compromised(mark_error_leaf(self.trees[key], pos), pos)
+            self._learn_syndrome(key, (pos, pos + 1), value, learn_round)
             self.stored[(r_idx, (pos, pos + 1))] = value
         self.compromised.add(original_position)
 

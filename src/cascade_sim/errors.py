@@ -19,3 +19,7 @@ class DecodeError(ValueError):
 
 class TreeStructureError(ValueError):
     """An interval does not lie on the dyadic split lattice of a parity tree."""
+
+
+class SyndromeConflictError(TreeStructureError):
+    """Two different parities were recorded for one interval in the same round."""

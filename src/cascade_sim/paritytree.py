@@ -27,7 +27,7 @@ import enum
 from dataclasses import dataclass, replace
 from typing import Iterable, Optional
 
-from .errors import TreeStructureError
+from .errors import SyndromeConflictError, TreeStructureError
 
 Interval = tuple[int, int]
 
@@ -131,7 +131,7 @@ def set_syndrome(tree: ColoredTree, interval: Interval, value: int, round_index:
         color = node.color | NodeColor.SYNDROME_KNOWN
         if node.syndrome_round is not None:
             if round_index == node.syndrome_round and node.syndrome != value:
-                raise TreeStructureError(
+                raise SyndromeConflictError(
                     f"conflicting syndromes for [{lo}, {hi}) in round {round_index}"
                 )
             if round_index <= node.syndrome_round:

@@ -17,7 +17,7 @@ from cascade_sim.bitframe import (
     invert_permutation,
     out_shuffle_mapping,
     parity,
-    stable_argsort,
+    _lcg_keys,
 )
 from cascade_sim.errors import ConfigurationError
 
@@ -121,10 +121,14 @@ def test_hamming_distance():
 
 def test_permutation_validates_bijection():
     Permutation(np.array([2, 0, 1]))
+    Permutation(np.empty(0, dtype=np.int64))
     with pytest.raises(ConfigurationError):
         Permutation(np.array([0, 0, 1]))
     with pytest.raises(ConfigurationError):
         Permutation(np.array([0, 1, 3]))
+    # -1 must not wrap to the last slot, where it would pass for the missing 3
+    with pytest.raises(ConfigurationError):
+        Permutation(np.array([0, 1, 2, -1]))
 
 
 def test_apply_permutation_scatter_semantics():
@@ -178,20 +182,12 @@ def test_shuffle_rounds_are_distinct():
             assert perms[i] != perms[i + 1]
 
 
-def test_stable_argsort_keeps_tied_keys_in_order():
-    assert list(stable_argsort([5, 3, 3, 1])) == [3, 1, 2, 0]
-    rng = np.random.default_rng(11)
-    for trial in range(30):
-        keys = [int(k) for k in rng.integers(0, 6, int(rng.integers(1, 40)))]
-        assert list(stable_argsort(keys)) == stable_sort_oracle(keys)
-
-
 def test_lcg_permutation_matches_key_stream_construction():
     # Reconstruct: derive the lcg seed the same way, walk the recurrence,
     # stable-argsort the keys.
     from cascade_sim.rng import SeededRng, label_from_text
 
-    for n in (1, 4, 17):
+    for n in (1, 4, 17, 4096):
         for rnd in range(3):
             perm = gen_lcg_permutation(n, rnd, seed=1)
             lcg_seed = (
@@ -202,6 +198,21 @@ def test_lcg_permutation_matches_key_stream_construction():
             )
             expect = stable_sort_oracle(lcg_keys_oracle(lcg_seed, n))
             assert list(perm.mapping) == expect
+
+
+def test_lcg_keys_match_scalar_recurrence_at_scale():
+    for lcg_seed in (0, (1 << 32) - 1, (1 << 40) + 12345):
+        for count in (0, 1, 2, 70_000):
+            keys = _lcg_keys(lcg_seed, count)
+            assert keys.dtype == np.int64
+            assert keys.tolist() == lcg_keys_oracle(lcg_seed, count)
+
+
+def test_lcg_keys_are_distinct_so_the_sort_order_is_unique():
+    # Full period (Hull-Dobell) makes the keys distinct, which is what lets
+    # gen_lcg_permutation use a non-stable sort.
+    keys = _lcg_keys(123_456_789, 1 << 18)
+    assert np.unique(keys).size == keys.size
 
 
 def test_lcg_family_contract():

@@ -4,8 +4,10 @@ import json
 import subprocess
 import sys
 
+from cascade_sim import cli
 from cascade_sim.channel import read_transcript
 from cascade_sim.cli import main
+from cascade_sim.errors import TreeStructureError
 from cascade_sim.harness import load_records
 
 
@@ -104,6 +106,17 @@ def test_bad_break_spec_is_a_configuration_error(capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "configuration error" in err
+
+
+def test_tree_structure_error_exits_with_code_one(monkeypatch, capsys):
+    def broken_trial(*args, **kwargs):
+        raise TreeStructureError("conflicting syndromes for [0, 1) in round 1")
+
+    monkeypatch.setattr(cli, "run_trial_detailed", broken_trial)
+    code = run_cli("run", "--length", "64", "--errors", "1", "--seed", "2")
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "error: conflicting syndromes" in err
 
 
 def test_sweep_qber_writes_full_grid(tmp_path, capsys):

@@ -1,0 +1,60 @@
+"""Faulty peers: a lying initiator may only cause a clean error or an honest verdict."""
+
+import pytest
+
+from cascade_sim import channel as wire
+from cascade_sim import engine
+from cascade_sim.bitframe import Bsc
+from cascade_sim.errors import DecodeError, ProtocolError
+from cascade_sim.harness import SessionTemplate, run_trial_detailed
+
+LIE_INTERVAL = (0, 1)
+SEEDS = range(1000, 1040)
+
+
+def _lie(message):
+    """Invert the answered parity of ``LIE_INTERVAL``; pass anything else on."""
+    if not isinstance(message, wire.ParityAnswer):
+        return message
+    entries = tuple(
+        (lo, hi, parity ^ 1 if (lo, hi) == LIE_INTERVAL else parity)
+        for lo, hi, parity in message.entries
+    )
+    return wire.ParityAnswer(message.round_index, entries)
+
+
+def _lying_initiator(honest):
+    def session(config, frame):
+        inner = honest(config, frame)
+        outbound = next(inner)
+        while True:
+            inbound = yield [_lie(message) for message in outbound]
+            try:
+                outbound = inner.send(inbound)
+            except StopIteration as stop:
+                summary, finals = stop.value
+                return summary, [_lie(message) for message in finals]
+
+    return session
+
+
+@pytest.fixture
+def lying_initiator(monkeypatch):
+    monkeypatch.setattr(engine, "initiator_session", _lying_initiator(engine.initiator_session))
+
+
+def test_lying_initiator_ends_in_protocol_error_or_honest_verdict(lying_initiator):
+    outcomes = {"error": 0, "success": 0, "failure": 0}
+    for seed in SEEDS:
+        try:
+            detail = run_trial_detailed(SessionTemplate(aggregation=True), 4096, Bsc(0.10), seed)
+        except (ProtocolError, DecodeError):
+            outcomes["error"] += 1
+            continue
+        result = detail.result
+        frames_equal = result.initiator.final_frame == result.responder.final_frame
+        success = result.initiator.status is wire.SessionStatus.SUCCESS
+        assert success == frames_equal, f"seed {seed}: verdict does not match the frames"
+        outcomes["success" if success else "failure"] += 1
+    # The lie must actually reach a search on some seeds, or the test shows nothing.
+    assert outcomes["error"] > 0, outcomes

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from cascade_sim.errors import TreeStructureError
+from cascade_sim.errors import SyndromeConflictError, TreeStructureError
 from cascade_sim.paritytree import (
     ColoredTree,
     NodeColor,
@@ -120,7 +120,7 @@ def test_later_round_overrides_earlier_syndrome():
 def test_same_round_same_value_tolerated_conflict_raises():
     tree = set_syndrome(build_tree(0, 4), (0, 4), 1, 2)
     set_syndrome(tree, (0, 4), 1, 2)  # idempotent re-set is fine
-    with pytest.raises(TreeStructureError):
+    with pytest.raises(SyndromeConflictError):
         set_syndrome(tree, (0, 4), 0, 2)
 
 
