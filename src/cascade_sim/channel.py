@@ -16,7 +16,7 @@ transcript is byte-reproducible across runs and platforms:
 Schedule parameters ride as f64 (estimated error rate) plus u32 (growth
 factor) for the geometric variant, or f64 alone for the adaptive variant.
 
-The channel itself is a pair of FIFO queues plus an append-only transcript.
+The channel itself is a pair of FIFO lanes plus an append-only transcript.
 Each direction carries its own gapless sequence counter; observers ("taps",
 e.g. the eavesdropper accountant) see every message in transit order.
 """
@@ -27,7 +27,7 @@ import enum
 import io
 import struct
 import threading
-import queue
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -44,6 +44,7 @@ from .schedule import (
 
 WIRE_VERSION = 1
 TRANSCRIPT_MAGIC = b"CSCT"
+_RECORD_HEADER = struct.Struct(">BII")  # direction, sequence, payload length
 
 Interval = Tuple[int, int]
 
@@ -358,18 +359,17 @@ class Channel:
     """Two one-way FIFO lanes with a shared, ordered transcript.
 
     ``send``/``recv`` are thread-safe; per-direction sequence numbers are
-    gapless and the transcript preserves global send order.
+    gapless and the transcript preserves global send order.  ``close`` wakes
+    every receiver blocked on an empty lane.
     """
 
     def __init__(self, taps: Sequence[EveTap] = ()):
-        self._queues = {
-            Direction.A_TO_B: queue.Queue(),
-            Direction.B_TO_A: queue.Queue(),
-        }
-        self._sequences = {Direction.A_TO_B: 0, Direction.B_TO_A: 0}
+        self._lock = threading.Lock()
+        self._lanes = {direction: deque() for direction in Direction}
+        self._arrived = {direction: threading.Condition(self._lock) for direction in Direction}
+        self._sequences = {direction: 0 for direction in Direction}
         self._transcript: List[TranscriptEntry] = []
         self._taps = list(taps)
-        self._lock = threading.Lock()
         self._closed = False
 
     def send(self, direction: Direction, message: Message) -> None:
@@ -384,22 +384,29 @@ class Channel:
             self._transcript.append(entry)
             for tap in self._taps:
                 tap.observe(entry)
-        self._queues[direction].put(decoded)
+            self._lanes[direction].append(decoded)
+            self._arrived[direction].notify()
 
     def recv(self, direction: Direction, timeout: Optional[float] = None) -> Message:
-        try:
-            if timeout is None:
-                return self._queues[direction].get_nowait()
-            return self._queues[direction].get(timeout=timeout)
-        except queue.Empty:
+        """Take the next message; wait up to ``timeout`` seconds if given."""
+        lane = self._lanes[direction]
+        with self._lock:
+            if timeout is not None:
+                self._arrived[direction].wait_for(lambda: lane or self._closed, timeout)
+            if lane:
+                return lane.popleft()
+            if self._closed:
+                raise TransportError("channel is closed")
             raise TransportError(f"no message pending in direction {direction.value}")
 
     def pending(self, direction: Direction) -> int:
-        return self._queues[direction].qsize()
+        return len(self._lanes[direction])
 
     def close(self) -> None:
         with self._lock:
             self._closed = True
+            for arrived in self._arrived.values():
+                arrived.notify_all()
 
     @property
     def transcript(self) -> Tuple[TranscriptEntry, ...]:
@@ -408,14 +415,7 @@ class Channel:
 
     def transcript_bytes(self) -> bytes:
         """The whole conversation as one canonical byte string."""
-        out = io.BytesIO()
-        out.write(TRANSCRIPT_MAGIC)
-        out.write(struct.pack(">B", WIRE_VERSION))
-        for entry in self.transcript:
-            payload = encode_message(entry.message)
-            out.write(struct.pack(">BII", entry.direction.wire_byte, entry.sequence, len(payload)))
-            out.write(payload)
-        return out.getvalue()
+        return _frame_transcript(self.transcript)
 
 
 @dataclass(frozen=True)
@@ -457,17 +457,22 @@ def leakage_report(transcript: Iterable[TranscriptEntry]) -> LeakageReport:
 # ---------------------------------------------------------------------------
 
 
+def _frame_transcript(transcript: Iterable[TranscriptEntry]) -> bytes:
+    """Canonical layout: magic, version byte, then a header and payload per entry."""
+    out = io.BytesIO()
+    out.write(TRANSCRIPT_MAGIC)
+    out.write(struct.pack(">B", WIRE_VERSION))
+    for entry in transcript:
+        payload = encode_message(entry.message)
+        out.write(_RECORD_HEADER.pack(entry.direction.wire_byte, entry.sequence, len(payload)))
+        out.write(payload)
+    return out.getvalue()
+
+
 def write_transcript(path: str, transcript: Iterable[TranscriptEntry]) -> None:
     """Write a transcript to ``path`` in the canonical binary layout."""
     with open(path, "wb") as handle:
-        handle.write(TRANSCRIPT_MAGIC)
-        handle.write(struct.pack(">B", WIRE_VERSION))
-        for entry in transcript:
-            payload = encode_message(entry.message)
-            handle.write(
-                struct.pack(">BII", entry.direction.wire_byte, entry.sequence, len(payload))
-            )
-            handle.write(payload)
+        handle.write(_frame_transcript(transcript))
 
 
 def read_transcript(path: str) -> List[TranscriptEntry]:
@@ -484,12 +489,11 @@ def read_transcript(path: str) -> List[TranscriptEntry]:
     if version != WIRE_VERSION:
         raise DecodeError(f"transcript file: unsupported version {version}")
     entries: List[TranscriptEntry] = []
-    header = struct.Struct(">BII")
     while offset < len(blob):
-        if offset + header.size > len(blob):
+        if offset + _RECORD_HEADER.size > len(blob):
             raise DecodeError("transcript file: truncated record header")
-        direction_byte, sequence, length = header.unpack_from(blob, offset)
-        offset += header.size
+        direction_byte, sequence, length = _RECORD_HEADER.unpack_from(blob, offset)
+        offset += _RECORD_HEADER.size
         if direction_byte not in (0, 1):
             raise DecodeError(f"transcript file: bad direction byte {direction_byte}")
         if offset + length > len(blob):

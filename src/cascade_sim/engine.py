@@ -33,28 +33,28 @@ produce bit-identical corrections.
 from __future__ import annotations
 
 import enum
+import functools
 import threading
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from . import binary_search as bisect_search
 from . import channel as wire
 from .bitframe import BitFrame, gen_lcg_permutation, gen_shuffle_permutation
-from .errors import ConfigurationError, ProtocolError, SyndromeConflictError, TransportError
-from .paritytree import (
-    ColoredTree,
-    Interval,
-    NodeColor,
+from .errors import ConfigurationError, ProtocolError, TransportError
+from .paritytree import Interval, split_point
+
+# perfbench/layers.py wraps these names in this module; the engine no longer calls them.
+from .paritytree import (  # noqa: F401
     build_tree,
     iter_nodes,
     mark_compromised,
     mark_error_leaf,
     multi_error_frontier,
     set_syndrome,
-    split_point,
 )
 from .rng import SeededRng, label_from_text
 from .schedule import (
@@ -142,6 +142,13 @@ class SessionSummary:
     fingerprint: Optional[int]
 
 
+def _unreconciled(
+    role: Role, status: wire.SessionStatus, frame: BitFrame, parity_bits: int
+) -> SessionSummary:
+    """Summary of a session that ended before any round was reconciled."""
+    return SessionSummary(role, status, frame, 0, 0, (), (), frozenset(), parity_bits, None)
+
+
 def frame_fingerprint(frame: BitFrame, seed: int) -> int:
     """Seed-keyed polynomial hash of a frame modulo the prime 2**61 - 1.
 
@@ -216,26 +223,12 @@ def initiator_session(config: SessionConfig, frame: BitFrame):
     inbound = yield [my_init]
     if isinstance(inbound, wire.Result):
         # Responder rejected the handshake.
-        summary = SessionSummary(
-            Role.INITIATOR, inbound.status, frame, 0, 0, (), (), frozenset(), parity_bits, None
-        )
-        return summary, []
+        return _unreconciled(Role.INITIATOR, inbound.status, frame, parity_bits), []
     if not isinstance(inbound, wire.Init):
         raise ProtocolError(f"expected Init or Result, got {type(inbound).__name__}")
     if inbound != my_init:
-        summary = SessionSummary(
-            Role.INITIATOR,
-            wire.SessionStatus.CONFIG_MISMATCH,
-            frame,
-            0,
-            0,
-            (),
-            (),
-            frozenset(),
-            parity_bits,
-            None,
-        )
-        return summary, [wire.Result(wire.SessionStatus.CONFIG_MISMATCH)]
+        mismatch = wire.SessionStatus.CONFIG_MISMATCH
+        return _unreconciled(Role.INITIATOR, mismatch, frame, parity_bits), [wire.Result(mismatch)]
 
     views: Dict[int, np.ndarray] = {}
     history: List[int] = []
@@ -298,6 +291,37 @@ def initiator_session(config: SessionConfig, frame: BitFrame):
 # ---------------------------------------------------------------------------
 
 
+def error_frontier(
+    block: Interval, corrected: Iterable[int], on_wire: Callable[[Interval], bool]
+) -> Tuple[Interval, ...]:
+    """Where follow-up searches of ``block`` start after corrections.
+
+    For each corrected position, takes the deepest sibling on the split
+    lattice path from ``block`` to the position whose parity did not cross
+    the wire (``on_wire`` is false), then keeps the minimal intervals,
+    sorted: ``multi_error_frontier`` on the equivalent tree.
+    """
+    regions: Set[Interval] = set()
+    for position in set(corrected):
+        lo, hi = block
+        deepest = None
+        while hi - lo > 1:
+            mid = split_point(lo, hi)
+            if position < mid:
+                sibling, hi = (mid, hi), mid
+            else:
+                sibling, lo = (lo, mid), mid
+            if not on_wire(sibling):
+                deepest = sibling
+        if deepest is not None:
+            regions.add(deepest)
+    # Intervals on one split lattice are nested or disjoint; keep the deep ones.
+    minimal = (
+        r for r in regions if not any(o != r and r[0] <= o[0] and o[1] <= r[1] for o in regions)
+    )
+    return tuple(sorted(minimal))
+
+
 class _Stage(enum.Enum):
     PENDING = "pending"
     PROBING = "probing"
@@ -335,7 +359,13 @@ class _SearchTask:
 
 
 class _Responder:
-    """Responder-side state: frame views, stored parities, colored trees."""
+    """Responder-side state: frame views and one flat map of remote parities.
+
+    ``known`` maps ``(round, interval)`` to ``(value, learn_round)``: the
+    initiator's parity, and the round it crossed the wire (block
+    announcements, answers, corrected leaves) or ``None`` if derived here.
+    ``corrected`` maps ``(round, block)`` to the block positions flipped.
+    """
 
     def __init__(self, config: SessionConfig, frame: BitFrame):
         self.config = config
@@ -345,10 +375,8 @@ class _Responder:
         self.sources: Dict[int, np.ndarray] = {}
         self.views: Dict[int, np.ndarray] = {}
         self.plans: Dict[int, RoundPlan] = {}
-        # Remote (initiator-side) parities by (round, interval): block
-        # announcements, channel answers, and values implied by them.
-        self.stored: Dict[Tuple[int, Interval], int] = {}
-        self.trees: Dict[Tuple[int, Interval], ColoredTree] = {}
+        self.known: Dict[Tuple[int, Interval], Tuple[int, Optional[int]]] = {}
+        self.corrected: Dict[Tuple[int, Interval], Set[int]] = {}
         self.history: List[int] = []
         self.corrections: List[CorrectionEvent] = []
         self.compromised: Set[int] = set()
@@ -381,42 +409,36 @@ class _Responder:
         """Look up or derive the initiator's parity of ``interval``.
 
         Block roots are always available (announced every round).  Other
-        intervals resolve from storage, or recursively from a stored
-        parent and sibling; every derived value is memoized.  Returns
-        ``None`` when the value is not derivable without the channel.
+        intervals resolve from the map, or recursively from a known parent
+        and sibling; every derived value is memoized.  Returns ``None`` when
+        the value is not derivable without the channel.
         """
         key = (round_index, interval)
-        if key in self.stored:
-            return self.stored[key]
+        if key in self.known:
+            return self.known[key][0]
         if interval == block:
             return None  # roots are stored eagerly; absence means no value
-        if not self.config.parity_reuse:
-            return None
         if _active is None:
             _active = set()
         if interval in _active:
             return None
         _active.add(interval)
         # Walk the block's halving lattice down to the interval's parent.
-        lo, hi = block
-        parent = None
-        sibling = None
-        while (lo, hi) != interval:
+        parent = block
+        while True:
+            lo, hi = parent
             if hi - lo <= 1:
                 return None
             mid = split_point(lo, hi)
             if interval[1] <= mid:
-                child, other = (lo, mid), (mid, hi)
+                child, sibling = (lo, mid), (mid, hi)
             elif interval[0] >= mid:
-                child, other = (mid, hi), (lo, mid)
+                child, sibling = (mid, hi), (lo, mid)
             else:
                 return None  # interval straddles the split: off-lattice
             if child == interval:
-                parent, sibling = (lo, hi), other
                 break
-            lo, hi = child
-        if parent is None:
-            return None
+            parent = child
         parent_value = self._resolve_remote(round_index, block, parent, _active)
         if parent_value is None:
             return None
@@ -424,15 +446,16 @@ class _Responder:
         if sibling_value is None:
             return None
         value = parent_value ^ sibling_value
-        self.stored[key] = value
+        self.known[key] = (value, None)
         return value
 
     def _lookup_for_task(self, task: _SearchTask, interval: Interval) -> Optional[int]:
-        if interval == task.block:
-            return self.stored.get((task.round_index, interval))
-        if not self.config.parity_reuse:
+        if interval != task.block and not self.config.parity_reuse:
             return None
         return self._resolve_remote(task.round_index, task.block, interval)
+
+    def _on_wire(self, round_index: int, interval: Interval) -> bool:
+        return self.known.get((round_index, interval), (0, None))[1] is not None
 
     # -- search task lifecycle -----------------------------------------------
 
@@ -451,10 +474,10 @@ class _Responder:
         second = (mid, state.hi)
         local_first = self._local_parity(task.round_index, *first)
         new_state = bisect_search.step(state, local_first, remote_first, from_reuse=from_reuse)
-        # Both halves' remote parities are now knowledge, channelled or not.
+        # The first half's value came from the map or the wire; the second
+        # half's is implied, and never replaces a value learned on the wire.
         second_remote = task.current_remote ^ remote_first
-        self.stored[(task.round_index, first)] = remote_first
-        self.stored[(task.round_index, second)] = second_remote
+        self.known.setdefault((task.round_index, second), (second_remote, None))
         task.current_remote = remote_first if new_state.hi == mid else second_remote
         task.state = new_state
         if new_state.is_found:
@@ -471,20 +494,15 @@ class _Responder:
             if task.stage is _Stage.DONE:
                 return None
             if task.stage is _Stage.PENDING:
-                root_remote = self.stored[(task.round_index, task.block)]
+                root_remote = self.known[task.key][0]
                 if self._local_parity(task.round_index, *task.block) == root_remote:
                     task.stage = _Stage.DONE
                     return None
-                regions: List[Interval] = []
+                regions: Tuple[Interval, ...] = ()
                 if self.config.parity_reuse:
-                    tree = self.trees[(task.round_index, task.block)]
-                    corrected = [
-                        node.lo
-                        for _, node in iter_nodes(tree)
-                        if node.size == 1 and NodeColor.ERROR_LEAF in node.color
-                    ]
-                    if corrected:
-                        regions = list(multi_error_frontier(tree, corrected))
+                    corrected = self.corrected.get(task.key, ())
+                    on_wire = functools.partial(self._on_wire, task.round_index)
+                    regions = error_frontier(task.block, corrected, on_wire)
                 task.regions = deque(regions)
                 task.stage = _Stage.PROBING
             if task.stage is _Stage.PROBING:
@@ -503,8 +521,7 @@ class _Responder:
                 if not advanced_to_running and task.stage is _Stage.PROBING:
                     # No frontier region disagrees; fall back to the whole
                     # block, whose mismatch was established on entry.
-                    root_remote = self.stored[(task.round_index, task.block)]
-                    self._begin_search(task, task.block, root_remote)
+                    self._begin_search(task, task.block, self.known[task.key][0])
             if task.stage is _Stage.DONE:
                 return None
             if task.stage is _Stage.RUNNING:
@@ -517,21 +534,27 @@ class _Responder:
                 self._apply_step(task, value, from_reuse=True)
 
     def _learn_syndrome(
-        self, key: Tuple[int, Interval], interval: Interval, value: int, learn_round: int
+        self, round_index: int, interval: Interval, value: int, learn_round: int
     ) -> None:
-        # Honest parities never contradict each other within a round, so a
-        # conflict can only come from the peer's answers.
-        try:
-            self.trees[key] = set_syndrome(self.trees[key], interval, value, learn_round)
-        except SyndromeConflictError as exc:
-            raise ProtocolError(
-                f"inconsistent peer parities for [{interval[0]}, {interval[1]}) "
-                f"of round {key[0]}, learned in round {learn_round}"
-            ) from exc
+        """Record a wire-learned parity under ``set_syndrome``'s stamp rule:
+        a later stamp replaces an earlier or derived (unstamped) entry."""
+        key = (round_index, interval)
+        entry = self.known.get(key)
+        if entry is not None and entry[1] is not None:
+            old_value, old_round = entry
+            # Honest parities never contradict each other within a round, so
+            # a conflict can only come from the peer's answers.
+            if learn_round == old_round and value != old_value:
+                raise ProtocolError(
+                    f"inconsistent peer parities for [{interval[0]}, {interval[1]}) "
+                    f"of round {round_index}, learned in round {learn_round}"
+                )
+            if learn_round <= old_round:
+                return
+        self.known[key] = (value, learn_round)
 
     def _feed_wire(self, task: _SearchTask, interval: Interval, parity: int, learn_round: int) -> None:
-        self.stored[(task.round_index, interval)] = parity
-        self._learn_syndrome((task.round_index, task.block), interval, parity, learn_round)
+        self._learn_syndrome(task.round_index, interval, parity, learn_round)
         if task.stage is _Stage.PROBING:
             if task.probe_interval != interval:
                 raise ProtocolError("answer does not match the outstanding probe")
@@ -550,14 +573,11 @@ class _Responder:
     def _apply_flip(self, original_position: int, learn_round: int) -> None:
         self.bits[original_position] ^= 1
         value = int(self.bits[original_position])
-        for r_idx in self.mappings:
-            pos = int(self.mappings[r_idx][original_position])
+        for r_idx, mapping in self.mappings.items():
+            pos = int(mapping[original_position])
             self.views[r_idx][pos] ^= 1
-            block = self._block_of(r_idx, pos)
-            key = (r_idx, block)
-            self.trees[key] = mark_compromised(mark_error_leaf(self.trees[key], pos), pos)
-            self._learn_syndrome(key, (pos, pos + 1), value, learn_round)
-            self.stored[(r_idx, (pos, pos + 1))] = value
+            self.corrected.setdefault((r_idx, self._block_of(r_idx, pos)), set()).add(pos)
+            self._learn_syndrome(r_idx, (pos, pos + 1), value, learn_round)
         self.compromised.add(original_position)
 
     # -- the round wave loop -----------------------------------------------------
@@ -582,11 +602,7 @@ class _Responder:
         self._open_round(round_index, plan)
         self.parity_bits += len(block_msg.parities)
         for interval, bit in zip(plan.intervals, block_msg.parities):
-            key = (round_index, interval)
-            self.stored[key] = bit
-            self.trees[key] = set_syndrome(
-                build_tree(interval[0], interval[1], round_index), interval, bit, round_index
-            )
+            self.known[(round_index, interval)] = (bit, round_index)
 
         tasks: List[_SearchTask] = [_SearchTask(round_index, iv) for iv in plan.intervals]
         # Candidate blocks that already had a live search when they were
@@ -726,38 +742,15 @@ def responder_session(config: SessionConfig, frame: BitFrame):
     if not isinstance(inbound, wire.Init):
         raise ProtocolError(f"expected Init, got {type(inbound).__name__}")
     if inbound != my_init:
-        summary = SessionSummary(
-            Role.RESPONDER,
-            wire.SessionStatus.CONFIG_MISMATCH,
-            frame,
-            0,
-            0,
-            (),
-            (),
-            frozenset(),
-            0,
-            None,
-        )
-        return summary, [wire.Result(wire.SessionStatus.CONFIG_MISMATCH)]
+        mismatch = wire.SessionStatus.CONFIG_MISMATCH
+        return _unreconciled(Role.RESPONDER, mismatch, frame, 0), [wire.Result(mismatch)]
     inbound = yield [my_init]
 
     round_index = 0
     while True:
         if isinstance(inbound, wire.Result):
             # Initiator aborted the handshake from its side.
-            summary = SessionSummary(
-                Role.RESPONDER,
-                inbound.status,
-                frame,
-                0,
-                0,
-                (),
-                (),
-                frozenset(),
-                core.parity_bits,
-                None,
-            )
-            return summary, []
+            return _unreconciled(Role.RESPONDER, inbound.status, frame, core.parity_bits), []
         inbound = yield from core.run_round(round_index, inbound)
         if should_terminate(config.break_condition, tuple(core.history)):
             break
@@ -846,7 +839,7 @@ def _drive_lockstep(generators, channel_obj: wire.Channel):
 
 def _drive_threaded(generators, channel_obj: wire.Channel, timeout: float):
     summaries = {}
-    failures = {}
+    failures: List[BaseException] = []
 
     def worker(role: Role) -> None:
         generator = generators[role]
@@ -866,7 +859,9 @@ def _drive_threaded(generators, channel_obj: wire.Channel, timeout: float):
                 for out in outbound:
                     channel_obj.send(_OUT_DIRECTION[role], out)
         except BaseException as exc:  # noqa: BLE001 - reported to the caller
-            failures[role] = exc
+            failures.append(exc)
+            # Wake the other party at once instead of letting it time out.
+            channel_obj.close()
 
     threads = [
         threading.Thread(target=worker, args=(role,), daemon=True)
@@ -878,9 +873,8 @@ def _drive_threaded(generators, channel_obj: wire.Channel, timeout: float):
         thread.join(timeout=timeout * 4)
         if thread.is_alive():
             raise TransportError("session thread failed to finish in time")
-    for role in (Role.INITIATOR, Role.RESPONDER):
-        if role in failures:
-            raise failures[role]
+    if failures:
+        raise failures[0]
     return summaries
 
 

@@ -1,6 +1,7 @@
 """Tests for the wire codec, channel, transcript and leakage accounting."""
 
 import random
+import threading
 
 import pytest
 
@@ -176,6 +177,26 @@ def test_send_after_close_raises():
     chan.close()
     with pytest.raises(TransportError):
         chan.send(Direction.A_TO_B, Finalize(1))
+
+
+def test_close_wakes_a_blocked_receiver_and_keeps_queued_messages():
+    chan = Channel()
+    chan.send(Direction.A_TO_B, Finalize(1))
+    errors = []
+
+    def receive():
+        try:
+            chan.recv(Direction.B_TO_A, timeout=30.0)
+        except TransportError as exc:
+            errors.append(exc)
+
+    thread = threading.Thread(target=receive)
+    thread.start()
+    chan.close()
+    thread.join(timeout=5.0)
+    assert not thread.is_alive()
+    assert [str(exc) for exc in errors] == ["channel is closed"]
+    assert chan.recv(Direction.A_TO_B, timeout=30.0) == Finalize(1)
 
 
 def test_sender_side_validation_rejects_malformed_messages():

@@ -3,6 +3,8 @@
 import numpy as np
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cascade_sim.bitframe import BitFrame, apply_noise, FixedErrors, hamming_distance
 from cascade_sim.channel import (
@@ -18,11 +20,19 @@ from cascade_sim.engine import (
     CorrectionEvent,
     Role,
     SessionConfig,
+    error_frontier,
     frame_fingerprint,
     round_mapping,
     run_session_pair,
 )
 from cascade_sim.errors import ConfigurationError
+from cascade_sim.paritytree import (
+    build_tree,
+    mark_error_leaf,
+    multi_error_frontier,
+    set_syndrome,
+    split_point,
+)
 from cascade_sim.schedule import (
     FixedRoundsBreak,
     StaticSchedule,
@@ -320,3 +330,52 @@ def test_round_zero_mapping_is_identity():
         mapping = round_mapping(config, 1)
         assert sorted(mapping) == list(range(32))
         assert not np.array_equal(mapping, np.arange(32))
+
+
+# ---------------------------------------------------------------- frontier
+
+
+def _lattice_interval(block, position, depth):
+    """The interval ``depth`` halvings below ``block`` that holds ``position``."""
+    lo, hi = block
+    for _ in range(depth):
+        if hi - lo <= 1:
+            break
+        mid = split_point(lo, hi)
+        lo, hi = (lo, mid) if position < mid else (mid, hi)
+    return (lo, hi)
+
+
+@st.composite
+def _block_knowledge(draw):
+    lo = draw(st.integers(0, 100))
+    block = (lo, lo + draw(st.integers(1, 80)))
+    positions = st.integers(block[0], block[1] - 1)
+    learned = draw(
+        st.lists(
+            st.builds(_lattice_interval, st.just(block), positions, st.integers(0, 8)),
+            max_size=20,
+        )
+    )
+    corrected = draw(st.lists(positions, max_size=8))
+    return block, learned, corrected
+
+
+@settings(deadline=None)
+@given(_block_knowledge(), st.randoms(use_true_random=False))
+def test_error_frontier_matches_the_tree_frontier(knowledge, rng):
+    block, learned, corrected = knowledge
+    # The tree the engine used to keep: wire-learned intervals get a syndrome,
+    # corrected leaves an error mark plus their new value.  Rising stamps keep
+    # random values from conflicting.
+    tree = build_tree(block[0], block[1], 0)
+    on_wire = set()
+    for stamp, interval in enumerate(learned):
+        tree = set_syndrome(tree, interval, rng.randint(0, 1), stamp)
+        on_wire.add(interval)
+    for stamp, position in enumerate(corrected, start=len(learned)):
+        leaf = (position, position + 1)
+        tree = set_syndrome(mark_error_leaf(tree, position), leaf, rng.randint(0, 1), stamp)
+        on_wire.add(leaf)
+    expected = multi_error_frontier(tree, corrected)
+    assert error_frontier(block, corrected, on_wire.__contains__) == expected

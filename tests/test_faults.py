@@ -1,5 +1,8 @@
 """Faulty peers: a lying initiator may only cause a clean error or an honest verdict."""
 
+import threading
+import time
+
 import pytest
 
 from cascade_sim import channel as wire
@@ -45,11 +48,13 @@ def lying_initiator(monkeypatch):
 
 def test_lying_initiator_ends_in_protocol_error_or_honest_verdict(lying_initiator):
     outcomes = {"error": 0, "success": 0, "failure": 0}
+    errors = []
     for seed in SEEDS:
         try:
             detail = run_trial_detailed(SessionTemplate(aggregation=True), 4096, Bsc(0.10), seed)
-        except (ProtocolError, DecodeError):
+        except (ProtocolError, DecodeError) as exc:
             outcomes["error"] += 1
+            errors.append(str(exc))
             continue
         result = detail.result
         frames_equal = result.initiator.final_frame == result.responder.final_frame
@@ -58,3 +63,18 @@ def test_lying_initiator_ends_in_protocol_error_or_honest_verdict(lying_initiato
         outcomes["success" if success else "failure"] += 1
     # The lie must actually reach a search on some seeds, or the test shows nothing.
     assert outcomes["error"] > 0, outcomes
+    # Some lies are caught only by the same-round consistency check.
+    assert any("inconsistent peer parities" in message for message in errors), errors
+
+
+def test_threaded_session_fails_fast_with_the_first_error(lying_initiator):
+    # Lockstep, seed 1000 ends in the responder's ProtocolError; threaded must
+    # raise the same error at once, not the initiator's receive timeout.
+    threads_before = set(threading.enumerate())
+    started = time.monotonic()
+    with pytest.raises(ProtocolError, match="inconsistent peer parities"):
+        run_trial_detailed(
+            SessionTemplate(aggregation=True), 4096, Bsc(0.10), 1000, scheduling="threaded"
+        )
+    assert time.monotonic() - started < 10.0
+    assert set(threading.enumerate()) <= threads_before, "a session thread is still alive"
