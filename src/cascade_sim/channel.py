@@ -67,10 +67,6 @@ class Direction(enum.Enum):
     def wire_byte(self) -> int:
         return 0 if self is Direction.A_TO_B else 1
 
-    @property
-    def reverse(self) -> "Direction":
-        return Direction.B_TO_A if self is Direction.A_TO_B else Direction.A_TO_B
-
 
 # ---------------------------------------------------------------------------
 # message types

@@ -37,7 +37,7 @@ import functools
 import threading
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -197,12 +197,6 @@ def round_mapping(config: SessionConfig, round_index: int) -> np.ndarray:
     return np.asarray(perm.mapping, dtype=np.int64)
 
 
-def _block_parities(view: np.ndarray, intervals: Sequence[Interval]) -> Tuple[int, ...]:
-    starts = np.fromiter((lo for lo, _ in intervals), dtype=np.int64, count=len(intervals))
-    folded = np.bitwise_xor.reduceat(view, starts)
-    return tuple(int(b) for b in folded)
-
-
 # ---------------------------------------------------------------------------
 # initiator
 # ---------------------------------------------------------------------------
@@ -230,29 +224,34 @@ def initiator_session(config: SessionConfig, frame: BitFrame):
         mismatch = wire.SessionStatus.CONFIG_MISMATCH
         return _unreconciled(Role.INITIATOR, mismatch, frame, parity_bits), [wire.Result(mismatch)]
 
-    views: Dict[int, np.ndarray] = {}
+    # prefixes[r][i] is the parity of the first i bits of round r's view, so
+    # the parity of [lo, hi) is prefixes[r][lo] ^ prefixes[r][hi].
+    prefixes: Dict[int, np.ndarray] = {}
     history: List[int] = []
     round_index = 0
     while True:
         sources = np.empty(n, dtype=np.int64)
         sources[round_mapping(config, round_index)] = np.arange(n, dtype=np.int64)
-        views[round_index] = frame.bits[sources]
+        prefix = np.zeros(n + 1, dtype=np.uint8)
+        np.bitwise_xor.accumulate(frame.bits[sources], out=prefix[1:])
+        prefixes[round_index] = prefix
         plan = plan_round(config.schedule, round_index, n, tuple(history))
-        parities = _block_parities(views[round_index], plan.intervals)
+        bounds = np.array(plan.intervals, dtype=np.int64)
+        parities = tuple((prefix[bounds[:, 0]] ^ prefix[bounds[:, 1]]).tolist())
         parity_bits += len(parities)
         inbound = yield [wire.BlockParities(round_index, parities)]
 
         while isinstance(inbound, wire.ParityQuery):
-            if inbound.round_index not in views:
+            if inbound.round_index not in prefixes:
                 raise ProtocolError(
                     f"query references round {inbound.round_index} before it was opened"
                 )
-            qview = views[inbound.round_index]
+            qprefix = prefixes[inbound.round_index]
             entries = []
             for lo, hi in inbound.intervals:
                 if not (0 <= lo < hi <= n):
                     raise ProtocolError(f"query interval [{lo}, {hi}) out of range")
-                entries.append((lo, hi, int(np.bitwise_xor.reduce(qview[lo:hi]))))
+                entries.append((lo, hi, int(qprefix[lo] ^ qprefix[hi])))
             parity_bits += len(entries)
             inbound = yield [wire.ParityAnswer(inbound.round_index, tuple(entries))]
 
@@ -364,6 +363,8 @@ class _Responder:
     ``known`` maps ``(round, interval)`` to ``(value, learn_round)``: the
     initiator's parity, and the round it crossed the wire (block
     announcements, answers, corrected leaves) or ``None`` if derived here.
+    A lookup starts from a stored ancestor: the block for a frontier probe,
+    the search's current interval for a search step.
     ``corrected`` maps ``(round, block)`` to the block positions flipped.
     """
 
@@ -403,56 +404,48 @@ class _Responder:
 
     # -- remote parity resolution --------------------------------------------
 
-    def _resolve_remote(
-        self, round_index: int, block: Interval, interval: Interval, _active: Optional[set] = None
-    ) -> Optional[int]:
+    def _resolve_remote(self, round_index: int, top: Interval, interval: Interval) -> Optional[int]:
         """Look up or derive the initiator's parity of ``interval``.
 
-        Block roots are always available (announced every round).  Other
-        intervals resolve from the map, or recursively from a known parent
-        and sibling; every derived value is memoized.  Returns ``None`` when
-        the value is not derivable without the channel.
+        ``top`` is a lattice ancestor of ``interval`` (or the interval itself)
+        whose value is stored.  One pass walks the split path from ``top``
+        down to ``interval`` and starts from the deepest stored node on it;
+        each level below XORs in its stored sibling and is memoized.
+        Returns ``None`` at the first sibling that is not stored, or when
+        ``interval`` is not on ``top``'s lattice.
         """
-        key = (round_index, interval)
-        if key in self.known:
-            return self.known[key][0]
-        if interval == block:
-            return None  # roots are stored eagerly; absence means no value
-        if _active is None:
-            _active = set()
-        if interval in _active:
-            return None
-        _active.add(interval)
-        # Walk the block's halving lattice down to the interval's parent.
-        parent = block
-        while True:
-            lo, hi = parent
+        known = self.known
+        entry = known.get((round_index, interval))
+        if entry is not None:
+            return entry[0]
+        value = known[(round_index, top)][0]
+        # (node, sibling) for each level below the deepest stored node.
+        below: List[Tuple[Interval, Interval]] = []
+        lo, hi = top
+        while (lo, hi) != interval:
             if hi - lo <= 1:
                 return None
             mid = split_point(lo, hi)
             if interval[1] <= mid:
-                child, sibling = (lo, mid), (mid, hi)
+                node, sibling = (lo, mid), (mid, hi)
             elif interval[0] >= mid:
-                child, sibling = (mid, hi), (lo, mid)
+                node, sibling = (mid, hi), (lo, mid)
             else:
                 return None  # interval straddles the split: off-lattice
-            if child == interval:
-                break
-            parent = child
-        parent_value = self._resolve_remote(round_index, block, parent, _active)
-        if parent_value is None:
-            return None
-        sibling_value = self._resolve_remote(round_index, block, sibling, _active)
-        if sibling_value is None:
-            return None
-        value = parent_value ^ sibling_value
-        self.known[key] = (value, None)
+            lo, hi = node
+            entry = known.get((round_index, node))
+            if entry is None:
+                below.append((node, sibling))
+            else:
+                value = entry[0]
+                below.clear()
+        for node, sibling in below:
+            entry = known.get((round_index, sibling))
+            if entry is None:
+                return None
+            value ^= entry[0]
+            known[(round_index, node)] = (value, None)
         return value
-
-    def _lookup_for_task(self, task: _SearchTask, interval: Interval) -> Optional[int]:
-        if interval != task.block and not self.config.parity_reuse:
-            return None
-        return self._resolve_remote(task.round_index, task.block, interval)
 
     def _on_wire(self, round_index: int, interval: Interval) -> bool:
         return self.known.get((round_index, interval), (0, None))[1] is not None
@@ -509,7 +502,7 @@ class _Responder:
                 advanced_to_running = False
                 while task.regions:
                     region = task.regions[0]
-                    value = self._lookup_for_task(task, region)
+                    value = self._resolve_remote(task.round_index, task.block, region)
                     if value is None:
                         task.probe_interval = region
                         return region
@@ -528,7 +521,10 @@ class _Responder:
                 query = bisect_search.pending_query(task.state)
                 if query is None:
                     return None
-                value = self._lookup_for_task(task, query.interval)
+                value = None
+                if self.config.parity_reuse:
+                    top = task.state.interval
+                    value = self._resolve_remote(task.round_index, top, query.interval)
                 if value is None:
                     return query.interval
                 self._apply_step(task, value, from_reuse=True)
@@ -586,7 +582,10 @@ class _Responder:
         """Process one round; a generator to be driven with ``yield from``.
 
         Yields single-message lists (queries, then the round closure) and
-        finally returns the message that arrived after RoundDone.
+        finally returns the message that arrived after RoundDone.  The
+        unfinished searches live in one insertion-ordered map keyed by
+        ``(round, block)``; each wave advances them in queue order, and
+        finished ones leave it before the wave's cascade candidates join.
         """
         if not isinstance(block_msg, wire.BlockParities):
             raise ProtocolError(f"expected BlockParities, got {type(block_msg).__name__}")
@@ -604,28 +603,26 @@ class _Responder:
         for interval, bit in zip(plan.intervals, block_msg.parities):
             self.known[(round_index, interval)] = (bit, round_index)
 
-        tasks: List[_SearchTask] = [_SearchTask(round_index, iv) for iv in plan.intervals]
+        live: Dict[Tuple[int, Interval], _SearchTask] = {
+            (round_index, iv): _SearchTask(round_index, iv) for iv in plan.intervals
+        }
         # Candidate blocks that already had a live search when they were
         # (re-)queued; they get a fresh parity check once that search ends.
         deferred: Set[Tuple[int, Interval]] = set()
         corrected_this_round = 0
         waves = 0
-        while any(task.stage is not _Stage.DONE for task in tasks) or deferred:
+        while live or deferred:
             waves += 1
             if waves > self.n + 8:
                 raise ProtocolError("internal: cascade wave cap exceeded")
 
-            live_keys = {task.key for task in tasks if task.stage is not _Stage.DONE}
             for key in sorted(deferred):
-                if key not in live_keys:
-                    tasks.append(_SearchTask(key[0], key[1]))
-                    live_keys.add(key)
+                if key not in live:
+                    live[key] = _SearchTask(*key)
                     deferred.discard(key)
 
             needs: List[Tuple[_SearchTask, Interval]] = []
-            for task in tasks:
-                if task.stage is _Stage.DONE:
-                    continue
+            for task in live.values():
                 need = self._advance_task(task)
                 if need is not None:
                     needs.append((task, need))
@@ -650,6 +647,7 @@ class _Responder:
                         self.parity_bits += 1
                         self._feed_wire(task, interval, entries[0][2], round_index)
 
+            candidates: Set[Tuple[int, Interval]] = set()
             if self.pending_finds:
                 flips: List[Tuple[int, _SearchTask]] = []
                 seen: Set[int] = set()
@@ -673,7 +671,6 @@ class _Responder:
                     self._apply_flip(original, round_index)
                     corrected_this_round += 1
 
-                candidates: Set[Tuple[int, Interval]] = set()
                 # Cascade: every earlier round's block containing a flip.
                 for original, _ in flips:
                     for r_prev in range(round_index):
@@ -681,7 +678,7 @@ class _Responder:
                         candidates.add((r_prev, self._block_of(r_prev, pos_prev)))
                 # Abort-on-touch: invalidate searches whose working state a
                 # flip just contradicted, and re-queue their blocks.
-                for other in tasks:
+                for other in live.values():
                     if other.stage in (_Stage.DONE, _Stage.PENDING):
                         continue
                     for original, _ in flips:
@@ -695,15 +692,14 @@ class _Responder:
                         candidates.add(other.key)
                         break
 
-                live_keys = {task.key for task in tasks if task.stage is not _Stage.DONE}
-                for cand_key in sorted(candidates):
-                    if cand_key in live_keys:
-                        # A search is mid-flight on this block; re-check the
-                        # block once that search has finished.
-                        deferred.add(cand_key)
-                        continue
-                    tasks.append(_SearchTask(cand_key[0], cand_key[1]))
-                    live_keys.add(cand_key)
+            live = {key: task for key, task in live.items() if task.stage is not _Stage.DONE}
+            for key in sorted(candidates):
+                if key in live:
+                    # A search is mid-flight on this block; re-check the
+                    # block once that search has finished.
+                    deferred.add(key)
+                else:
+                    live[key] = _SearchTask(*key)
 
         self.history.append(corrected_this_round)
         reply = yield [wire.RoundDone(round_index, corrected_this_round)]
@@ -745,12 +741,14 @@ def responder_session(config: SessionConfig, frame: BitFrame):
         mismatch = wire.SessionStatus.CONFIG_MISMATCH
         return _unreconciled(Role.RESPONDER, mismatch, frame, 0), [wire.Result(mismatch)]
     inbound = yield [my_init]
+    if isinstance(inbound, wire.Result):
+        # Only the handshake abort may end a session before round 0.
+        if inbound.status is not wire.SessionStatus.CONFIG_MISMATCH:
+            raise ProtocolError(f"unexpected verdict {inbound.status.value} before round 0")
+        return _unreconciled(Role.RESPONDER, inbound.status, frame, 0), []
 
     round_index = 0
     while True:
-        if isinstance(inbound, wire.Result):
-            # Initiator aborted the handshake from its side.
-            return _unreconciled(Role.RESPONDER, inbound.status, frame, core.parity_bits), []
         inbound = yield from core.run_round(round_index, inbound)
         if should_terminate(config.break_condition, tuple(core.history)):
             break

@@ -1,17 +1,24 @@
 """End-to-end tests for the reconciliation engine."""
 
+import hashlib
+import itertools
+
 import numpy as np
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cascade_sim.bitframe import BitFrame, apply_noise, FixedErrors, hamming_distance
+from cascade_sim.bitframe import BitFrame, Bsc, apply_noise, FixedErrors, hamming_distance
 from cascade_sim.channel import (
+    BlockParities,
     Channel,
     Direction,
+    Init,
     ParityQuery,
     ParityAnswer,
+    Result,
+    RoundDone,
     SessionStatus,
     read_transcript,
     write_transcript,
@@ -20,12 +27,16 @@ from cascade_sim.engine import (
     CorrectionEvent,
     Role,
     SessionConfig,
+    _Responder,
     error_frontier,
     frame_fingerprint,
+    initiator_session,
+    responder_session,
     round_mapping,
     run_session_pair,
 )
-from cascade_sim.errors import ConfigurationError
+from cascade_sim.errors import ConfigurationError, ProtocolError
+from cascade_sim.harness import SessionTemplate, run_trial_detailed
 from cascade_sim.paritytree import (
     build_tree,
     mark_error_leaf,
@@ -39,6 +50,7 @@ from cascade_sim.schedule import (
     ThresholdBreak,
     block_size_for_round,
     partition_into_blocks,
+    plan_round,
 )
 
 # ---------------------------------------------------------------- helpers
@@ -102,6 +114,19 @@ def test_differing_frame_lengths_mismatch():
         config_a, config_b, BitFrame.random(64, 1), BitFrame.random(128, 1)
     )
     assert pair.responder.status is SessionStatus.CONFIG_MISMATCH
+
+
+def test_responder_accepts_the_initiators_handshake_abort():
+    config = basic_config(64, 0.1, 2)
+    session = responder_session(config, BitFrame.random(64, 1))
+    next(session)
+    hello = Init(64, config.permutation_kind, config.schedule, config.break_condition, config.seed)
+    assert session.send(hello) == [hello]
+    with pytest.raises(StopIteration) as stop:
+        session.send(Result(SessionStatus.CONFIG_MISMATCH))
+    summary, finals = stop.value.value
+    assert summary.status is SessionStatus.CONFIG_MISMATCH
+    assert summary.rounds_executed == 0 and finals == []
 
 
 def test_config_validation():
@@ -379,3 +404,167 @@ def test_error_frontier_matches_the_tree_frontier(knowledge, rng):
         on_wire.add(leaf)
     expected = multi_error_frontier(tree, corrected)
     assert error_frontier(block, corrected, on_wire.__contains__) == expected
+
+
+# ---------------------------------------------------------------- lookup
+
+
+def _lattice_nodes(block):
+    """Every interval of ``block``'s split lattice, the block included."""
+    nodes, stack = [], [block]
+    while stack:
+        lo, hi = stack.pop()
+        nodes.append((lo, hi))
+        if hi - lo > 1:
+            mid = split_point(lo, hi)
+            stack += [(lo, mid), (mid, hi)]
+    return sorted(nodes)
+
+
+def _recursive_resolve(known, round_index, block, interval, _active=None):
+    """The recursive lattice walk the responder used before its one-pass lookup."""
+    key = (round_index, interval)
+    if key in known:
+        return known[key][0]
+    if interval == block:
+        return None
+    if _active is None:
+        _active = set()
+    if interval in _active:
+        return None
+    _active.add(interval)
+    parent = block
+    while True:
+        lo, hi = parent
+        if hi - lo <= 1:
+            return None
+        mid = split_point(lo, hi)
+        if interval[1] <= mid:
+            child, sibling = (lo, mid), (mid, hi)
+        elif interval[0] >= mid:
+            child, sibling = (mid, hi), (lo, mid)
+        else:
+            return None
+        if child == interval:
+            break
+        parent = child
+    parent_value = _recursive_resolve(known, round_index, block, parent, _active)
+    if parent_value is None:
+        return None
+    sibling_value = _recursive_resolve(known, round_index, block, sibling, _active)
+    if sibling_value is None:
+        return None
+    value = parent_value ^ sibling_value
+    known[key] = (value, None)
+    return value
+
+
+@st.composite
+def _stored_lattice(draw):
+    lo = draw(st.integers(0, 100))
+    block = (lo, lo + draw(st.integers(1, 64)))
+    size = block[1] - block[0]
+    view = draw(st.lists(st.integers(0, 1), min_size=size, max_size=size))
+    nodes = _lattice_nodes(block)
+    known = {}
+    for node in nodes:
+        # The block root is always stored: the initiator announces it.
+        if node == block or draw(st.booleans()):
+            stamp = draw(st.one_of(st.none(), st.integers(0, 3)))
+            value = sum(view[node[0] - lo : node[1] - lo]) % 2
+            known[(0, node)] = (value, stamp)
+    interval = draw(st.sampled_from(nodes))
+    path = [node for node in nodes if node[0] <= interval[0] and interval[1] <= node[1]]
+    top = draw(st.sampled_from([node for node in path if (0, node) in known]))
+    return block, view, known, top, interval
+
+
+@settings(deadline=None)
+@given(_stored_lattice())
+def test_one_pass_lookup_matches_the_recursive_walk(case):
+    block, view, known, top, interval = case
+    expected_known = dict(known)
+    expected = _recursive_resolve(expected_known, 0, block, interval)
+    responder = _Responder(basic_config(block[1], 0.1, 1), BitFrame.zeros(block[1]))
+    responder.known = dict(known)
+    assert responder._resolve_remote(0, top, interval) == expected
+    assert responder.known == expected_known
+    if expected is not None:
+        assert expected == sum(view[interval[0] - block[0] : interval[1] - block[0]]) % 2
+
+
+# ---------------------------------------------------------------- initiator
+
+
+def _initiator_past_handshake(config, frame):
+    """An initiator generator that has just announced round 0's block parities."""
+    session = initiator_session(config, frame)
+    (hello,) = next(session)
+    (announced,) = session.send(hello)
+    return session, announced
+
+
+def test_initiator_announces_and_answers_view_parities():
+    n = 100
+    config = basic_config(n, 0.1, 4, seed=11)
+    frame = BitFrame.random(n, seed=5)
+    session, announced = _initiator_past_handshake(config, frame)
+    for round_index in (0, 1):
+        sources = np.empty(n, dtype=np.int64)
+        sources[round_mapping(config, round_index)] = np.arange(n)
+        view = frame.bits[sources]
+
+        def parity(lo, hi):
+            return int(np.bitwise_xor.reduce(view[lo:hi]))
+
+        plan = plan_round(config.schedule, round_index, n, (0,) * round_index)
+        blocks = tuple(parity(lo, hi) for lo, hi in plan.intervals)
+        assert announced == BlockParities(round_index, blocks)
+        # The last interval straddles the first block boundary: off every lattice.
+        edge = plan.intervals[0][1]
+        intervals = ((0, n), (n - 1, n), (edge - 1, edge + 1))
+        (answer,) = session.send(ParityQuery(round_index, intervals))
+        entries = tuple((lo, hi, parity(lo, hi)) for lo, hi in intervals)
+        assert answer == ParityAnswer(round_index, entries)
+        (announced,) = session.send(RoundDone(round_index, 0))
+
+
+@pytest.mark.parametrize(
+    "query",
+    [
+        ParityQuery(0, ((0, 101),)),
+        ParityQuery(0, ((5, 5),)),
+        ParityQuery(1, ((0, 1),)),
+    ],
+    ids=["hi-past-the-frame", "empty-interval", "round-not-opened"],
+)
+def test_initiator_rejects_malformed_queries(query):
+    config = basic_config(100, 0.1, 4, seed=11)
+    session, _ = _initiator_past_handshake(config, BitFrame.random(100, seed=5))
+    with pytest.raises(ProtocolError):
+        session.send(query)
+
+
+# ------------------------------------------------------------- transcripts
+
+# SHA-256 over transcript bytes and the responder's final frame for the
+# configurations below.  It pins the wire behaviour: a change that alters
+# transcripts on purpose updates this value and says why.
+TRANSCRIPT_PIN = "f7adb564e2a6a977a8c6e2bc0e82105b2ea0e7d76c1156aa95298a02879bf287"
+
+
+def test_transcripts_match_the_pinned_hash():
+    digest = hashlib.sha256()
+    for schedule, aggregation, reuse, kind, qber in itertools.product(
+        ("static", "dynamic"), (False, True), (False, True), ("lcg", "shuffle"), (0.02, 0.15)
+    ):
+        template = SessionTemplate(
+            schedule_variant=schedule,
+            aggregation=aggregation,
+            parity_reuse=reuse,
+            permutation_kind=kind,
+        )
+        result = run_trial_detailed(template, 1024, Bsc(qber), 1).result
+        digest.update(result.channel.transcript_bytes())
+        digest.update(result.responder.final_frame.bits.tobytes())
+    assert digest.hexdigest() == TRANSCRIPT_PIN

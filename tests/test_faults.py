@@ -7,7 +7,7 @@ import pytest
 
 from cascade_sim import channel as wire
 from cascade_sim import engine
-from cascade_sim.bitframe import Bsc
+from cascade_sim.bitframe import BitFrame, Bsc, apply_noise
 from cascade_sim.errors import DecodeError, ProtocolError
 from cascade_sim.harness import SessionTemplate, run_trial_detailed
 
@@ -78,3 +78,43 @@ def test_threaded_session_fails_fast_with_the_first_error(lying_initiator):
         )
     assert time.monotonic() - started < 10.0
     assert set(threading.enumerate()) <= threads_before, "a session thread is still alive"
+
+
+def _verdict_in_place_of_round(honest, fake_round):
+    """An initiator that sends ``Result(SUCCESS)`` where round ``fake_round``'s
+    block parities belong, and stops."""
+
+    def session(config, frame):
+        inner = honest(config, frame)
+        outbound = next(inner)
+        while not any(
+            isinstance(message, wire.BlockParities) and message.round_index == fake_round
+            for message in outbound
+        ):
+            outbound = inner.send((yield outbound))
+        status = wire.SessionStatus.SUCCESS
+        return engine._unreconciled(engine.Role.INITIATOR, status, frame, 0), [wire.Result(status)]
+
+    return session
+
+
+@pytest.mark.parametrize("scheduling", ["lockstep", "threaded"])
+@pytest.mark.parametrize(
+    "fake_round, error", [(0, "unexpected verdict success"), (2, "expected BlockParities")]
+)
+def test_a_verdict_in_place_of_a_round_is_a_protocol_error(
+    monkeypatch, scheduling, fake_round, error
+):
+    monkeypatch.setattr(
+        engine,
+        "initiator_session",
+        _verdict_in_place_of_round(engine.initiator_session, fake_round),
+    )
+    reference = BitFrame.random(1024, seed=3)
+    noisy, injected = apply_noise(reference, Bsc(0.05), 4)
+    assert injected > 0
+    config = SessionTemplate().config_for(1024, 0.05, 5)
+    with pytest.raises(ProtocolError, match=error):
+        engine.run_session_pair(
+            config, config, reference, noisy, scheduling=scheduling, timeout=5.0
+        )
