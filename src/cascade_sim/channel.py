@@ -31,7 +31,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
-from .errors import DecodeError, TransportError
+from .errors import ConfigurationError, DecodeError, TransportError
 from .schedule import (
     BreakCondition,
     DynamicSchedule,
@@ -176,37 +176,46 @@ def _encode_break(condition: BreakCondition) -> bytes:
 
 
 def encode_message(message: Message) -> bytes:
-    """Serialize one message to its schema-1 byte string."""
+    """Serialize one message to its schema-1 byte string.
+
+    A field that does not fit its wire type raises ``DecodeError`` naming
+    the message, so only ``DecodeError`` leaves the codec.
+    """
     out = io.BytesIO()
     type_byte = _TYPE_BYTES.get(type(message))
     if type_byte is None:
         raise DecodeError(f"unknown message type: {type(message).__name__}")
     out.write(struct.pack(">B", type_byte))
-    if isinstance(message, Init):
-        kind = _PERMUTATION_BYTES.get(message.permutation_kind)
-        if kind is None:
-            raise DecodeError(f"unknown permutation kind: {message.permutation_kind!r}")
-        out.write(struct.pack(">IB", message.frame_length, kind))
-        out.write(_encode_schedule(message.schedule))
-        out.write(_encode_break(message.break_condition))
-        out.write(struct.pack(">Q", message.seed & ((1 << 64) - 1)))
-    elif isinstance(message, BlockParities):
-        out.write(struct.pack(">II", message.round_index, len(message.parities)))
-        out.write(bytes(message.parities))
-    elif isinstance(message, ParityQuery):
-        out.write(struct.pack(">II", message.round_index, len(message.intervals)))
-        for lo, hi in message.intervals:
-            out.write(struct.pack(">II", lo, hi))
-    elif isinstance(message, ParityAnswer):
-        out.write(struct.pack(">II", message.round_index, len(message.entries)))
-        for lo, hi, parity in message.entries:
-            out.write(struct.pack(">IIB", lo, hi, parity))
-    elif isinstance(message, RoundDone):
-        out.write(struct.pack(">II", message.round_index, message.corrected))
-    elif isinstance(message, Finalize):
-        out.write(struct.pack(">Q", message.fingerprint))
-    elif isinstance(message, Result):
-        out.write(struct.pack(">B", _STATUS_BYTES[message.status]))
+    try:
+        if isinstance(message, Init):
+            kind = _PERMUTATION_BYTES.get(message.permutation_kind)
+            if kind is None:
+                raise DecodeError(f"unknown permutation kind: {message.permutation_kind!r}")
+            out.write(struct.pack(">IB", message.frame_length, kind))
+            out.write(_encode_schedule(message.schedule))
+            out.write(_encode_break(message.break_condition))
+            out.write(struct.pack(">Q", message.seed & ((1 << 64) - 1)))
+        elif isinstance(message, BlockParities):
+            out.write(struct.pack(">II", message.round_index, len(message.parities)))
+            out.write(bytes(message.parities))
+        elif isinstance(message, ParityQuery):
+            out.write(struct.pack(">II", message.round_index, len(message.intervals)))
+            for lo, hi in message.intervals:
+                out.write(struct.pack(">II", lo, hi))
+        elif isinstance(message, ParityAnswer):
+            out.write(struct.pack(">II", message.round_index, len(message.entries)))
+            for lo, hi, parity in message.entries:
+                out.write(struct.pack(">IIB", lo, hi, parity))
+        elif isinstance(message, RoundDone):
+            out.write(struct.pack(">II", message.round_index, message.corrected))
+        elif isinstance(message, Finalize):
+            out.write(struct.pack(">Q", message.fingerprint))
+        elif isinstance(message, Result):
+            out.write(struct.pack(">B", _STATUS_BYTES[message.status]))
+    except DecodeError:
+        raise
+    except (struct.error, ValueError, TypeError, KeyError) as exc:
+        raise DecodeError(f"cannot encode {type(message).__name__}: {exc}") from exc
     return out.getvalue()
 
 
@@ -233,24 +242,30 @@ class _Reader:
 
 def _decode_schedule(reader: _Reader) -> ScheduleConfig:
     variant = reader.take(">B", "schedule.variant")
-    if variant == 0:
-        estimate, k = reader.take(">dI", "schedule.static")
-        return StaticSchedule(estimate, k)
-    if variant == 1:
-        estimate = reader.take(">d", "schedule.dynamic")
-        return DynamicSchedule(estimate)
+    try:
+        if variant == 0:
+            estimate, k = reader.take(">dI", "schedule.static")
+            return StaticSchedule(estimate, k)
+        if variant == 1:
+            estimate = reader.take(">d", "schedule.dynamic")
+            return DynamicSchedule(estimate)
+    except ConfigurationError as exc:
+        raise DecodeError(f"invalid schedule: {exc}") from exc
     raise DecodeError(f"unknown schedule variant byte: {variant}")
 
 
 def _decode_break(reader: _Reader) -> BreakCondition:
     variant = reader.take(">B", "break.variant")
     value = reader.take(">I", "break.parameter")
-    if variant == 0:
-        return FixedRoundsBreak(value)
-    if variant == 1:
-        return QuietRoundsBreak(value)
-    if variant == 2:
-        return ThresholdBreak(value)
+    try:
+        if variant == 0:
+            return FixedRoundsBreak(value)
+        if variant == 1:
+            return QuietRoundsBreak(value)
+        if variant == 2:
+            return ThresholdBreak(value)
+    except ConfigurationError as exc:
+        raise DecodeError(f"invalid break.parameter: {exc}") from exc
     raise DecodeError(f"unknown break variant byte: {variant}")
 
 

@@ -22,13 +22,7 @@ from typing import List, Optional
 
 from .bitframe import Bsc, FixedErrors
 from .channel import write_transcript
-from .errors import (
-    ConfigurationError,
-    DecodeError,
-    ProtocolError,
-    TransportError,
-    TreeStructureError,
-)
+from .errors import CascadeError, ConfigurationError
 from .harness import (
     LengthSweep,
     QberSweep,
@@ -314,7 +308,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (ProtocolError, TransportError, DecodeError, TreeStructureError, OSError) as exc:
+    except (CascadeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -23,11 +23,12 @@ Conversation shape (strict half-duplex: at most one message in flight):
 
 Within a round the responder works in "waves".  Each wave advances every
 live search as far as stored parities allow, performs at most one channel
-exchange per search, then applies all located corrections at once, aborts
-searches whose current interval was touched by a flip, and queues affected
-earlier-round blocks as new search candidates.  Running identical waves
-regardless of query batching is what makes the batched and unbatched modes
-produce bit-identical corrections.
+exchange per search, then applies the located corrections.  Each flip is
+one pass over the opened rounds: it updates every round's view and the
+parity map, queues the earlier rounds' blocks that hold the bit (the
+cascade), and aborts the live search whose working interval it touched.
+Running identical waves regardless of query batching is what makes the
+batched and unbatched modes produce bit-identical corrections.
 """
 
 from __future__ import annotations
@@ -216,7 +217,9 @@ def initiator_session(config: SessionConfig, frame: BitFrame):
 
     inbound = yield [my_init]
     if isinstance(inbound, wire.Result):
-        # Responder rejected the handshake.
+        # Only the responder's handshake rejection may end a session here.
+        if inbound.status is not wire.SessionStatus.CONFIG_MISMATCH:
+            raise ProtocolError(f"unexpected verdict {inbound.status.value} in the handshake")
         return _unreconciled(Role.INITIATOR, inbound.status, frame, parity_bits), []
     if not isinstance(inbound, wire.Init):
         raise ProtocolError(f"expected Init or Result, got {type(inbound).__name__}")
@@ -230,10 +233,10 @@ def initiator_session(config: SessionConfig, frame: BitFrame):
     history: List[int] = []
     round_index = 0
     while True:
-        sources = np.empty(n, dtype=np.int64)
-        sources[round_mapping(config, round_index)] = np.arange(n, dtype=np.int64)
+        view = np.empty(n, dtype=np.uint8)
+        view[round_mapping(config, round_index)] = frame.bits
         prefix = np.zeros(n + 1, dtype=np.uint8)
-        np.bitwise_xor.accumulate(frame.bits[sources], out=prefix[1:])
+        np.bitwise_xor.accumulate(view, out=prefix[1:])
         prefixes[round_index] = prefix
         plan = plan_round(config.schedule, round_index, n, tuple(history))
         bounds = np.array(plan.intervals, dtype=np.int64)
@@ -499,7 +502,6 @@ class _Responder:
                 task.regions = deque(regions)
                 task.stage = _Stage.PROBING
             if task.stage is _Stage.PROBING:
-                advanced_to_running = False
                 while task.regions:
                     region = task.regions[0]
                     value = self._resolve_remote(task.round_index, task.block, region)
@@ -509,14 +511,11 @@ class _Responder:
                     task.regions.popleft()
                     if self._local_parity(task.round_index, *region) != value:
                         self._begin_search(task, region, value)
-                        advanced_to_running = True
                         break
-                if not advanced_to_running and task.stage is _Stage.PROBING:
+                else:
                     # No frontier region disagrees; fall back to the whole
                     # block, whose mismatch was established on entry.
                     self._begin_search(task, task.block, self.known[task.key][0])
-            if task.stage is _Stage.DONE:
-                return None
             if task.stage is _Stage.RUNNING:
                 query = bisect_search.pending_query(task.state)
                 if query is None:
@@ -564,18 +563,6 @@ class _Responder:
         else:
             raise ProtocolError("parity answer delivered to an idle search")
 
-    # -- corrections -----------------------------------------------------------
-
-    def _apply_flip(self, original_position: int, learn_round: int) -> None:
-        self.bits[original_position] ^= 1
-        value = int(self.bits[original_position])
-        for r_idx, mapping in self.mappings.items():
-            pos = int(mapping[original_position])
-            self.views[r_idx][pos] ^= 1
-            self.corrected.setdefault((r_idx, self._block_of(r_idx, pos)), set()).add(pos)
-            self._learn_syndrome(r_idx, (pos, pos + 1), value, learn_round)
-        self.compromised.add(original_position)
-
     # -- the round wave loop -----------------------------------------------------
 
     def run_round(self, round_index: int, block_msg) -> Iterator:
@@ -586,6 +573,8 @@ class _Responder:
         unfinished searches live in one insertion-ordered map keyed by
         ``(round, block)``; each wave advances them in queue order, and
         finished ones leave it before the wave's cascade candidates join.
+        A flip is one pass over the opened rounds that updates the views
+        and the map, queues the cascade and aborts the touched search.
         """
         if not isinstance(block_msg, wire.BlockParities):
             raise ProtocolError(f"expected BlockParities, got {type(block_msg).__name__}")
@@ -627,70 +616,68 @@ class _Responder:
                 if need is not None:
                     needs.append((task, need))
 
-            if needs:
-                if self.config.aggregation:
-                    by_round: Dict[int, List[Tuple[_SearchTask, Interval]]] = {}
-                    for task, interval in needs:
-                        by_round.setdefault(task.round_index, []).append((task, interval))
-                    for r_key in sorted(by_round):
-                        group = by_round[r_key]
-                        intervals = tuple(interval for _, interval in group)
-                        reply = yield [wire.ParityQuery(r_key, intervals)]
-                        entries = self._checked_entries(reply, r_key, intervals)
-                        for (task, interval), (_, _, parity) in zip(group, entries):
-                            self.parity_bits += 1
-                            self._feed_wire(task, interval, parity, round_index)
-                else:
-                    for task, interval in needs:
-                        reply = yield [wire.ParityQuery(task.round_index, (interval,))]
-                        entries = self._checked_entries(reply, task.round_index, (interval,))
-                        self.parity_bits += 1
-                        self._feed_wire(task, interval, entries[0][2], round_index)
+            # Aggregation only chooses the groups: one query per referenced
+            # round in round order, or one per need in need order.
+            if self.config.aggregation:
+                by_round: Dict[int, List[Tuple[_SearchTask, Interval]]] = {}
+                for need in needs:
+                    by_round.setdefault(need[0].round_index, []).append(need)
+                groups = [by_round[r_key] for r_key in sorted(by_round)]
+            else:
+                groups = [[need] for need in needs]
+            for group in groups:
+                tasks, intervals = zip(*group)
+                r_key = tasks[0].round_index
+                reply = yield [wire.ParityQuery(r_key, intervals)]
+                entries = self._checked_entries(reply, r_key, intervals)
+                self.parity_bits += len(entries)
+                for task, interval, (_, _, parity) in zip(tasks, intervals, entries):
+                    self._feed_wire(task, interval, parity, round_index)
 
+            # One pass per flip over the opened rounds: update the view and
+            # the map, queue earlier rounds' blocks (the cascade), and abort
+            # the live search on this block if the flip touched its working
+            # interval.  A flip changes no task's stage or state, so each
+            # test sees what a separate scan after all flips would see.
             candidates: Set[Tuple[int, Interval]] = set()
-            if self.pending_finds:
-                flips: List[Tuple[int, _SearchTask]] = []
-                seen: Set[int] = set()
-                for task, found_pos in self.pending_finds:
-                    original = int(self.sources[task.round_index][found_pos])
-                    if original in seen:
-                        continue
-                    seen.add(original)
-                    flips.append((original, task))
-                    self.corrections.append(
-                        CorrectionEvent(
-                            corrected_round=round_index,
-                            block_round=task.round_index,
-                            original_position=original,
-                            block_position=found_pos,
-                            disclosed_bits=task.probe_bits + task.state.disclosed,
-                        )
+            flipped: Set[int] = set()
+            for task, found_pos in self.pending_finds:
+                original = int(self.sources[task.round_index][found_pos])
+                if original in flipped:
+                    continue
+                flipped.add(original)
+                self.corrections.append(
+                    CorrectionEvent(
+                        corrected_round=round_index,
+                        block_round=task.round_index,
+                        original_position=original,
+                        block_position=found_pos,
+                        disclosed_bits=task.probe_bits + task.state.disclosed,
                     )
-                self.pending_finds.clear()
-                for original, _ in flips:
-                    self._apply_flip(original, round_index)
-                    corrected_this_round += 1
-
-                # Cascade: every earlier round's block containing a flip.
-                for original, _ in flips:
-                    for r_prev in range(round_index):
-                        pos_prev = int(self.mappings[r_prev][original])
-                        candidates.add((r_prev, self._block_of(r_prev, pos_prev)))
-                # Abort-on-touch: invalidate searches whose working state a
-                # flip just contradicted, and re-queue their blocks.
-                for other in live.values():
-                    if other.stage in (_Stage.DONE, _Stage.PENDING):
-                        continue
-                    for original, _ in flips:
-                        pos_here = int(self.mappings[other.round_index][original])
-                        if not other.block[0] <= pos_here < other.block[1]:
-                            continue
-                        if other.stage is _Stage.RUNNING:
-                            if not other.state.lo <= pos_here < other.state.hi:
-                                continue
+                )
+                self.bits[original] ^= 1
+                value = int(self.bits[original])
+                for r, mapping in self.mappings.items():
+                    pos = int(mapping[original])
+                    key = (r, self._block_of(r, pos))
+                    self.views[r][pos] ^= 1
+                    self.corrected.setdefault(key, set()).add(pos)
+                    self._learn_syndrome(r, (pos, pos + 1), value, round_index)
+                    if r < round_index:
+                        candidates.add(key)
+                    other = live.get(key)
+                    if other is not None and (
+                        other.stage is _Stage.PROBING
+                        or (
+                            other.stage is _Stage.RUNNING
+                            and other.state.lo <= pos < other.state.hi
+                        )
+                    ):
                         other.stage = _Stage.DONE
-                        candidates.add(other.key)
-                        break
+                        candidates.add(key)
+            self.pending_finds.clear()
+            self.compromised |= flipped
+            corrected_this_round += len(flipped)
 
             live = {key: task for key, task in live.items() if task.stage is not _Stage.DONE}
             for key in sorted(candidates):
@@ -803,32 +790,34 @@ _OUT_DIRECTION = {Role.INITIATOR: wire.Direction.A_TO_B, Role.RESPONDER: wire.Di
 _IN_DIRECTION = {Role.INITIATOR: wire.Direction.B_TO_A, Role.RESPONDER: wire.Direction.A_TO_B}
 
 
+def _step(role: Role, generator, message, channel_obj: wire.Channel) -> Optional[SessionSummary]:
+    """Deliver ``message`` to a party (``None`` starts it) and send what it
+    yields; returns the party's summary once its generator has finished."""
+    try:
+        outbound = generator.send(message)
+        summary = None
+    except StopIteration as stop:
+        summary, outbound = stop.value
+    direction = _OUT_DIRECTION[role]
+    for out in outbound:
+        channel_obj.send(direction, out)
+    return summary
+
+
 def _drive_lockstep(generators, channel_obj: wire.Channel):
     summaries = {}
-
-    def emit(role: Role, messages) -> None:
-        for message in messages:
-            channel_obj.send(_OUT_DIRECTION[role], message)
-
     for role in (Role.INITIATOR, Role.RESPONDER):
-        emit(role, next(generators[role]))
+        _step(role, generators[role], None, channel_obj)
 
     while len(summaries) < 2:
         progressed = False
         for role in (Role.RESPONDER, Role.INITIATOR):
-            if role in summaries:
+            inbound = _IN_DIRECTION[role]
+            if role in summaries or channel_obj.pending(inbound) == 0:
                 continue
-            if channel_obj.pending(_IN_DIRECTION[role]) == 0:
-                continue
-            message = channel_obj.recv(_IN_DIRECTION[role])
-            try:
-                outbound = generators[role].send(message)
-            except StopIteration as stop:
-                summary, finals = stop.value
-                emit(role, finals)
+            summary = _step(role, generators[role], channel_obj.recv(inbound), channel_obj)
+            if summary is not None:
                 summaries[role] = summary
-            else:
-                emit(role, outbound)
             progressed = True
         if not progressed:
             raise ProtocolError("protocol deadlock: no message in flight")
@@ -841,21 +830,13 @@ def _drive_threaded(generators, channel_obj: wire.Channel, timeout: float):
 
     def worker(role: Role) -> None:
         generator = generators[role]
+        inbound = _IN_DIRECTION[role]
         try:
-            for message in next(generator):
-                channel_obj.send(_OUT_DIRECTION[role], message)
-            while True:
-                message = channel_obj.recv(_IN_DIRECTION[role], timeout=timeout)
-                try:
-                    outbound = generator.send(message)
-                except StopIteration as stop:
-                    summary, finals = stop.value
-                    for final in finals:
-                        channel_obj.send(_OUT_DIRECTION[role], final)
-                    summaries[role] = summary
-                    return
-                for out in outbound:
-                    channel_obj.send(_OUT_DIRECTION[role], out)
+            summary = _step(role, generator, None, channel_obj)
+            while summary is None:
+                message = channel_obj.recv(inbound, timeout=timeout)
+                summary = _step(role, generator, message, channel_obj)
+            summaries[role] = summary
         except BaseException as exc:  # noqa: BLE001 - reported to the caller
             failures.append(exc)
             # Wake the other party at once instead of letting it time out.

@@ -137,6 +137,53 @@ def test_trailing_garbage_rejected():
         decode_message(blob)
 
 
+def one_message_of_each_type():
+    first = {}
+    for message in sample_messages():
+        first.setdefault(type(message), message)
+    assert len(first) == 7
+    return list(first.values())
+
+
+def byte_mutations(blob):
+    """Every single-bit flip, every truncation and one extra byte."""
+    for bit in range(len(blob) * 8):
+        flipped = bytearray(blob)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        yield bytes(flipped)
+    for end in range(len(blob)):
+        yield blob[:end]
+    yield blob + b"\x00"
+
+
+def test_decoding_mutated_bytes_raises_only_decode_error():
+    # A mutated payload may still decode to a valid message; anything else
+    # must be a DecodeError.
+    for message in one_message_of_each_type():
+        for blob in byte_mutations(encode_message(message)):
+            try:
+                decode_message(blob)
+            except DecodeError:
+                pass
+
+
+def test_reading_a_mutated_transcript_raises_only_decode_error(tmp_path):
+    chan = Channel()
+    for message in one_message_of_each_type():
+        chan.send(Direction.A_TO_B, message)
+    path = str(tmp_path / "session.transcript")
+    write_transcript(path, chan.transcript)
+    with open(path, "rb") as handle:
+        blob = handle.read()
+    for mutated in byte_mutations(blob):
+        with open(path, "wb") as handle:
+            handle.write(mutated)
+        try:
+            read_transcript(path)
+        except DecodeError:
+            pass
+
+
 def test_message_parity_bits():
     assert message_parity_bits(BlockParities(0, (1, 0, 1))) == 3
     assert message_parity_bits(ParityAnswer(0, ((0, 2, 1),))) == 1
@@ -201,8 +248,15 @@ def test_close_wakes_a_blocked_receiver_and_keeps_queued_messages():
 
 def test_sender_side_validation_rejects_malformed_messages():
     chan = Channel()
-    with pytest.raises(DecodeError):
-        chan.send(Direction.A_TO_B, BlockParities(0, (2,)))
+    malformed = [
+        BlockParities(0, (2,)),
+        BlockParities(0, (300,)),
+        ParityQuery(0, ((-1, 2),)),
+        RoundDone(-1, 0),
+    ]
+    for message in malformed:
+        with pytest.raises(DecodeError):
+            chan.send(Direction.A_TO_B, message)
     assert chan.transcript == ()
 
 

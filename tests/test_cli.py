@@ -7,7 +7,15 @@ import sys
 from cascade_sim import cli
 from cascade_sim.channel import read_transcript
 from cascade_sim.cli import main
-from cascade_sim.errors import TreeStructureError
+from cascade_sim.errors import (
+    CascadeError,
+    ConfigurationError,
+    DecodeError,
+    ProtocolError,
+    SyndromeConflictError,
+    TransportError,
+    TreeStructureError,
+)
 from cascade_sim.harness import load_records
 
 
@@ -117,6 +125,21 @@ def test_tree_structure_error_exits_with_code_one(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert "error: conflicting syndromes" in err
+
+
+def test_every_error_shares_one_base_and_keeps_its_builtin_base():
+    bases = {
+        ConfigurationError: ValueError,
+        ProtocolError: RuntimeError,
+        TransportError: RuntimeError,
+        DecodeError: ValueError,
+        TreeStructureError: ValueError,
+        SyndromeConflictError: TreeStructureError,
+    }
+    for error, base in bases.items():
+        assert issubclass(error, CascadeError), error
+        assert issubclass(error, base), error
+    assert not issubclass(CascadeError, (ValueError, RuntimeError))
 
 
 def test_sweep_qber_writes_full_grid(tmp_path, capsys):

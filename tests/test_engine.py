@@ -551,10 +551,14 @@ def test_initiator_rejects_malformed_queries(query):
 # configurations below.  It pins the wire behaviour: a change that alters
 # transcripts on purpose updates this value and says why.
 TRANSCRIPT_PIN = "f7adb564e2a6a977a8c6e2bc0e82105b2ea0e7d76c1156aa95298a02879bf287"
+# SHA-256 over the responder's correction events, per-round corrections and
+# compromised positions for the same configurations.
+CORRECTION_PIN = "a3fbe23674ff187def95f83469c807b37056970a5498db0aa8e07ffa4de24993"
 
 
 def test_transcripts_match_the_pinned_hash():
     digest = hashlib.sha256()
+    corrections = hashlib.sha256()
     for schedule, aggregation, reuse, kind, qber in itertools.product(
         ("static", "dynamic"), (False, True), (False, True), ("lcg", "shuffle"), (0.02, 0.15)
     ):
@@ -567,4 +571,9 @@ def test_transcripts_match_the_pinned_hash():
         result = run_trial_detailed(template, 1024, Bsc(qber), 1).result
         digest.update(result.channel.transcript_bytes())
         digest.update(result.responder.final_frame.bits.tobytes())
+        r = result.responder
+        corrections.update(
+            repr((r.corrections, r.corrected_history, sorted(r.compromised_positions))).encode()
+        )
     assert digest.hexdigest() == TRANSCRIPT_PIN
+    assert corrections.hexdigest() == CORRECTION_PIN

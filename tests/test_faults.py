@@ -118,3 +118,23 @@ def test_a_verdict_in_place_of_a_round_is_a_protocol_error(
         engine.run_session_pair(
             config, config, reference, noisy, scheduling=scheduling, timeout=5.0
         )
+
+
+def _verdict_in_place_of_handshake(config, frame):
+    """A responder that answers the initiator's ``Init`` with ``Result(SUCCESS)``."""
+    yield []
+    status = wire.SessionStatus.SUCCESS
+    return engine._unreconciled(engine.Role.RESPONDER, status, frame, 0), [wire.Result(status)]
+
+
+@pytest.mark.parametrize("scheduling", ["lockstep", "threaded"])
+def test_a_verdict_in_place_of_the_handshake_is_a_protocol_error(monkeypatch, scheduling):
+    monkeypatch.setattr(engine, "responder_session", _verdict_in_place_of_handshake)
+    reference = BitFrame.random(1024, seed=3)
+    noisy, injected = apply_noise(reference, Bsc(0.05), 4)
+    assert injected > 0
+    config = SessionTemplate().config_for(1024, 0.05, 5)
+    with pytest.raises(ProtocolError, match="unexpected verdict success in the handshake"):
+        engine.run_session_pair(
+            config, config, reference, noisy, scheduling=scheduling, timeout=5.0
+        )
