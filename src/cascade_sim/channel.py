@@ -16,19 +16,27 @@ transcript is byte-reproducible across runs and platforms:
 Schedule parameters ride as f64 (estimated error rate) plus u32 (growth
 factor) for the geometric variant, or f64 alone for the adaptive variant.
 
-The channel itself is a pair of FIFO lanes plus an append-only transcript.
-Each direction carries its own gapless sequence counter; observers ("taps",
-e.g. the eavesdropper accountant) see every message in transit order.
+Each field has exactly one encoding, and the encoder is the validity
+check: it accepts exactly the messages that decode back equal (bit
+parities, in-range integers, a 64-bit seed, known kinds, tuples where the
+dataclasses say tuples).  So a sender encodes each message once, and the
+receiver gets the sent message itself; nothing decodes in transit.
+
+The channel itself is a pair of FIFO lanes (C-level queues) plus an
+append-only transcript.  Each direction carries its own gapless sequence
+counter; observers ("taps", e.g. the eavesdropper accountant) see every
+message in transit order.  Each transcript entry keeps the bytes its
+message was sent as, and a transcript is framed from those bytes.
 """
 
 from __future__ import annotations
 
 import enum
-import io
+import queue
 import struct
 import threading
-from collections import deque
 from dataclasses import dataclass, field
+from itertools import starmap
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import ConfigurationError, DecodeError, TransportError
@@ -132,91 +140,125 @@ class Result:
 
 Message = Union[Init, BlockParities, ParityQuery, ParityAnswer, RoundDone, Finalize, Result]
 
-_TYPE_BYTES = {
-    Init: 1,
-    BlockParities: 2,
-    ParityQuery: 3,
-    ParityAnswer: 4,
-    RoundDone: 5,
-    Finalize: 6,
-    Result: 7,
-}
-
 _PERMUTATION_BYTES = {"shuffle": 0, "lcg": 1}
 _PERMUTATION_NAMES = {v: k for k, v in _PERMUTATION_BYTES.items()}
-_STATUS_BYTES = {
-    SessionStatus.SUCCESS: 0,
-    SessionStatus.FAILURE: 1,
-    SessionStatus.CONFIG_MISMATCH: 2,
-}
-_STATUS_NAMES = {v: k for k, v in _STATUS_BYTES.items()}
+# A status's wire byte is its index here; a tuple lookup hashes no enum.
+_STATUSES = (SessionStatus.SUCCESS, SessionStatus.FAILURE, SessionStatus.CONFIG_MISMATCH)
 
 
 # ---------------------------------------------------------------------------
 # codec
 # ---------------------------------------------------------------------------
 
+# One precompiled layout per message shape; a leading B is the type byte.
+_INIT_STATIC = struct.Struct(">BIBBdIBIQ")  # ..., schedule 0, estimate, k, break, seed
+_INIT_DYNAMIC = struct.Struct(">BIBBdBIQ")  # ..., schedule 1, estimate, break, seed
+_COUNTED_HEADER = struct.Struct(">BII")  # type, round, entry count
+_INTERVAL = struct.Struct(">II")
+_ANSWER_ENTRY = struct.Struct(">IIB")
+_ROUND_DONE = struct.Struct(">BII")
+_FINALIZE = struct.Struct(">BQ")
+_RESULT = struct.Struct(">BB")
+_NOT_BITS = bytes(range(2))  # translate() deletes these; anything left is not a bit
+_ONLY_TUPLES = frozenset((tuple,))
 
-def _encode_schedule(schedule: ScheduleConfig) -> bytes:
-    if isinstance(schedule, StaticSchedule):
-        return struct.pack(">BdI", 0, schedule.qber_estimate, schedule.k)
-    if isinstance(schedule, DynamicSchedule):
-        return struct.pack(">Bd", 1, schedule.qber_estimate)
-    raise DecodeError(f"unknown schedule variant: {type(schedule).__name__}")
+
+def _require_tuples(name: str, value, nested: bool) -> None:
+    """Containers must be tuples (of tuples), or they would not decode back equal."""
+    if type(value) is not tuple or (nested and not set(map(type, value)) <= _ONLY_TUPLES):
+        raise DecodeError(f"{name} must be a tuple{' of tuples' if nested else ''}")
 
 
-def _encode_break(condition: BreakCondition) -> bytes:
-    if isinstance(condition, FixedRoundsBreak):
-        return struct.pack(">BI", 0, condition.total_rounds)
-    if isinstance(condition, QuietRoundsBreak):
-        return struct.pack(">BI", 1, condition.quiet_rounds)
-    if isinstance(condition, ThresholdBreak):
-        return struct.pack(">BI", 2, condition.min_corrected)
+def _break_fields(condition: BreakCondition) -> Tuple[int, int]:
+    if type(condition) is FixedRoundsBreak:
+        return 0, condition.total_rounds
+    if type(condition) is QuietRoundsBreak:
+        return 1, condition.quiet_rounds
+    if type(condition) is ThresholdBreak:
+        return 2, condition.min_corrected
     raise DecodeError(f"unknown break variant: {type(condition).__name__}")
+
+
+def _encode_init(message: Init) -> bytes:
+    kind = _PERMUTATION_BYTES.get(message.permutation_kind)
+    if kind is None:
+        raise DecodeError(f"unknown permutation kind: {message.permutation_kind!r}")
+    schedule = message.schedule
+    if type(schedule) is StaticSchedule:
+        layout, fields = _INIT_STATIC, (0, schedule.qber_estimate, schedule.k)
+    elif type(schedule) is DynamicSchedule:
+        layout, fields = _INIT_DYNAMIC, (1, schedule.qber_estimate)
+    else:
+        raise DecodeError(f"unknown schedule variant: {type(schedule).__name__}")
+    # An estimate that is not a float (a Fraction, say) would read back unequal.
+    if float(schedule.qber_estimate) != schedule.qber_estimate:
+        raise DecodeError(f"schedule estimate {schedule.qber_estimate!r} is not an f64")
+    condition = _break_fields(message.break_condition)
+    return layout.pack(1, message.frame_length, kind, *fields, *condition, message.seed)
+
+
+def _encode_block_parities(message: BlockParities) -> bytes:
+    _require_tuples("block_parities.parities", message.parities, nested=False)
+    bits = bytes(message.parities)
+    if bits.translate(None, _NOT_BITS):
+        i = next(i for i, bit in enumerate(bits) if bit > 1)
+        raise DecodeError(f"block_parities.parities[{i}] is not a bit: {bits[i]}")
+    return _COUNTED_HEADER.pack(2, message.round_index, len(bits)) + bits
+
+
+def _encode_parity_query(message: ParityQuery) -> bytes:
+    intervals = message.intervals
+    _require_tuples("parity_query.intervals", intervals, nested=True)
+    body = b"".join(starmap(_INTERVAL.pack, intervals))
+    return _COUNTED_HEADER.pack(3, message.round_index, len(intervals)) + body
+
+
+def _encode_parity_answer(message: ParityAnswer) -> bytes:
+    entries = message.entries
+    _require_tuples("parity_answer.entries", entries, nested=True)
+    body = b"".join(starmap(_ANSWER_ENTRY.pack, entries))
+    parities = body[_INTERVAL.size :: _ANSWER_ENTRY.size]
+    if parities.translate(None, _NOT_BITS):
+        i = next(i for i, bit in enumerate(parities) if bit > 1)
+        raise DecodeError(f"parity_answer.entries[{i}] parity is not a bit: {parities[i]}")
+    return _COUNTED_HEADER.pack(4, message.round_index, len(entries)) + body
+
+
+def _encode_result(message: Result) -> bytes:
+    if type(message.status) is not SessionStatus:
+        raise DecodeError(f"unknown status: {message.status!r}")
+    return _RESULT.pack(7, _STATUSES.index(message.status))
+
+
+_ENCODERS = {
+    Init: _encode_init,
+    BlockParities: _encode_block_parities,
+    ParityQuery: _encode_parity_query,
+    ParityAnswer: _encode_parity_answer,
+    RoundDone: lambda message: _ROUND_DONE.pack(5, message.round_index, message.corrected),
+    Finalize: lambda message: _FINALIZE.pack(6, message.fingerprint),
+    Result: _encode_result,
+}
 
 
 def encode_message(message: Message) -> bytes:
     """Serialize one message to its schema-1 byte string.
 
-    A field that does not fit its wire type raises ``DecodeError`` naming
-    the message, so only ``DecodeError`` leaves the codec.
+    The encoder is the validity check: it accepts exactly the messages that
+    decode back equal.  Anything else (a field that does not fit its wire
+    type, a parity that is not a bit, a list where a tuple belongs) raises
+    ``DecodeError`` naming the message, so only ``DecodeError`` leaves the
+    codec.
     """
-    out = io.BytesIO()
-    type_byte = _TYPE_BYTES.get(type(message))
-    if type_byte is None:
+    encoder = _ENCODERS.get(type(message))
+    if encoder is None:
         raise DecodeError(f"unknown message type: {type(message).__name__}")
-    out.write(struct.pack(">B", type_byte))
     try:
-        if isinstance(message, Init):
-            kind = _PERMUTATION_BYTES.get(message.permutation_kind)
-            if kind is None:
-                raise DecodeError(f"unknown permutation kind: {message.permutation_kind!r}")
-            out.write(struct.pack(">IB", message.frame_length, kind))
-            out.write(_encode_schedule(message.schedule))
-            out.write(_encode_break(message.break_condition))
-            out.write(struct.pack(">Q", message.seed & ((1 << 64) - 1)))
-        elif isinstance(message, BlockParities):
-            out.write(struct.pack(">II", message.round_index, len(message.parities)))
-            out.write(bytes(message.parities))
-        elif isinstance(message, ParityQuery):
-            out.write(struct.pack(">II", message.round_index, len(message.intervals)))
-            for lo, hi in message.intervals:
-                out.write(struct.pack(">II", lo, hi))
-        elif isinstance(message, ParityAnswer):
-            out.write(struct.pack(">II", message.round_index, len(message.entries)))
-            for lo, hi, parity in message.entries:
-                out.write(struct.pack(">IIB", lo, hi, parity))
-        elif isinstance(message, RoundDone):
-            out.write(struct.pack(">II", message.round_index, message.corrected))
-        elif isinstance(message, Finalize):
-            out.write(struct.pack(">Q", message.fingerprint))
-        elif isinstance(message, Result):
-            out.write(struct.pack(">B", _STATUS_BYTES[message.status]))
+        return encoder(message)
     except DecodeError:
         raise
     except (struct.error, ValueError, TypeError, KeyError) as exc:
         raise DecodeError(f"cannot encode {type(message).__name__}: {exc}") from exc
-    return out.getvalue()
 
 
 class _Reader:
@@ -321,11 +363,10 @@ def decode_message(payload: bytes) -> Message:
         return Finalize(fingerprint)
     if type_byte == 7:
         status_byte = reader.take(">B", "result.status")
-        status = _STATUS_NAMES.get(status_byte)
-        if status is None:
+        if status_byte >= len(_STATUSES):
             raise DecodeError(f"unknown status byte: {status_byte}")
         reader.finish()
-        return Result(status)
+        return Result(_STATUSES[status_byte])
     raise DecodeError(f"unknown message type byte: {type_byte}")
 
 
@@ -345,11 +386,22 @@ def message_parity_bits(message: Message) -> int:
 
 @dataclass(frozen=True)
 class TranscriptEntry:
-    """One message as it crossed the channel."""
+    """One message as it crossed the channel, with its encoded bytes.
+
+    ``payload`` is ``encode_message(message)``: the channel and the
+    transcript reader pass the bytes they already hold, and an entry built
+    without them encodes its message once here.  Equality and hashing
+    ignore it.
+    """
 
     direction: Direction
     sequence: int
     message: Message
+    payload: Optional[bytes] = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.payload is None:
+            object.__setattr__(self, "payload", encode_message(self.message))
 
 
 class EveTap:
@@ -366,58 +418,84 @@ class EveTap:
         self.entries.append(entry)
 
 
+_A_TO_B = Direction.A_TO_B
+_B_TO_A = Direction.B_TO_A
+_CLOSED = object()  # the close marker that ends each lane
+
+
+def _lane_index(direction: Direction) -> int:
+    """0 for a->b, 1 for b->a; an identity test, so no enum is hashed."""
+    if direction is _A_TO_B:
+        return 0
+    if direction is _B_TO_A:
+        return 1
+    raise TransportError(f"unknown direction: {direction!r}")
+
+
 class Channel:
     """Two one-way FIFO lanes with a shared, ordered transcript.
 
     ``send``/``recv`` are thread-safe; per-direction sequence numbers are
-    gapless and the transcript preserves global send order.  ``close`` wakes
-    every receiver blocked on an empty lane.
+    gapless and the transcript preserves global send order.  ``close`` puts
+    a marker behind each lane's queued messages: they are still delivered,
+    and every receive after them, blocked or not, raises.
     """
 
     def __init__(self, taps: Sequence[EveTap] = ()):
         self._lock = threading.Lock()
-        self._lanes = {direction: deque() for direction in Direction}
-        self._arrived = {direction: threading.Condition(self._lock) for direction in Direction}
-        self._sequences = {direction: 0 for direction in Direction}
+        # Indexed by _lane_index: a->b, then b->a.
+        self._lanes = (queue.SimpleQueue(), queue.SimpleQueue())
+        self._sequences = [0, 0]
         self._transcript: List[TranscriptEntry] = []
         self._taps = list(taps)
         self._closed = False
 
     def send(self, direction: Direction, message: Message) -> None:
-        # Encode up front so malformed messages fail at the sender.
+        # Encoding is the validity check, so a malformed message fails here
+        # and the receiver can take the sent message itself.
         payload = encode_message(message)
-        decoded = decode_message(payload)
+        index = _lane_index(direction)
         with self._lock:
             if self._closed:
                 raise TransportError("channel is closed")
-            entry = TranscriptEntry(direction, self._sequences[direction], decoded)
-            self._sequences[direction] += 1
+            sequence = self._sequences[index]
+            self._sequences[index] = sequence + 1
+            entry = TranscriptEntry(direction, sequence, message, payload)
             self._transcript.append(entry)
             for tap in self._taps:
                 tap.observe(entry)
-            self._lanes[direction].append(decoded)
-            self._arrived[direction].notify()
+            self._lanes[index].put(message)
 
     def recv(self, direction: Direction, timeout: Optional[float] = None) -> Message:
         """Take the next message; wait up to ``timeout`` seconds if given."""
-        lane = self._lanes[direction]
-        with self._lock:
-            if timeout is not None:
-                self._arrived[direction].wait_for(lambda: lane or self._closed, timeout)
-            if lane:
-                return lane.popleft()
-            if self._closed:
-                raise TransportError("channel is closed")
-            raise TransportError(f"no message pending in direction {direction.value}")
+        lane = self._lanes[_lane_index(direction)]
+        try:
+            if timeout is None:
+                message = lane.get_nowait()
+            else:  # a negative timeout waits for nothing, as 0 does
+                message = lane.get(timeout=max(timeout, 0.0))
+        except queue.Empty:
+            raise TransportError(f"no message pending in direction {direction.value}") from None
+        if message is _CLOSED:
+            lane.put(_CLOSED)  # leave it for the next receiver
+            raise TransportError("channel is closed")
+        return message
 
     def pending(self, direction: Direction) -> int:
-        return len(self._lanes[direction])
+        """Messages queued in ``direction``; the close marker is not one."""
+        lane = self._lanes[_lane_index(direction)]
+        with self._lock:
+            # Nothing queues behind the marker, so while a receiver holds it
+            # the lane is empty and the difference is clamped to 0.
+            return max(0, lane.qsize() - self._closed)
 
     def close(self) -> None:
         with self._lock:
+            if self._closed:
+                return
             self._closed = True
-            for arrived in self._arrived.values():
-                arrived.notify_all()
+            for lane in self._lanes:
+                lane.put(_CLOSED)
 
     @property
     def transcript(self) -> Tuple[TranscriptEntry, ...]:
@@ -470,14 +548,12 @@ def leakage_report(transcript: Iterable[TranscriptEntry]) -> LeakageReport:
 
 def _frame_transcript(transcript: Iterable[TranscriptEntry]) -> bytes:
     """Canonical layout: magic, version byte, then a header and payload per entry."""
-    out = io.BytesIO()
-    out.write(TRANSCRIPT_MAGIC)
-    out.write(struct.pack(">B", WIRE_VERSION))
+    parts = [TRANSCRIPT_MAGIC, bytes((WIRE_VERSION,))]
     for entry in transcript:
-        payload = encode_message(entry.message)
-        out.write(_RECORD_HEADER.pack(entry.direction.wire_byte, entry.sequence, len(payload)))
-        out.write(payload)
-    return out.getvalue()
+        payload = entry.payload
+        parts.append(_RECORD_HEADER.pack(entry.direction.wire_byte, entry.sequence, len(payload)))
+        parts.append(payload)
+    return b"".join(parts)
 
 
 def write_transcript(path: str, transcript: Iterable[TranscriptEntry]) -> None:
@@ -487,7 +563,11 @@ def write_transcript(path: str, transcript: Iterable[TranscriptEntry]) -> None:
 
 
 def read_transcript(path: str) -> List[TranscriptEntry]:
-    """Read a transcript file back into entries, validating framing."""
+    """Read a transcript file back into entries, validating framing.
+
+    Each direction's sequence numbers must count up from 0 without gaps,
+    as a ``Channel`` numbers them.
+    """
     with open(path, "rb") as handle:
         blob = handle.read()
     if blob[: len(TRANSCRIPT_MAGIC)] != TRANSCRIPT_MAGIC:
@@ -500,6 +580,7 @@ def read_transcript(path: str) -> List[TranscriptEntry]:
     if version != WIRE_VERSION:
         raise DecodeError(f"transcript file: unsupported version {version}")
     entries: List[TranscriptEntry] = []
+    sequences = [0, 0]
     while offset < len(blob):
         if offset + _RECORD_HEADER.size > len(blob):
             raise DecodeError("transcript file: truncated record header")
@@ -507,10 +588,16 @@ def read_transcript(path: str) -> List[TranscriptEntry]:
         offset += _RECORD_HEADER.size
         if direction_byte not in (0, 1):
             raise DecodeError(f"transcript file: bad direction byte {direction_byte}")
+        direction = _A_TO_B if direction_byte == 0 else _B_TO_A
+        if sequence != sequences[direction_byte]:
+            raise DecodeError(
+                f"transcript file: sequence {sequence} in direction {direction.value}, "
+                f"expected {sequences[direction_byte]}"
+            )
+        sequences[direction_byte] += 1
         if offset + length > len(blob):
             raise DecodeError("transcript file: truncated record payload")
-        message = decode_message(blob[offset : offset + length])
+        payload = blob[offset : offset + length]
         offset += length
-        direction = Direction.A_TO_B if direction_byte == 0 else Direction.B_TO_A
-        entries.append(TranscriptEntry(direction, sequence, message))
+        entries.append(TranscriptEntry(direction, sequence, decode_message(payload), payload))
     return entries

@@ -786,66 +786,63 @@ class PairResult:
     channel: wire.Channel
 
 
-_OUT_DIRECTION = {Role.INITIATOR: wire.Direction.A_TO_B, Role.RESPONDER: wire.Direction.B_TO_A}
-_IN_DIRECTION = {Role.INITIATOR: wire.Direction.B_TO_A, Role.RESPONDER: wire.Direction.A_TO_B}
-
-
-def _step(role: Role, generator, message, channel_obj: wire.Channel) -> Optional[SessionSummary]:
+def _step(generator, message, channel_obj: wire.Channel, direction) -> Optional[SessionSummary]:
     """Deliver ``message`` to a party (``None`` starts it) and send what it
-    yields; returns the party's summary once its generator has finished."""
+    yields in ``direction``; returns the party's summary once its generator
+    has finished."""
     try:
         outbound = generator.send(message)
         summary = None
     except StopIteration as stop:
         summary, outbound = stop.value
-    direction = _OUT_DIRECTION[role]
     for out in outbound:
         channel_obj.send(direction, out)
     return summary
 
 
-def _drive_lockstep(generators, channel_obj: wire.Channel):
-    summaries = {}
-    for role in (Role.INITIATOR, Role.RESPONDER):
-        _step(role, generators[role], None, channel_obj)
+# A driver's parties are (generator, outbound direction, inbound direction)
+# triples, initiator first; its summaries are a list in the same order.
 
-    while len(summaries) < 2:
+
+def _drive_lockstep(parties, channel_obj: wire.Channel) -> List[Optional[SessionSummary]]:
+    summaries: List[Optional[SessionSummary]] = [None, None]
+    for generator, outbound, _ in parties:
+        _step(generator, None, channel_obj, outbound)
+
+    while summaries[0] is None or summaries[1] is None:
         progressed = False
-        for role in (Role.RESPONDER, Role.INITIATOR):
-            inbound = _IN_DIRECTION[role]
-            if role in summaries or channel_obj.pending(inbound) == 0:
+        for index in (1, 0):  # responder first
+            generator, outbound, inbound = parties[index]
+            if summaries[index] is not None or channel_obj.pending(inbound) == 0:
                 continue
-            summary = _step(role, generators[role], channel_obj.recv(inbound), channel_obj)
-            if summary is not None:
-                summaries[role] = summary
+            message = channel_obj.recv(inbound)
+            summaries[index] = _step(generator, message, channel_obj, outbound)
             progressed = True
         if not progressed:
             raise ProtocolError("protocol deadlock: no message in flight")
     return summaries
 
 
-def _drive_threaded(generators, channel_obj: wire.Channel, timeout: float):
-    summaries = {}
+def _drive_threaded(
+    parties, channel_obj: wire.Channel, timeout: float
+) -> List[Optional[SessionSummary]]:
+    summaries: List[Optional[SessionSummary]] = [None, None]
     failures: List[BaseException] = []
 
-    def worker(role: Role) -> None:
-        generator = generators[role]
-        inbound = _IN_DIRECTION[role]
+    def worker(index: int) -> None:
+        generator, outbound, inbound = parties[index]
         try:
-            summary = _step(role, generator, None, channel_obj)
+            summary = _step(generator, None, channel_obj, outbound)
             while summary is None:
                 message = channel_obj.recv(inbound, timeout=timeout)
-                summary = _step(role, generator, message, channel_obj)
-            summaries[role] = summary
+                summary = _step(generator, message, channel_obj, outbound)
+            summaries[index] = summary
         except BaseException as exc:  # noqa: BLE001 - reported to the caller
             failures.append(exc)
             # Wake the other party at once instead of letting it time out.
             channel_obj.close()
 
-    threads = [
-        threading.Thread(target=worker, args=(role,), daemon=True)
-        for role in (Role.INITIATOR, Role.RESPONDER)
-    ]
+    threads = [threading.Thread(target=worker, args=(index,), daemon=True) for index in (0, 1)]
     for thread in threads:
         thread.start()
     for thread in threads:
@@ -875,15 +872,16 @@ def run_session_pair(
     """
     if channel_obj is None:
         channel_obj = wire.Channel()
-    generators = {
-        Role.INITIATOR: initiator_session(config_a, frame_a),
-        Role.RESPONDER: responder_session(config_b, frame_b),
-    }
+    a_to_b, b_to_a = wire.Direction.A_TO_B, wire.Direction.B_TO_A
+    parties = (
+        (initiator_session(config_a, frame_a), a_to_b, b_to_a),
+        (responder_session(config_b, frame_b), b_to_a, a_to_b),
+    )
     if scheduling == "lockstep":
-        summaries = _drive_lockstep(generators, channel_obj)
+        initiator, responder = _drive_lockstep(parties, channel_obj)
     elif scheduling == "threaded":
-        summaries = _drive_threaded(generators, channel_obj, timeout)
+        initiator, responder = _drive_threaded(parties, channel_obj, timeout)
     else:
         raise ConfigurationError(f"unknown scheduling mode: {scheduling!r}")
     channel_obj.close()
-    return PairResult(summaries[Role.INITIATOR], summaries[Role.RESPONDER], channel_obj)
+    return PairResult(initiator, responder, channel_obj)

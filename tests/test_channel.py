@@ -1,10 +1,17 @@
 """Tests for the wire codec, channel, transcript and leakage accounting."""
 
 import random
+import struct
+import sys
 import threading
+from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from cascade_sim import channel as channel_module
+from cascade_sim.bitframe import Bsc
 from cascade_sim.channel import (
     Channel,
     Direction,
@@ -28,6 +35,7 @@ from cascade_sim.channel import (
     write_transcript,
 )
 from cascade_sim.errors import DecodeError, TransportError
+from cascade_sim.harness import SessionTemplate, run_trial_detailed
 from cascade_sim.schedule import (
     DynamicSchedule,
     FixedRoundsBreak,
@@ -102,6 +110,97 @@ def test_round_trip_fuzz():
     for trial in range(300):
         message = random_message(rng)
         assert decode_message(encode_message(message)) == message
+
+
+_U32 = st.integers(0, 2**32 - 1)
+_U64 = st.integers(0, 2**64 - 1)
+_BIT = st.integers(0, 1)
+_ESTIMATE = st.floats(min_value=0.0, max_value=0.5, exclude_min=True)
+
+
+def _tuples_of(element):
+    return st.lists(element, max_size=8).map(tuple)
+
+
+def _init(sizes, kinds, estimates, seeds, odd=st.nothing()):
+    schedules = st.one_of(
+        st.builds(StaticSchedule, estimates, sizes.filter(lambda k: k >= 2)),
+        st.builds(DynamicSchedule, estimates),
+        odd,
+    )
+    counts = sizes.filter(lambda value: value >= 1)
+    breaks = st.one_of(
+        st.builds(FixedRoundsBreak, counts),
+        st.builds(QuietRoundsBreak, counts),
+        st.builds(ThresholdBreak, counts),
+        odd,
+    )
+    return st.builds(Init, sizes, kinds, schedules, breaks, seeds)
+
+
+WELL_FORMED = st.one_of(
+    _init(_U32, st.sampled_from(["shuffle", "lcg"]), _ESTIMATE, _U64),
+    st.builds(BlockParities, _U32, _tuples_of(_BIT)),
+    st.builds(ParityQuery, _U32, _tuples_of(st.tuples(_U32, _U32))),
+    st.builds(ParityAnswer, _U32, _tuples_of(st.tuples(_U32, _U32, _BIT))),
+    st.builds(RoundDone, _U32, _U32),
+    st.builds(Finalize, _U64),
+    st.builds(Result, st.sampled_from(SessionStatus)),
+)
+
+# Field values the wire cannot carry: negative or oversized integers, floats
+# where integers belong, non-bit parities, unknown kinds and statuses, and
+# lists or wrong-arity tuples where the dataclasses say tuples.
+_WIDE = st.one_of(_U32, st.integers(-(2**66), 2**66), st.booleans(), st.sampled_from([1.0, -0.5]))
+_PARITY = st.one_of(_BIT, st.booleans(), st.integers(-2, 300))
+
+
+def _sequences_of(element):
+    return st.one_of(_tuples_of(element), st.lists(element, max_size=4))
+
+
+ARBITRARY = st.one_of(
+    _init(
+        _WIDE,
+        st.one_of(st.sampled_from(["shuffle", "lcg"]), st.text(max_size=4)),
+        st.one_of(_ESTIMATE, st.sampled_from([Fraction(1, 10), Fraction(1, 2)])),
+        st.one_of(_U64, st.integers(2**64, 2**70), st.integers(-(2**64), -1)),
+        odd=st.sampled_from([None, "static"]),
+    ),
+    st.builds(BlockParities, _WIDE, _sequences_of(_PARITY)),
+    st.builds(
+        ParityQuery,
+        _WIDE,
+        _sequences_of(st.one_of(st.tuples(_WIDE, _WIDE), st.lists(_WIDE, max_size=3))),
+    ),
+    st.builds(
+        ParityAnswer,
+        _WIDE,
+        _sequences_of(st.one_of(st.tuples(_WIDE, _WIDE, _PARITY), st.tuples(_WIDE, _WIDE))),
+    ),
+    st.builds(RoundDone, _WIDE, _WIDE),
+    st.builds(Finalize, st.one_of(_U64, _WIDE)),
+    st.builds(Result, st.one_of(st.sampled_from(SessionStatus), st.sampled_from(["success", 0, None]))),
+)
+
+
+@given(WELL_FORMED)
+def test_well_formed_messages_round_trip_through_canonical_bytes(message):
+    payload = encode_message(message)
+    decoded = decode_message(payload)
+    assert decoded == message
+    assert encode_message(decoded) == payload
+
+
+@given(ARBITRARY)
+def test_the_encoder_accepts_exactly_the_messages_that_decode_back_equal(message):
+    # Channel.send delivers the sent object without decoding it, which is
+    # sound only if everything the encoder accepts decodes back equal.
+    try:
+        payload = encode_message(message)
+    except DecodeError:
+        return
+    assert decode_message(payload) == message
 
 
 def test_truncation_names_the_missing_field():
@@ -214,8 +313,9 @@ def test_channel_is_fifo_with_gapless_sequences():
 
 def test_recv_on_empty_lane_raises():
     chan = Channel()
-    with pytest.raises(TransportError):
-        chan.recv(Direction.A_TO_B)
+    for timeout in (None, 0.0, -1.0):
+        with pytest.raises(TransportError, match="no message pending"):
+            chan.recv(Direction.A_TO_B, timeout=timeout)
     assert chan.pending(Direction.A_TO_B) == 0
 
 
@@ -246,6 +346,70 @@ def test_close_wakes_a_blocked_receiver_and_keeps_queued_messages():
     assert chan.recv(Direction.A_TO_B, timeout=30.0) == Finalize(1)
 
 
+def test_close_delivers_queued_messages_then_raises_and_pending_skips_the_marker():
+    chan = Channel()
+    sent = [RoundDone(0, 1), RoundDone(0, 2)]
+    for message in sent:
+        chan.send(Direction.A_TO_B, message)
+    chan.close()
+    assert chan.pending(Direction.A_TO_B) == 2
+    assert chan.pending(Direction.B_TO_A) == 0
+    # The receiver gets the sent objects themselves, in order.
+    assert chan.recv(Direction.A_TO_B) is sent[0]
+    assert chan.pending(Direction.A_TO_B) == 1
+    assert chan.recv(Direction.A_TO_B, timeout=1.0) is sent[1]
+    for _ in range(3):
+        for timeout in (None, 0.01):
+            for direction in Direction:
+                with pytest.raises(TransportError, match="channel is closed"):
+                    chan.recv(direction, timeout=timeout)
+                assert chan.pending(direction) == 0
+    chan.close()
+    assert [chan.pending(direction) for direction in Direction] == [0, 0]
+    assert len(chan.transcript) == 2
+
+
+def test_concurrent_senders_deliver_in_transcript_order_and_lose_nothing():
+    chan = Channel()
+    per_sender = 300
+    received = {direction: [] for direction in Direction}
+
+    def send(direction, sender):
+        for k in range(per_sender):
+            chan.send(direction, RoundDone(sender, k))
+
+    def receive(direction):
+        while True:
+            try:
+                received[direction].append(chan.recv(direction, timeout=10.0))
+            except TransportError:
+                return
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        receivers = [threading.Thread(target=receive, args=(d,)) for d in Direction]
+        senders = [
+            threading.Thread(target=send, args=(d, sender)) for d in Direction for sender in range(3)
+        ]
+        for thread in receivers + senders:
+            thread.start()
+        for thread in senders:
+            thread.join(timeout=30.0)
+        chan.close()
+        for thread in receivers:
+            thread.join(timeout=30.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in receivers + senders)
+    for direction in Direction:
+        entries = [entry for entry in chan.transcript if entry.direction is direction]
+        assert [entry.sequence for entry in entries] == list(range(3 * per_sender))
+        # Each lane hands messages over in the transcript's order.
+        assert received[direction] == [entry.message for entry in entries]
+        assert chan.pending(direction) == 0
+
+
 def test_sender_side_validation_rejects_malformed_messages():
     chan = Channel()
     malformed = [
@@ -253,6 +417,10 @@ def test_sender_side_validation_rejects_malformed_messages():
         BlockParities(0, (300,)),
         ParityQuery(0, ((-1, 2),)),
         RoundDone(-1, 0),
+        ParityAnswer(0, ((0, 1, 2),)),
+        ParityQuery(0, ([0, 2],)),
+        Init(16, "lcg", StaticSchedule(0.5, 2), FixedRoundsBreak(1), 2**64),
+        Init(16, "lcg", StaticSchedule(0.5, 2), FixedRoundsBreak(1), -1),
     ]
     for message in malformed:
         with pytest.raises(DecodeError):
@@ -311,6 +479,57 @@ def test_transcript_bytes_is_deterministic_and_matches_file(tmp_path):
     with open(path, "rb") as handle:
         assert handle.read() == chan.transcript_bytes()
     assert chan.transcript_bytes().startswith(TRANSCRIPT_MAGIC + bytes([WIRE_VERSION]))
+
+
+def test_read_transcript_requires_gapless_sequences(tmp_path):
+    chan = Channel()
+    chan.send(Direction.A_TO_B, RoundDone(0, 1))
+    chan.send(Direction.A_TO_B, RoundDone(0, 2))
+    path = str(tmp_path / "t.bin")
+    write_transcript(path, chan.transcript)
+    with open(path, "rb") as handle:
+        blob = bytearray(handle.read())
+    # Records are direction u8, sequence u32, length u32, payload.
+    second = len(TRANSCRIPT_MAGIC) + 1 + 9 + len(encode_message(RoundDone(0, 1)))
+    blob[second + 4] ^= 0x80  # the sequence's low byte: 1 becomes 129
+    with open(path, "wb") as handle:
+        handle.write(bytes(blob))
+    with pytest.raises(DecodeError, match="sequence 129 in direction a->b, expected 1"):
+        read_transcript(path)
+
+
+@pytest.mark.parametrize("scheduling", ["lockstep", "threaded"])
+def test_a_session_encodes_each_message_once_and_decodes_none(monkeypatch, tmp_path, scheduling):
+    calls = {"encode_message": 0, "decode_message": 0}
+    for name in calls:
+
+        def counted(*args, _name=name, _original=getattr(channel_module, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(channel_module, name, counted)
+    template = SessionTemplate(aggregation=False)
+    detail = run_trial_detailed(template, 4096, Bsc(0.02), 1000, scheduling=scheduling)
+    monkeypatch.undo()
+    transcript = detail.result.channel.transcript
+    assert len(transcript) > 100
+    assert calls == {"encode_message": len(transcript), "decode_message": 0}
+
+    # The framing, rebuilt from a fresh encoding of each message.
+    records = []
+    for entry in transcript:
+        payload = encode_message(entry.message)
+        assert entry.payload == payload
+        direction = 0 if entry.direction is Direction.A_TO_B else 1
+        records.append(struct.pack(">BII", direction, entry.sequence, len(payload)) + payload)
+    framed = TRANSCRIPT_MAGIC + bytes([WIRE_VERSION]) + b"".join(records)
+    assert detail.result.channel.transcript_bytes() == framed
+
+    path = str(tmp_path / "session.transcript")
+    write_transcript(path, transcript)
+    loaded = read_transcript(path)
+    assert loaded == list(transcript)
+    assert [entry.payload for entry in loaded] == [entry.payload for entry in transcript]
 
 
 def test_transcript_file_corruption_detected(tmp_path):

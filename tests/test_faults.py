@@ -1,7 +1,10 @@
 """Faulty peers: a lying initiator may only cause a clean error or an honest verdict."""
 
+import dataclasses
+import random
 import threading
 import time
+from collections import Counter
 
 import pytest
 
@@ -10,6 +13,7 @@ from cascade_sim import engine
 from cascade_sim.bitframe import BitFrame, Bsc, apply_noise
 from cascade_sim.errors import DecodeError, ProtocolError
 from cascade_sim.harness import SessionTemplate, run_trial_detailed
+from cascade_sim.schedule import QuietRoundsBreak
 
 LIE_INTERVAL = (0, 1)
 SEEDS = range(1000, 1040)
@@ -138,3 +142,134 @@ def test_a_verdict_in_place_of_the_handshake_is_a_protocol_error(monkeypatch, sc
         engine.run_session_pair(
             config, config, reference, noisy, scheduling=scheduling, timeout=5.0
         )
+
+
+# ---------------------------------------------------------------------------
+# message-level fault injection
+# ---------------------------------------------------------------------------
+
+
+def _replace_entry(message, rng, make):
+    """``message`` with one random entry of its tuple field rewritten by ``make``."""
+    name = "entries" if isinstance(message, wire.ParityAnswer) else "intervals"
+    items = list(getattr(message, name))
+    i = rng.randrange(len(items))
+    items[i : i + 1] = make(items[i])
+    return dataclasses.replace(message, **{name: tuple(items)})
+
+
+def _flip_answer(message, rng, n):
+    return _replace_entry(message, rng, lambda e: [(e[0], e[1], e[2] ^ 1)])
+
+
+def _drop_answer(message, rng, n):
+    return _replace_entry(message, rng, lambda e: [])
+
+
+def _shift_answer(message, rng, n):
+    return _replace_entry(message, rng, lambda e: [(e[0] + 1, e[1] + 1, e[2])])
+
+
+def _flip_block_parity(message, rng, n):
+    parities = list(message.parities)
+    parities[rng.randrange(len(parities))] ^= 1
+    return wire.BlockParities(message.round_index, tuple(parities))
+
+
+def _bump_round(message, rng, n):
+    return dataclasses.replace(message, round_index=message.round_index + 1)
+
+
+def _malformed_query(message, rng, n):
+    def make(interval):
+        lo, hi = interval
+        return [rng.choice([(hi, lo), (lo, lo), (lo, n + 1), (-1, hi), (lo, 2**32), [lo, hi], (lo, hi, 0)])]
+
+    return _replace_entry(message, rng, make)
+
+
+def _wrong_round_done(message, rng, n):
+    if rng.random() < 0.5:
+        return wire.RoundDone(message.round_index, message.corrected + rng.randint(1, 3))
+    return wire.RoundDone(message.round_index + rng.choice([-1, 1]), message.corrected)
+
+
+# kind -> (mutated party, message type, mutation)
+MUTATIONS = {
+    "flipped answer entry": ("initiator", wire.ParityAnswer, _flip_answer),
+    "dropped answer entry": ("initiator", wire.ParityAnswer, _drop_answer),
+    "shifted answer entry": ("initiator", wire.ParityAnswer, _shift_answer),
+    "flipped block parity": ("initiator", wire.BlockParities, _flip_block_parity),
+    "bumped round": ("initiator", (wire.BlockParities, wire.ParityAnswer), _bump_round),
+    "malformed query": ("responder", wire.ParityQuery, _malformed_query),
+    "wrong RoundDone": ("responder", wire.RoundDone, _wrong_round_done),
+}
+INJECTED_SESSIONS = 210
+INJECTION_TEMPLATES = (
+    SessionTemplate(aggregation=True),
+    SessionTemplate(schedule_variant="dynamic", break_condition=QuietRoundsBreak(2), aggregation=True),
+)
+
+
+def _mutating(honest, kind, target, rng, fired):
+    """Wrap a party so that its ``target``-th message of the kind's type is mutated."""
+    _, kinds, mutate = MUTATIONS[kind]
+
+    def session(config, frame):
+        inner = honest(config, frame)
+        seen = 0
+
+        def tamper(messages):
+            nonlocal seen
+            out = []
+            for message in messages:
+                if isinstance(message, kinds):
+                    if seen == target:
+                        message = mutate(message, rng, config.frame_length)
+                        fired[kind] += 1
+                    seen += 1
+                out.append(message)
+            return out
+
+        outbound = next(inner)
+        while True:
+            inbound = yield tamper(outbound)
+            try:
+                outbound = inner.send(inbound)
+            except StopIteration as stop:
+                summary, finals = stop.value
+                return summary, tamper(finals)
+
+    return session
+
+
+def test_injected_message_faults_end_in_a_clean_error_or_an_honest_verdict(monkeypatch):
+    # Each session gets one mutation of one message.  Malformed messages the
+    # encoder rejects end at the sender as DecodeError; the others reach the
+    # peer as the sender's own objects and must be caught there.
+    honest = {"initiator": engine.initiator_session, "responder": engine.responder_session}
+    fired = Counter()
+    outcomes = Counter()
+    for i in range(INJECTED_SESSIONS):
+        kinds = list(MUTATIONS)
+        kind = kinds[i % len(kinds)]
+        template = INJECTION_TEMPLATES[(i // len(kinds)) % len(INJECTION_TEMPLATES)]
+        length = (64, 256, 1024)[(i // (2 * len(kinds))) % 3]
+        rng = random.Random(i)
+        party = MUTATIONS[kind][0]
+        for name, original in honest.items():
+            wrapped = _mutating(original, kind, rng.randrange(3), rng, fired) if name == party else original
+            monkeypatch.setattr(engine, f"{name}_session", wrapped)
+        try:
+            detail = run_trial_detailed(template, length, Bsc(0.05), 7000 + i)
+        except (ProtocolError, DecodeError) as exc:
+            outcomes[type(exc).__name__] += 1
+            continue
+        result = detail.result
+        frames_equal = result.initiator.final_frame == result.responder.final_frame
+        for summary in (result.initiator, result.responder):
+            if summary.status is wire.SessionStatus.SUCCESS:
+                assert frames_equal, f"session {i} ({kind}): SUCCESS with unequal frames"
+        outcomes[result.initiator.status.value] += 1
+    assert set(fired) == set(MUTATIONS), fired
+    assert outcomes["ProtocolError"] > 0 and outcomes["DecodeError"] > 0, outcomes
