@@ -15,16 +15,23 @@ permutation families are provided, both keyed by ``(length, round, seed)``:
   powers cannot (the shuffle group is tiny for small ``n``).
 * ``lcg`` - index ``k`` is assigned the ``(k + 1)``-th state of a linear
   congruential generator (a=1664525, c=1013904223, m=2**32) seeded from
-  ``(seed, round)``, and the permutation is the argsort of these keys.  The
-  keys come from the closed form ``a^(k+1)*s + c*(1 + a + ... + a^k) mod m``
-  in vectorised numpy rather than by walking the recurrence.  The generator
-  has full period ``m`` (Hull-Dobell: ``c`` is odd and ``a - 1`` is a
-  multiple of 4), so the keys of any frame up to ``2**32`` bits are
-  distinct and their argsort order is unique.
+  ``(seed, round)``, and the permutation sorts the indices by these keys.
+  The keys are computed in blocks rather than by walking the recurrence:
+  one row of about ``sqrt(n)`` states, and one jump per block that
+  advances a state by a whole number of rows, both from the closed form
+  ``a^k*s + c*(1 + a + ... + a^(k-1)) mod m``; the keys are then one
+  broadcast multiply-add of the jumps over the row.  The order comes from
+  one sort of the packed values ``key << 32 | index``, which is the order a
+  stable argsort of the keys gives.  The generator has full period ``m``
+  (Hull-Dobell: ``c`` is odd and ``a - 1`` is a multiple of 4), so the keys
+  of any frame up to ``2**32`` bits are distinct and their order is unique;
+  longer frames are rejected, since neither the keys nor the 32-bit index
+  field would stay distinct.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
@@ -222,37 +229,57 @@ def gen_shuffle_permutation(length: int, round_index: int, seed: int) -> Permuta
     return Permutation(mapping)
 
 
+def _affine_powers(a: int, c: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Multiplier and offset of ``x -> a*x + c`` applied ``k`` times, k < count.
+
+    Closed form: ``a^k`` and ``c*(1 + a + ... + a^(k-1))``.  The uint32
+    arithmetic wraps modulo 2**32 exactly as the generator does.
+    """
+    mult = np.full(count, a, dtype=np.uint32)
+    mult[:1] = 1
+    np.multiply.accumulate(mult, out=mult)  # a^k
+    offset = np.zeros(count, dtype=np.uint32)
+    offset[1:] = mult[:-1]
+    np.cumsum(offset, dtype=np.uint32, out=offset)  # 1 + a + ... + a^(k-1)
+    offset *= np.uint32(c)
+    return mult, offset
+
+
 def _lcg_keys(lcg_seed: int, count: int) -> np.ndarray:
     """The first ``count`` LCG states after ``lcg_seed`` (reduced mod 2**32).
 
-    Jump-ahead: ``state_k = a^k*s + c*(1 + a + ... + a^(k-1)) mod 2**32``
-    for ``k = 1 .. count``.  The arithmetic wraps modulo 2**64 in uint64,
-    which 2**32 divides, so masking at the end yields the exact stream.
-    Every step works in place to keep the transient memory at two arrays.
+    Blocked jump-ahead over rows of ``width`` (about ``sqrt(count)``) keys:
+    key ``j*width + i`` is state ``i + 1`` advanced by ``j*width`` steps.
+    The row of states and the per-block jumps come from the closed form
+    applied twice, so the whole stream is one broadcast multiply-add.
     """
-    keys = np.full(count, _LCG_A, dtype=np.uint64)
-    np.multiply.accumulate(keys, out=keys)  # a^k
-    geometric = np.empty(count, dtype=np.uint64)
-    geometric[:1] = 1
-    geometric[1:] = keys[:-1]
-    np.cumsum(geometric, out=geometric)  # 1 + a + ... + a^(k-1)
-    geometric *= np.uint64(_LCG_C)
-    keys *= np.uint64(lcg_seed % _LCG_M)
-    keys += geometric
-    keys &= np.uint64(_LCG_M - 1)
-    return keys.view(np.int64)
+    width = max(1, math.isqrt(count))
+    blocks = -(-count // width)
+    mult, offset = _affine_powers(_LCG_A, _LCG_C, width + 1)
+    row = mult[1:] * np.uint32(lcg_seed % _LCG_M) + offset[1:]  # states 1 .. width
+    jump_mult, jump_offset = _affine_powers(int(mult[width]), int(offset[width]), blocks)
+    keys = np.multiply.outer(jump_mult, row)
+    keys += jump_offset[:, None]
+    return keys.reshape(-1)[:count].astype(np.int64)
 
 
 def gen_lcg_permutation(length: int, round_index: int, seed: int) -> Permutation:
-    """LCG-keyed permutation: argsort of a per-round LCG key stream."""
+    """LCG-keyed permutation: indices sorted by a per-round LCG key stream."""
     if length < 0:
         raise ConfigurationError("length must be nonnegative")
+    if length > _LCG_M:
+        raise ConfigurationError("lcg permutations have at most 2**32 positions")
     if round_index < 0:
         raise ConfigurationError("round index must be nonnegative")
     lcg_seed = SeededRng(seed).derive(_LCG_LABEL, round_index).next_u64() % _LCG_M
-    # The LCG has full period 2**32, so the keys are distinct and any sort
-    # gives the one order a stable sort would; the default sort is faster.
-    return Permutation(np.argsort(_lcg_keys(lcg_seed, length)))
+    # Sorting key << 32 | index orders by key, then by index: a stable
+    # argsort of the keys in one in-place sort of the key buffer.
+    packed = _lcg_keys(lcg_seed, length).view(np.uint64)
+    packed <<= np.uint64(32)
+    packed |= np.arange(length, dtype=np.uint64)
+    packed.sort()
+    packed &= np.uint64(_LCG_M - 1)
+    return Permutation(packed.view(np.int64))
 
 
 @dataclass(frozen=True)

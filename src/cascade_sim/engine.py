@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
 import threading
 from collections import deque
 from dataclasses import dataclass
@@ -70,6 +71,7 @@ PERMUTATION_KINDS = ("shuffle", "lcg")
 
 _FINGERPRINT_PRIME = (1 << 61) - 1
 _FINGERPRINT_LABEL = label_from_text("frame-fingerprint-base")
+_PIECE_SHIFTS = np.array([0, 16, 32, 48], dtype=np.uint64)
 
 
 class Role(enum.Enum):
@@ -100,6 +102,9 @@ class SessionConfig:
     def __post_init__(self) -> None:
         if self.frame_length < 1:
             raise ConfigurationError(f"frame_length must be >= 1, got {self.frame_length}")
+        if self.frame_length >= 1 << 32:
+            # Init carries the length as u32.
+            raise ConfigurationError(f"frame_length must be < 2**32, got {self.frame_length}")
         if self.permutation_kind not in PERMUTATION_KINDS:
             raise ConfigurationError(
                 f"permutation_kind must be one of {PERMUTATION_KINDS}, got {self.permutation_kind!r}"
@@ -153,22 +158,36 @@ def _unreconciled(
 def frame_fingerprint(frame: BitFrame, seed: int) -> int:
     """Seed-keyed polynomial hash of a frame modulo the prime 2**61 - 1.
 
-    The frame is read as little-endian 32-bit limbs and evaluated as a
-    polynomial at a secret point derived from the shared seed.  Any
-    single-bit difference changes exactly one limb by a power of two, so
-    it always changes the value; for differing frames of length n the
-    collision probability over the choice of point is below n / 2**56.
+    The frame is read as little-endian 32-bit limbs ``m_0, m_1, ...`` and
+    evaluated as ``sum m_i * x**(i + 1)`` at a secret point ``x`` derived
+    from the shared seed.  Any single-bit difference changes exactly one
+    limb by a power of two, so it always changes the value; for differing
+    frames of length n the collision probability over the choice of point
+    is below n / 2**56.
+
+    The evaluation is blocked: the limbs form rows of ``w`` (about the
+    square root of their count), one integer matrix product gives every
+    row's sum against ``x**1 .. x**w`` exactly, and a Horner pass with step
+    ``x**w`` combines the rows.
     """
     point = 2 + SeededRng(seed).derive(_FINGERPRINT_LABEL).next_u64() % (_FINGERPRINT_PRIME - 3)
-    length = len(frame)
-    padded = np.zeros(((length + 31) // 32) * 32, dtype=np.uint8)
-    padded[:length] = frame.bits
-    limbs = np.packbits(padded, bitorder="little").view("<u4")
+    limbs = (len(frame) + 31) // 32
+    width = max(1, math.isqrt(limbs))
+    rows = -(-limbs // width)
+    padded = np.zeros(rows * width * 32, dtype=np.uint8)
+    padded[: len(frame)] = frame.bits
+    grid = np.packbits(padded, bitorder="little").view("<u4").reshape(rows, width)
+    powers = [point]
+    for _ in range(width - 1):
+        powers.append(powers[-1] * point % _FINGERPRINT_PRIME)
+    # Each power in four 16-bit pieces: a limb times a piece is below 2**48,
+    # so a row of at most 2**16 limbs sums against each piece exactly.
+    pieces = (np.array(powers, dtype=np.uint64)[:, None] >> _PIECE_SHIFTS) & np.uint64(0xFFFF)
+    row_sums = (grid.astype(np.uint64) @ pieces).tolist()
     accumulator = 0
-    power = 1
-    for limb in limbs.tolist():
-        power = (power * point) % _FINGERPRINT_PRIME
-        accumulator = (accumulator + limb * power) % _FINGERPRINT_PRIME
+    for p0, p1, p2, p3 in reversed(row_sums):
+        row = p0 + (p1 << 16) + (p2 << 32) + (p3 << 48)
+        accumulator = (accumulator * powers[-1] + row) % _FINGERPRINT_PRIME
     return accumulator
 
 

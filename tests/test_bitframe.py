@@ -201,16 +201,29 @@ def test_lcg_permutation_matches_key_stream_construction():
 
 
 def test_lcg_keys_match_scalar_recurrence_at_scale():
+    # The keys are computed in rows of isqrt(count): 4095, 4096, 4097 and
+    # 65,537 end just short of, exactly on and just past a row boundary.
     for lcg_seed in (0, (1 << 32) - 1, (1 << 40) + 12345):
-        for count in (0, 1, 2, 70_000):
+        for count in (0, 1, 2, 3, 4095, 4096, 4097, 65_537, 70_000):
             keys = _lcg_keys(lcg_seed, count)
             assert keys.dtype == np.int64
             assert keys.tolist() == lcg_keys_oracle(lcg_seed, count)
 
 
+def test_lcg_permutation_is_the_stable_argsort_of_the_scalar_keys_at_scale():
+    from cascade_sim.rng import SeededRng, label_from_text
+
+    n = 1 << 18
+    for rnd in (1, 2):
+        lcg_seed = SeededRng(9).derive(label_from_text("permutation/lcg"), rnd).next_u64()
+        keys = np.array(lcg_keys_oracle(lcg_seed, n), dtype=np.int64)
+        expect = np.argsort(keys, kind="stable")
+        assert np.array_equal(gen_lcg_permutation(n, rnd, seed=9).mapping, expect)
+
+
 def test_lcg_keys_are_distinct_so_the_sort_order_is_unique():
-    # Full period (Hull-Dobell) makes the keys distinct, which is what lets
-    # gen_lcg_permutation use a non-stable sort.
+    # Full period (Hull-Dobell) makes the keys distinct, so the permutation
+    # is the one order of its keys, whichever sort produces it.
     keys = _lcg_keys(123_456_789, 1 << 18)
     assert np.unique(keys).size == keys.size
 
@@ -232,6 +245,10 @@ def test_permutation_generators_reject_bad_arguments():
         gen_shuffle_permutation(4, -1, 0)
     with pytest.raises(ConfigurationError):
         gen_lcg_permutation(-1, 0, 0)
+    # The packed sort keeps the index in 32 bits; this raises before any
+    # frame-sized array is allocated.
+    with pytest.raises(ConfigurationError):
+        gen_lcg_permutation((1 << 32) + 1, 1, 0)
 
 
 # ------------------------------------------------------------------ noise

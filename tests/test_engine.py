@@ -20,6 +20,7 @@ from cascade_sim.channel import (
     Result,
     RoundDone,
     SessionStatus,
+    encode_message,
     read_transcript,
     write_transcript,
 )
@@ -28,6 +29,7 @@ from cascade_sim.engine import (
     Role,
     SessionConfig,
     _Responder,
+    _init_from_config,
     error_frontier,
     frame_fingerprint,
     initiator_session,
@@ -44,6 +46,7 @@ from cascade_sim.paritytree import (
     set_syndrome,
     split_point,
 )
+from cascade_sim.rng import SeededRng, label_from_text
 from cascade_sim.schedule import (
     FixedRoundsBreak,
     StaticSchedule,
@@ -93,6 +96,33 @@ def test_fingerprint_detects_every_single_bit_flip():
         assert frame_fingerprint(flip_bits(frame, [pos]), 11) != base
 
 
+def fingerprint_oracle(frame, seed):
+    """Per-limb evaluation: sum of limb_i * x**(i + 1) modulo 2**61 - 1."""
+    prime = (1 << 61) - 1
+    point = 2 + SeededRng(seed).derive(label_from_text("frame-fingerprint-base")).next_u64() % (
+        prime - 3
+    )
+    length = len(frame)
+    padded = np.zeros(((length + 31) // 32) * 32, dtype=np.uint8)
+    padded[:length] = frame.bits
+    limbs = np.packbits(padded, bitorder="little").view("<u4")
+    accumulator = 0
+    power = 1
+    for limb in limbs.tolist():
+        power = (power * point) % prime
+        accumulator = (accumulator + limb * power) % prime
+    return accumulator
+
+
+@pytest.mark.parametrize("length", [0, 1, 31, 32, 33, 257, 4096, 4097, 1 << 18])
+def test_fingerprint_matches_the_per_limb_oracle(length):
+    frames = [BitFrame.random(length, seed=s) for s in range(3)]
+    frames += [BitFrame.zeros(length), BitFrame(np.ones(length, dtype=np.uint8))]
+    for frame in frames:
+        for seed in (0, 5, (1 << 64) - 1):
+            assert frame_fingerprint(frame, seed) == fingerprint_oracle(frame, seed)
+
+
 # --------------------------------------------------------------- handshake
 
 
@@ -132,6 +162,11 @@ def test_responder_accepts_the_initiators_handshake_abort():
 def test_config_validation():
     with pytest.raises(ConfigurationError):
         basic_config(0, 0.1, 2)
+    # Init carries the length as u32: the longest accepted frame encodes,
+    # one bit more is refused at construction, not at the first send.
+    encode_message(_init_from_config(basic_config((1 << 32) - 1, 0.1, 2)))
+    with pytest.raises(ConfigurationError):
+        basic_config(1 << 32, 0.1, 2)
     with pytest.raises(ConfigurationError):
         basic_config(16, 0.1, 2, permutation_kind="sorted")
     with pytest.raises(ConfigurationError):
@@ -577,3 +612,20 @@ def test_transcripts_match_the_pinned_hash():
         )
     assert digest.hexdigest() == TRANSCRIPT_PIN
     assert corrections.hexdigest() == CORRECTION_PIN
+
+
+# SHA-256 over the transcript bytes and the responder's final frame of one
+# 262,144-bit session: it covers the whole-frame kernels (permutations and
+# fingerprint) at the size where they dominate a session.
+LONG_FRAME_PIN = "a4ba27cceae855bb15882eb25db6d7c0ea0d72149da77ccc435692ebbd2cbca3"
+
+
+def test_long_frame_transcript_matches_the_pinned_hash():
+    result = run_trial_detailed(
+        SessionTemplate(aggregation=True), 1 << 18, FixedErrors(64), 1
+    ).result
+    assert result.responder.status is SessionStatus.SUCCESS
+    digest = hashlib.sha256()
+    digest.update(result.channel.transcript_bytes())
+    digest.update(result.responder.final_frame.bits.tobytes())
+    assert digest.hexdigest() == LONG_FRAME_PIN
