@@ -36,6 +36,12 @@ from .harness import (
 from .schedule import FixedRoundsBreak, QuietRoundsBreak, ThresholdBreak
 
 
+_WORKERS_HELP = (
+    "run trials on this many threads; the records equal a serial run's, and the "
+    "threads share the interpreter lock, so they give no speed-up"
+)
+
+
 def _parse_break(text: str):
     kind, _, value = text.partition(":")
     if not value:
@@ -113,8 +119,27 @@ def _template_from_args(args: argparse.Namespace) -> SessionTemplate:
     )
 
 
+def _config_value(key: str, action: argparse.Action, value):
+    """Convert one config file value as argparse converts the flag's text:
+    through the action's type, then against its choices."""
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise ConfigurationError(
+            f"config file key {key!r} must be a string or a number, got {value!r}"
+        )
+    try:
+        converted = str(value) if action.type is None else action.type(str(value))
+    except ValueError as exc:
+        raise ConfigurationError(f"config file key {key!r} has an invalid value {value!r}: {exc}")
+    if action.choices is not None and converted not in action.choices:
+        allowed = ", ".join(map(str, action.choices))
+        raise ConfigurationError(
+            f"config file key {key!r} must be one of {allowed}, got {value!r}"
+        )
+    return converted
+
+
 def _apply_config_file(parser: argparse.ArgumentParser, argv: List[str]) -> None:
-    """Fold --config file values in as parser defaults before parsing."""
+    """Fold --config file values in as the subcommand's parser defaults."""
     probe = argparse.ArgumentParser(add_help=False)
     probe.add_argument("--config", default=None)
     known, _ = probe.parse_known_args(argv)
@@ -127,32 +152,36 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: List[str]) -> None
         raise ConfigurationError(f"cannot read config file {known.config!r}: {exc}")
     if not isinstance(loaded, dict):
         raise ConfigurationError("config file must hold a JSON object")
-    subparsers = [
-        sub
+    subparsers = {
+        name: sub
         for action in parser._actions
         if isinstance(action, argparse._SubParsersAction)
-        for sub in action.choices.values()
-    ]
-    by_dest = {}
-    for sub in subparsers:
-        for action in sub._actions:
-            by_dest.setdefault(action.dest, action)
-    mapped = {}
-    for key, value in loaded.items():
+        for name, sub in action.choices.items()
+    }
+    all_dests = {action.dest for sub in subparsers.values() for action in sub._actions}
+    dests = {}
+    for key in loaded:
         dest = key.replace("-", "_")
         if dest == "break":
             dest = "break_spec"
-        if dest not in by_dest:
+        if dest not in all_dests:
             raise ConfigurationError(f"unknown config file key: {key!r}")
-        action = by_dest[dest]
-        if isinstance(value, str) and action.type is not None:
-            value = action.type(value)
-        mapped[dest] = value
-    # Defaults live on the subcommand parsers, so the file has to be folded
-    # into each of them; explicit flags still win at parse time.
-    for sub in subparsers:
-        dests = {action.dest for action in sub._actions}
-        sub.set_defaults(**{k: v for k, v in mapped.items() if k in dests})
+        dests[key] = dest
+    # The subcommand comes first (the top-level parser takes no other
+    # options); argparse itself reports a missing or unknown one.
+    sub = subparsers.get(argv[0]) if argv else None
+    if sub is None:
+        return
+    # Keys of other subcommands are ignored; explicit flags still win at
+    # parse time.
+    actions = {action.dest: action for action in sub._actions}
+    sub.set_defaults(
+        **{
+            dest: _config_value(key, actions[dest], loaded[key])
+            for key, dest in dests.items()
+            if dest in actions
+        }
+    )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -187,7 +216,7 @@ def _build_parser() -> argparse.ArgumentParser:
     qber_parser.add_argument("--steps", type=int, default=60)
     qber_parser.add_argument("--repeats", type=int, default=3)
     qber_parser.add_argument("--base-seed", type=int, default=1)
-    qber_parser.add_argument("--workers", type=int, default=1)
+    qber_parser.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
     qber_parser.add_argument("--out", required=True, help="records file to write")
     qber_parser.add_argument("--format", choices=("csv", "jsonl"), default="csv")
     _add_template_flags(qber_parser)
@@ -199,7 +228,7 @@ def _build_parser() -> argparse.ArgumentParser:
     length_parser.add_argument("--errors", type=int, default=10)
     length_parser.add_argument("--repeats", type=int, default=3)
     length_parser.add_argument("--base-seed", type=int, default=1)
-    length_parser.add_argument("--workers", type=int, default=1)
+    length_parser.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
     length_parser.add_argument("--out", required=True, help="records file to write")
     length_parser.add_argument("--format", choices=("csv", "jsonl"), default="csv")
     _add_template_flags(length_parser)
@@ -213,7 +242,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cmp_parser.add_argument("--errors", type=int, default=10)
     cmp_parser.add_argument("--repeats", type=int, default=3)
     cmp_parser.add_argument("--base-seed", type=int, default=1)
-    cmp_parser.add_argument("--workers", type=int, default=1)
+    cmp_parser.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
     cmp_parser.add_argument("--out", default=None, help="write batched-run records here")
     cmp_parser.add_argument("--format", choices=("csv", "jsonl"), default="csv")
     _add_template_flags(cmp_parser)

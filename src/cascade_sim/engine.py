@@ -21,14 +21,21 @@ Conversation shape (strict half-duplex: at most one message in flight):
     B -> A   Finalize
     A -> B   Result
 
+Both parties keep each opened round as prefix parities of its permuted
+view: ``prefix[i]`` is the parity of the round's first ``i`` bits, so any
+interval's parity is two byte reads.  When a round opens, the responder
+compares every block's local parity with the announced one in one
+vectorised step, and only the blocks that differ become searches.
+
 Within a round the responder works in "waves".  Each wave advances every
 live search as far as stored parities allow, performs at most one channel
 exchange per search, then applies the located corrections.  Each flip is
-one pass over the opened rounds: it updates every round's view and the
-parity map, queues the earlier rounds' blocks that hold the bit (the
-cascade), and aborts the live search whose working interval it touched.
-Running identical waves regardless of query batching is what makes the
-batched and unbatched modes produce bit-identical corrections.
+one pass over the opened rounds: it XORs the suffix of every round's prefix
+past the bit's position, updates the parity map, queues the earlier
+rounds' blocks that hold the bit (the cascade), and aborts the live search
+whose working interval it touched.  Running identical waves regardless of
+query batching is what makes the batched and unbatched modes produce
+bit-identical corrections.
 """
 
 from __future__ import annotations
@@ -217,6 +224,32 @@ def round_mapping(config: SessionConfig, round_index: int) -> np.ndarray:
     return np.asarray(perm.mapping, dtype=np.int64)
 
 
+def _round_prefix(
+    config: SessionConfig, round_index: int, bits: np.ndarray
+) -> Tuple[np.ndarray, bytearray, np.ndarray]:
+    """One round's mapping and the prefix parities of its view of ``bits``.
+
+    ``prefix[i]`` is the parity of the first ``i`` bits of the round's view,
+    so the parity of ``[lo, hi)`` is ``prefix[lo] ^ prefix[hi]``.  The
+    prefix is a bytearray, whose single reads are cheap Python ints; the
+    returned array is a writable numpy view over the same bytes.
+    """
+    mapping = round_mapping(config, round_index)
+    view = np.empty(config.frame_length, dtype=np.uint8)
+    view[mapping] = bits
+    prefix = bytearray(config.frame_length + 1)
+    array = np.frombuffer(prefix, dtype=np.uint8)
+    np.bitwise_xor.accumulate(view, out=array[1:])
+    return mapping, prefix, array
+
+
+def _block_parities(array: np.ndarray, plan: RoundPlan) -> np.ndarray:
+    """Every block's parity in plan order, from a round's prefix array."""
+    n = array.size - 1
+    edges = array[np.append(np.arange(0, n, plan.block_size), n)]
+    return edges[:-1] ^ edges[1:]
+
+
 # ---------------------------------------------------------------------------
 # initiator
 # ---------------------------------------------------------------------------
@@ -246,20 +279,13 @@ def initiator_session(config: SessionConfig, frame: BitFrame):
         mismatch = wire.SessionStatus.CONFIG_MISMATCH
         return _unreconciled(Role.INITIATOR, mismatch, frame, parity_bits), [wire.Result(mismatch)]
 
-    # prefixes[r][i] is the parity of the first i bits of round r's view, so
-    # the parity of [lo, hi) is prefixes[r][lo] ^ prefixes[r][hi].
-    prefixes: Dict[int, np.ndarray] = {}
+    prefixes: Dict[int, bytearray] = {}
     history: List[int] = []
     round_index = 0
     while True:
-        view = np.empty(n, dtype=np.uint8)
-        view[round_mapping(config, round_index)] = frame.bits
-        prefix = np.zeros(n + 1, dtype=np.uint8)
-        np.bitwise_xor.accumulate(view, out=prefix[1:])
-        prefixes[round_index] = prefix
+        _, prefixes[round_index], array = _round_prefix(config, round_index, frame.bits)
         plan = plan_round(config.schedule, round_index, n, tuple(history))
-        bounds = np.array(plan.intervals, dtype=np.int64)
-        parities = tuple((prefix[bounds[:, 0]] ^ prefix[bounds[:, 1]]).tolist())
+        parities = tuple(_block_parities(array, plan).tolist())
         parity_bits += len(parities)
         inbound = yield [wire.BlockParities(round_index, parities)]
 
@@ -273,7 +299,7 @@ def initiator_session(config: SessionConfig, frame: BitFrame):
             for lo, hi in inbound.intervals:
                 if not (0 <= lo < hi <= n):
                     raise ProtocolError(f"query interval [{lo}, {hi}) out of range")
-                entries.append((lo, hi, int(qprefix[lo] ^ qprefix[hi])))
+                entries.append((lo, hi, qprefix[lo] ^ qprefix[hi]))
             parity_bits += len(entries)
             inbound = yield [wire.ParityAnswer(inbound.round_index, tuple(entries))]
 
@@ -380,8 +406,12 @@ class _SearchTask:
 
 
 class _Responder:
-    """Responder-side state: frame views and one flat map of remote parities.
+    """Responder-side state: round prefix parities and a remote-parity map.
 
+    Each opened round keeps its mapping (original -> round position), the
+    uint32 inverse, and the prefix parities of its view as a bytearray plus
+    a numpy view over the same bytes: ``_local_parity`` is two byte reads,
+    and a flip XORs the prefix suffix past the flipped position.
     ``known`` maps ``(round, interval)`` to ``(value, learn_round)``: the
     initiator's parity, and the round it crossed the wire (block
     announcements, answers, corrected leaves) or ``None`` if derived here.
@@ -395,8 +425,9 @@ class _Responder:
         self.n = config.frame_length
         self.bits = frame.bits.copy()
         self.mappings: Dict[int, np.ndarray] = {}
-        self.sources: Dict[int, np.ndarray] = {}
-        self.views: Dict[int, np.ndarray] = {}
+        self.inverses: Dict[int, np.ndarray] = {}
+        self.prefixes: Dict[int, bytearray] = {}
+        self.prefix_arrays: Dict[int, np.ndarray] = {}
         self.plans: Dict[int, RoundPlan] = {}
         self.known: Dict[Tuple[int, Interval], Tuple[int, Optional[int]]] = {}
         self.corrected: Dict[Tuple[int, Interval], Set[int]] = {}
@@ -406,19 +437,25 @@ class _Responder:
         self.parity_bits = 0
         self.pending_finds: List[Tuple[_SearchTask, int]] = []
 
-    # -- round-view plumbing ------------------------------------------------
+    # -- round-state plumbing -----------------------------------------------
 
-    def _open_round(self, round_index: int, plan: RoundPlan) -> None:
-        mapping = round_mapping(self.config, round_index)
-        sources = np.empty(self.n, dtype=np.int64)
-        sources[mapping] = np.arange(self.n, dtype=np.int64)
+    def _open_round(self, round_index: int, plan: RoundPlan) -> np.ndarray:
+        """Build the round's state; returns every block's local parity."""
+        mapping, prefix, array = _round_prefix(self.config, round_index, self.bits)
+        # Frames are shorter than 2**32 bits (SessionConfig), so uint32 holds
+        # every original position.
+        inverse = np.empty(self.n, dtype=np.uint32)
+        inverse[mapping] = np.arange(self.n, dtype=np.uint32)
         self.mappings[round_index] = mapping
-        self.sources[round_index] = sources
-        self.views[round_index] = self.bits[sources]
+        self.inverses[round_index] = inverse
+        self.prefixes[round_index] = prefix
+        self.prefix_arrays[round_index] = array
         self.plans[round_index] = plan
+        return _block_parities(array, plan)
 
     def _local_parity(self, round_index: int, lo: int, hi: int) -> int:
-        return int(np.bitwise_xor.reduce(self.views[round_index][lo:hi]))
+        prefix = self.prefixes[round_index]
+        return prefix[lo] ^ prefix[hi]
 
     def _block_of(self, round_index: int, position: int) -> Interval:
         plan = self.plans[round_index]
@@ -592,8 +629,12 @@ class _Responder:
         unfinished searches live in one insertion-ordered map keyed by
         ``(round, block)``; each wave advances them in queue order, and
         finished ones leave it before the wave's cascade candidates join.
-        A flip is one pass over the opened rounds that updates the views
-        and the map, queues the cascade and aborts the touched search.
+        On entry one vectorised comparison of the block parities against the
+        announced ones picks the blocks that differ; a block that matches
+        would finish in the first wave without a query or a state change, so
+        only the differing blocks become searches.  A flip is one pass over
+        the opened rounds that XORs each round's prefix suffix, updates the
+        map, queues the cascade and aborts the touched search.
         """
         if not isinstance(block_msg, wire.BlockParities):
             raise ProtocolError(f"expected BlockParities, got {type(block_msg).__name__}")
@@ -606,13 +647,15 @@ class _Responder:
             raise ProtocolError(
                 f"expected {len(plan.intervals)} block parities, got {len(block_msg.parities)}"
             )
-        self._open_round(round_index, plan)
+        local = self._open_round(round_index, plan)
         self.parity_bits += len(block_msg.parities)
         for interval, bit in zip(plan.intervals, block_msg.parities):
             self.known[(round_index, interval)] = (bit, round_index)
 
+        differ = np.flatnonzero(local != np.asarray(block_msg.parities)).tolist()
         live: Dict[Tuple[int, Interval], _SearchTask] = {
-            (round_index, iv): _SearchTask(round_index, iv) for iv in plan.intervals
+            (round_index, plan.intervals[i]): _SearchTask(round_index, plan.intervals[i])
+            for i in differ
         }
         # Candidate blocks that already had a live search when they were
         # (re-)queued; they get a fresh parity check once that search ends.
@@ -653,15 +696,16 @@ class _Responder:
                 for task, interval, (_, _, parity) in zip(tasks, intervals, entries):
                     self._feed_wire(task, interval, parity, round_index)
 
-            # One pass per flip over the opened rounds: update the view and
-            # the map, queue earlier rounds' blocks (the cascade), and abort
-            # the live search on this block if the flip touched its working
-            # interval.  A flip changes no task's stage or state, so each
-            # test sees what a separate scan after all flips would see.
+            # One pass per flip over the opened rounds: XOR the prefix suffix
+            # past the bit and update the map, queue earlier rounds' blocks
+            # (the cascade), and abort the live search on this block if the
+            # flip touched its working interval.  A flip changes no task's
+            # stage or state, so each test sees what a separate scan after
+            # all flips would see.
             candidates: Set[Tuple[int, Interval]] = set()
             flipped: Set[int] = set()
             for task, found_pos in self.pending_finds:
-                original = int(self.sources[task.round_index][found_pos])
+                original = self.inverses[task.round_index].item(found_pos)
                 if original in flipped:
                     continue
                 flipped.add(original)
@@ -675,11 +719,11 @@ class _Responder:
                     )
                 )
                 self.bits[original] ^= 1
-                value = int(self.bits[original])
+                value = self.bits.item(original)
                 for r, mapping in self.mappings.items():
-                    pos = int(mapping[original])
+                    pos = mapping.item(original)
                     key = (r, self._block_of(r, pos))
-                    self.views[r][pos] ^= 1
+                    self.prefix_arrays[r][pos + 1 :] ^= 1
                     self.corrected.setdefault(key, set()).add(pos)
                     self._learn_syndrome(r, (pos, pos + 1), value, round_index)
                     if r < round_index:

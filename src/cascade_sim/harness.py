@@ -299,7 +299,12 @@ def sweep_qber(
     base_seed: int = 1,
     workers: int = 1,
 ) -> List[TrialRecord]:
-    """Run the error-rate sweep; records come back in grid order."""
+    """Run the error-rate sweep; records come back in grid order.
+
+    ``workers`` runs the trials on that many threads.  The records equal
+    the serial run's, but the sessions hold the interpreter lock, so more
+    workers give no speed-up until trials run in separate processes.
+    """
     root = SeededRng(base_seed)
     sweep_label = label_from_text("qber-sweep")
     jobs = []
@@ -322,7 +327,12 @@ def sweep_length(
     base_seed: int = 1,
     workers: int = 1,
 ) -> List[TrialRecord]:
-    """Run the frame-length sweep; records come back in grid order."""
+    """Run the frame-length sweep; records come back in grid order.
+
+    ``workers`` runs the trials on that many threads.  The records equal
+    the serial run's, but the sessions hold the interpreter lock, so more
+    workers give no speed-up until trials run in separate processes.
+    """
     root = SeededRng(base_seed)
     sweep_label = label_from_text("length-sweep")
     jobs = []
@@ -345,7 +355,12 @@ def compare_aggregation(
     base_seed: int = 1,
     workers: int = 1,
 ) -> List[PairedOutcome]:
-    """Paired batching-off/batching-on runs across the length sweep."""
+    """Paired batching-off/batching-on runs across the length sweep.
+
+    ``workers`` runs the trials on that many threads.  The records equal
+    the serial run's, but the sessions hold the interpreter lock, so more
+    workers give no speed-up until trials run in separate processes.
+    """
     root = SeededRng(base_seed)
     sweep_label = label_from_text("aggregation-compare")
     jobs = []

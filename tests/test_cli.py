@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from cascade_sim import cli
 from cascade_sim.channel import read_transcript
 from cascade_sim.cli import main
@@ -107,6 +109,30 @@ def test_config_file_unknown_key_is_rejected(tmp_path, capsys):
     assert code == 2
     assert "configuration error" in err
     assert "blocksize" in err
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        {"aggregation": True},
+        {"aggregation": "yes"},
+        {"parity-reuse": "of"},
+        {"length": "abc"},
+        {"length": True},
+    ],
+    ids=["json-bool-choice", "unknown-choice", "misspelt-choice", "not-an-int", "json-bool-int"],
+)
+def test_config_file_values_are_checked_like_flags(tmp_path, capsys, values):
+    config = tmp_path / "policy.json"
+    config.write_text(json.dumps(values))
+    code = run_cli(
+        "run", "--length", "1024", "--qber", "0.05", "--seed", "3", "--config", str(config)
+    )
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "configuration error" in err
+    (key,) = values
+    assert repr(key) in err
 
 
 def test_bad_break_spec_is_a_configuration_error(capsys):

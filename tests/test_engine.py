@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import random
 
 import numpy as np
 
@@ -629,3 +630,59 @@ def test_long_frame_transcript_matches_the_pinned_hash():
     digest.update(result.channel.transcript_bytes())
     digest.update(result.responder.final_frame.bits.tobytes())
     assert digest.hexdigest() == LONG_FRAME_PIN
+
+
+# SHA-256 over the transcript bytes and the responder's final frame at odd
+# and tiny lengths.  High error rates give blocks of one to three bits and a
+# short last block, the edges of the vectorised block check on round entry.
+ODD_LENGTH_PIN = "be80c91edf9d91b9e2feceba99b38edc4c7255349f2418163762f8a9d38fcc7c"
+
+
+def test_odd_length_transcripts_match_the_pinned_hash():
+    digest = hashlib.sha256()
+    for length, schedule, aggregation, qber in itertools.product(
+        (1, 2, 3, 97, 4097), ("static", "dynamic"), (False, True), (0.3, 0.45)
+    ):
+        template = SessionTemplate(schedule_variant=schedule, aggregation=aggregation)
+        result = run_trial_detailed(template, length, Bsc(qber), 5).result
+        digest.update(result.channel.transcript_bytes())
+        digest.update(result.responder.final_frame.bits.tobytes())
+    assert digest.hexdigest() == ODD_LENGTH_PIN
+
+
+# ------------------------------------------------------------ prefix state
+
+
+def _check_prefix_state(responder, rng):
+    """Every opened round's prefix parities agree with the current frame."""
+    config = responder.config
+    n = config.frame_length
+    for r, plan in responder.plans.items():
+        view = np.empty(n, dtype=np.uint8)
+        view[round_mapping(config, r)] = responder.bits
+        sampled = tuple(tuple(sorted(rng.sample(range(n + 1), 2))) for _ in range(40))
+        for lo, hi in plan.intervals + sampled:
+            expected = int(np.bitwise_xor.reduce(view[lo:hi]))
+            assert responder._local_parity(r, lo, hi) == expected, (r, lo, hi)
+
+
+@pytest.mark.parametrize("length", [257, 1024])
+def test_prefix_parities_never_drift(monkeypatch, length):
+    rng = random.Random(length)
+    original_run_round = _Responder.run_round
+
+    def checked_run_round(self, round_index, block_msg):
+        reply = yield from original_run_round(self, round_index, block_msg)
+        _check_prefix_state(self, rng)
+        return reply
+
+    monkeypatch.setattr(_Responder, "run_round", checked_run_round)
+    for seed, qber, aggregation, kind in itertools.product(
+        (1, 2, 3), (0.02, 0.10, 0.30), (False, True), ("lcg", "shuffle")
+    ):
+        template = SessionTemplate(aggregation=aggregation, permutation_kind=kind)
+        responder = run_trial_detailed(template, length, Bsc(qber), seed).result.responder
+        assert responder.corrections
+        for event in responder.corrections:
+            assert type(event.original_position) is int
+        assert all(type(position) is int for position in responder.compromised_positions)
