@@ -1,9 +1,11 @@
 """Bit frames, permutations and channel noise.
 
-A frame is an immutable ordered sequence of bits.  Permutations are stored
-as explicit target maps: ``mapping[i]`` is the position that source bit
-``i`` occupies after the permutation is applied.  Two deterministic
-permutation families are provided, both keyed by ``(length, round, seed)``:
+A frame is an immutable ordered sequence of bits.  A permutation is a
+read-only int64 source-to-target array: ``mapping[i]`` is the position that
+source bit ``i`` occupies after the permutation is applied.  Two
+deterministic permutation families are provided, both keyed by
+``(length, round, seed)``; each generator builds its array as a bijection
+and hands it over without a copy or a run-time check:
 
 * ``shuffle`` - repeated perfect out-shuffle composed with a round-dependent
   rotation.  One out-shuffle sends source ``i`` to target ``i // 2`` when
@@ -33,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -44,7 +46,6 @@ _LCG_A = 1664525
 _LCG_C = 1013904223
 _LCG_M = 1 << 32
 
-_SHUFFLE_LABEL = label_from_text("permutation/shuffle")
 _LCG_LABEL = label_from_text("permutation/lcg")
 _BSC_LABEL = label_from_text("noise/bsc")
 _FIXED_LABEL = label_from_text("noise/fixed")
@@ -115,9 +116,6 @@ class BitFrame:
         child = SeededRng(seed).derive(_FRAME_LABEL)
         return cls((u64_stream(child.seed, length) & np.uint64(1)).astype(np.uint8))
 
-    def to01(self) -> str:
-        return "".join(str(int(b)) for b in self.bits)
-
 
 def parity(bits: BitsLike) -> int:
     """XOR fold of a bit sequence; an empty sequence has parity 0."""
@@ -136,63 +134,6 @@ def hamming_distance(a: BitsLike, b: BitsLike) -> int:
     return int(np.count_nonzero(arr_a != arr_b))
 
 
-@dataclass(frozen=True)
-class Permutation:
-    """Bijection on frame positions, stored as a source-to-target map."""
-
-    mapping: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.mapping, dtype=np.int64)
-        if arr.ndim != 1:
-            raise ConfigurationError("mapping must be one-dimensional")
-        # O(n) bijection check; bounds first so a negative index cannot wrap.
-        if arr.size and (int(arr.min()) < 0 or int(arr.max()) >= arr.size):
-            raise ConfigurationError("mapping is not a bijection")
-        seen = np.zeros(arr.size, dtype=bool)
-        seen[arr] = True
-        if not seen.all():
-            raise ConfigurationError("mapping is not a bijection")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "mapping", arr)
-
-    def __len__(self) -> int:
-        return int(self.mapping.size)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Permutation):
-            return NotImplemented
-        return bool(np.array_equal(self.mapping, other.mapping))
-
-    def __hash__(self) -> int:
-        return hash(self.mapping.tobytes())
-
-    @classmethod
-    def identity(cls, length: int) -> "Permutation":
-        return cls(np.arange(length, dtype=np.int64))
-
-    def source_order(self) -> np.ndarray:
-        """Inverse view: ``source_order()[t]`` is the source at target t."""
-        inv = np.empty(len(self), dtype=np.int64)
-        inv[self.mapping] = np.arange(len(self), dtype=np.int64)
-        return inv
-
-
-def apply_permutation(frame: BitFrame, perm: Permutation) -> BitFrame:
-    """Reorder a frame: output bit ``perm.mapping[i]`` is input bit ``i``."""
-    if len(frame) != len(perm):
-        raise ConfigurationError("frame and permutation lengths differ")
-    out = np.empty(len(frame), dtype=np.uint8)
-    out[perm.mapping] = frame.bits
-    return BitFrame(out)
-
-
-def invert_permutation(perm: Permutation) -> Permutation:
-    """Permutation that undoes ``perm``."""
-    return Permutation(perm.source_order())
-
-
 def out_shuffle_mapping(length: int) -> np.ndarray:
     """Single perfect out-shuffle as a source-to-target map."""
     if length < 0:
@@ -206,7 +147,7 @@ def out_shuffle_mapping(length: int) -> np.ndarray:
     return targets
 
 
-def gen_shuffle_permutation(length: int, round_index: int, seed: int) -> Permutation:
+def gen_shuffle_permutation(length: int, round_index: int, seed: int) -> np.ndarray:
     """Deterministic shuffle-family permutation for one round.
 
     See the module docstring for the exact construction.  Distinct rounds
@@ -216,17 +157,17 @@ def gen_shuffle_permutation(length: int, round_index: int, seed: int) -> Permuta
         raise ConfigurationError("length must be nonnegative")
     if round_index < 0:
         raise ConfigurationError("round index must be nonnegative")
-    if length == 0:
-        return Permutation(np.empty(0, dtype=np.int64))
-    single = out_shuffle_mapping(length)
-    applications = round_index + 1 + ((seed & ((1 << 64) - 1)) % 7)
     mapping = np.arange(length, dtype=np.int64)
-    for _ in range(applications):
-        mapping = single[mapping]
-    rotation = round_index % length
-    if rotation:
-        mapping = (mapping + rotation) % length
-    return Permutation(mapping)
+    if length:
+        single = out_shuffle_mapping(length)
+        applications = round_index + 1 + ((seed & ((1 << 64) - 1)) % 7)
+        for _ in range(applications):
+            mapping = single[mapping]
+        rotation = round_index % length
+        if rotation:
+            mapping = (mapping + rotation) % length
+    mapping.setflags(write=False)
+    return mapping
 
 
 def _affine_powers(a: int, c: int, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -263,7 +204,7 @@ def _lcg_keys(lcg_seed: int, count: int) -> np.ndarray:
     return keys.reshape(-1)[:count].astype(np.int64)
 
 
-def gen_lcg_permutation(length: int, round_index: int, seed: int) -> Permutation:
+def gen_lcg_permutation(length: int, round_index: int, seed: int) -> np.ndarray:
     """LCG-keyed permutation: indices sorted by a per-round LCG key stream."""
     if length < 0:
         raise ConfigurationError("length must be nonnegative")
@@ -279,7 +220,9 @@ def gen_lcg_permutation(length: int, round_index: int, seed: int) -> Permutation
     packed |= np.arange(length, dtype=np.uint64)
     packed.sort()
     packed &= np.uint64(_LCG_M - 1)
-    return Permutation(packed.view(np.int64))
+    mapping = packed.view(np.int64)
+    mapping.setflags(write=False)
+    return mapping
 
 
 @dataclass(frozen=True)

@@ -212,16 +212,26 @@ def round_mapping(config: SessionConfig, round_index: int) -> np.ndarray:
     """Original-position -> round-position array for one round.
 
     Round 0 always works on unpermuted data; later rounds draw from the
-    configured permutation family, keyed by the shared seed.
+    configured permutation family, keyed by the shared seed.  A generator's
+    read-only array is returned as it is.
     """
     n = config.frame_length
     if round_index == 0:
         return np.arange(n, dtype=np.int64)
     if config.permutation_kind == "shuffle":
-        perm = gen_shuffle_permutation(n, round_index, config.seed)
-    else:
-        perm = gen_lcg_permutation(n, round_index, config.seed)
-    return np.asarray(perm.mapping, dtype=np.int64)
+        return gen_shuffle_permutation(n, round_index, config.seed)
+    return gen_lcg_permutation(n, round_index, config.seed)
+
+
+# _BYTE_PREFIX[b] holds in bit j the parity of bits 0..j of byte b.
+_BYTE_PREFIX = np.packbits(
+    np.bitwise_xor.accumulate(
+        np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little"),
+        axis=1,
+    ),
+    axis=1,
+    bitorder="little",
+).reshape(256)
 
 
 def _round_prefix(
@@ -232,14 +242,22 @@ def _round_prefix(
     ``prefix[i]`` is the parity of the first ``i`` bits of the round's view,
     so the parity of ``[lo, hi)`` is ``prefix[lo] ^ prefix[hi]``.  The
     prefix is a bytearray, whose single reads are cheap Python ints; the
-    returned array is a writable numpy view over the same bytes.
+    returned array is a writable numpy view over the same bytes.  Round 0's
+    view is ``bits`` itself.  The view is packed eight bits to a byte, each
+    byte's prefix comes from a table, and the running parity of the bytes
+    before it is XORed in before unpacking.
     """
     mapping = round_mapping(config, round_index)
-    view = np.empty(config.frame_length, dtype=np.uint8)
-    view[mapping] = bits
+    view = bits
+    if round_index:
+        view = np.empty(config.frame_length, dtype=np.uint8)
+        view[mapping] = bits
+    packed = _BYTE_PREFIX[np.packbits(view, bitorder="little")]
+    carry = np.bitwise_xor.accumulate(packed >> 7)
+    packed[1:] ^= np.negative(carry[:-1])  # 0 -> 0x00, 1 -> 0xff
     prefix = bytearray(config.frame_length + 1)
     array = np.frombuffer(prefix, dtype=np.uint8)
-    np.bitwise_xor.accumulate(view, out=array[1:])
+    array[1:] = np.unpackbits(packed, count=config.frame_length, bitorder="little")
     return mapping, prefix, array
 
 
@@ -443,9 +461,11 @@ class _Responder:
         """Build the round's state; returns every block's local parity."""
         mapping, prefix, array = _round_prefix(self.config, round_index, self.bits)
         # Frames are shorter than 2**32 bits (SessionConfig), so uint32 holds
-        # every original position.
-        inverse = np.empty(self.n, dtype=np.uint32)
-        inverse[mapping] = np.arange(self.n, dtype=np.uint32)
+        # every original position.  Round 0's mapping is the identity.
+        inverse = sources = np.arange(self.n, dtype=np.uint32)
+        if round_index:
+            inverse = np.empty_like(sources)
+            inverse[mapping] = sources
         self.mappings[round_index] = mapping
         self.inverses[round_index] = inverse
         self.prefixes[round_index] = prefix
@@ -661,11 +681,22 @@ class _Responder:
         # (re-)queued; they get a fresh parity check once that search ends.
         deferred: Set[Tuple[int, Interval]] = set()
         corrected_this_round = 0
-        waves = 0
+        # A search lives at most one wave per frontier region (no more than
+        # its block's length), one per search step and one more.  Without a
+        # flip only deferred re-checks start, so a round can go at most two
+        # lifetimes without one; and a bit flips at most once per round (a
+        # second flip's leaf stamp conflicts in _learn_syndrome).  So every
+        # round ends, whatever the peer says; the guard only catches an
+        # engine fault.
+        longest = max(min(plan.block_size, self.n) for plan in self.plans.values())
+        quiet_limit = 2 * (longest + longest.bit_length() + 1) + 1
+        quiet = 0
         while live or deferred:
-            waves += 1
-            if waves > self.n + 8:
-                raise ProtocolError("internal: cascade wave cap exceeded")
+            quiet += 1
+            if quiet > quiet_limit:
+                raise ProtocolError(
+                    f"internal: round {round_index} ran {quiet_limit} waves without a flip"
+                )
 
             for key in sorted(deferred):
                 if key not in live:
@@ -739,6 +770,8 @@ class _Responder:
                         other.stage = _Stage.DONE
                         candidates.add(key)
             self.pending_finds.clear()
+            if flipped:
+                quiet = 0
             self.compromised |= flipped
             corrected_this_round += len(flipped)
 

@@ -100,7 +100,3 @@ def unit_floats(seed: int, count: int) -> np.ndarray:
     """Vector of uniform floats in [0, 1), matching ``SeededRng.random``."""
     return (u64_stream(seed, count) >> np.uint64(11)) * 2.0**-53
 
-
-def bit_stream(seed: int, count: int) -> np.ndarray:
-    """Vector of uniform bits (uint8), one per stream draw."""
-    return (u64_stream(seed, count) & np.uint64(1)).astype(np.uint8)

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import random
+import types
 
 import numpy as np
 
@@ -31,6 +32,7 @@ from cascade_sim.engine import (
     SessionConfig,
     _Responder,
     _init_from_config,
+    _round_prefix,
     error_frontier,
     frame_fingerprint,
     initiator_session,
@@ -391,6 +393,46 @@ def test_round_zero_mapping_is_identity():
         mapping = round_mapping(config, 1)
         assert sorted(mapping) == list(range(32))
         assert not np.array_equal(mapping, np.arange(32))
+
+
+@pytest.mark.parametrize("kind", ["shuffle", "lcg"])
+def test_round_prefix_equals_the_running_xor_of_the_round_view(kind):
+    # SessionConfig refuses length 0; _round_prefix reads only the length,
+    # the permutation kind and the seed.
+    rng = np.random.default_rng(17)
+    for n in [*range(301), 4097, (1 << 18) + 3]:
+        config = types.SimpleNamespace(frame_length=n, permutation_kind=kind, seed=5)
+        bits = rng.integers(0, 2, n, dtype=np.uint8)
+        for rnd in (0, 1):
+            mapping, prefix, array = _round_prefix(config, rnd, bits)
+            assert np.array_equal(mapping, round_mapping(config, rnd))
+            view = np.empty(n, dtype=np.uint8)
+            view[mapping] = bits
+            expect = np.concatenate(([0], np.bitwise_xor.accumulate(view))).astype(np.uint8)
+            assert isinstance(prefix, bytearray)
+            assert prefix == expect.tobytes(), (n, rnd)
+            assert np.shares_memory(array, np.frombuffer(prefix, dtype=np.uint8))
+
+
+def test_round_zero_prefix_leaves_the_frame_unmodified():
+    config = basic_config(4097, 0.1, 2, seed=9)
+    bits = BitFrame.random(4097, seed=4).bits.copy()
+    before = bits.copy()
+    _, prefix, array = _round_prefix(config, 0, bits)
+    array[1:] ^= 1  # a flip pass writes the prefix, never the frame
+    assert np.array_equal(bits, before)
+    assert prefix[-1] == np.bitwise_xor.reduce(bits) ^ 1
+
+
+@pytest.mark.parametrize("seed", [1007, 1009, 1016])
+def test_long_honest_rounds_are_not_cut_short(seed):
+    # Round 2 of these sessions needs 4,136 to 4,993 waves; a cap of n + 8
+    # waves used to end them in ProtocolError.
+    template = SessionTemplate(parity_reuse=False, qber_estimate=0.01)
+    detail = run_trial_detailed(template, 4096, Bsc(0.45), seed)
+    result = detail.result
+    assert result.responder.status is SessionStatus.SUCCESS
+    assert result.initiator.final_frame == result.responder.final_frame
 
 
 # ---------------------------------------------------------------- frontier

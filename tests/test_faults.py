@@ -30,17 +30,17 @@ def _lie(message):
     return wire.ParityAnswer(message.round_index, entries)
 
 
-def _lying_initiator(honest):
+def _lying_initiator(honest, lie=_lie):
     def session(config, frame):
         inner = honest(config, frame)
         outbound = next(inner)
         while True:
-            inbound = yield [_lie(message) for message in outbound]
+            inbound = yield [lie(message) for message in outbound]
             try:
                 outbound = inner.send(inbound)
             except StopIteration as stop:
                 summary, finals = stop.value
-                return summary, [_lie(message) for message in finals]
+                return summary, [lie(message) for message in finals]
 
     return session
 
@@ -82,6 +82,35 @@ def test_threaded_session_fails_fast_with_the_first_error(lying_initiator):
         )
     assert time.monotonic() - started < 10.0
     assert set(threading.enumerate()) <= threads_before, "a session thread is still alive"
+
+
+def test_a_peer_that_keeps_a_round_alive_and_then_lies_ends_in_protocol_error(monkeypatch):
+    # Seed 1007 at 45% QBER with reuse off: within its first 9,000 answers,
+    # round 2 runs past the n + 8 = 4,104 waves that a fixed wave cap used to
+    # allow.  The initiator answers honestly that long and then inverts every
+    # answer; the same-round consistency check must end the session.
+    honest_answers = 9000
+    answered = Counter()
+    current = [0]
+
+    def lie(message):
+        if isinstance(message, wire.BlockParities):
+            current[0] = message.round_index
+        if not isinstance(message, wire.ParityAnswer):
+            return message
+        answered[current[0]] += 1
+        if answered[current[0]] <= honest_answers:
+            return message
+        entries = tuple((lo, hi, parity ^ 1) for lo, hi, parity in message.entries)
+        return wire.ParityAnswer(message.round_index, entries)
+
+    monkeypatch.setattr(
+        engine, "initiator_session", _lying_initiator(engine.initiator_session, lie)
+    )
+    template = SessionTemplate(parity_reuse=False, qber_estimate=0.01)
+    with pytest.raises(ProtocolError, match="inconsistent peer parities"):
+        run_trial_detailed(template, 4096, Bsc(0.45), 1007)
+    assert answered[2] > honest_answers, answered
 
 
 def _verdict_in_place_of_round(honest, fake_round):

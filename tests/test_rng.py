@@ -8,7 +8,6 @@ from cascade_sim.rng import (
     GAMMA,
     MASK64,
     SeededRng,
-    bit_stream,
     label_from_text,
     mix64,
     u64_stream,
@@ -63,14 +62,6 @@ def test_unit_floats_match_scalar_random_and_stay_in_range():
     assert np.allclose(vector, scalar, rtol=0, atol=0)
     assert float(vector.min()) >= 0.0
     assert float(vector.max()) < 1.0
-
-
-def test_bit_stream_is_roughly_balanced():
-    # 40000 fair bits: mean 20000, sd 100; allow five sigma.
-    bits = bit_stream(31337, 40000)
-    assert set(np.unique(bits)) <= {0, 1}
-    ones = int(bits.sum())
-    assert abs(ones - 20000) < 500
 
 
 def test_below_is_in_range_and_deterministic():
