@@ -8,12 +8,16 @@ implied and never transmitted).  A mismatch on the first half recurses
 left, a match recurses right, and a one-position interval is a located
 error.  Halving uses the same ``split_point`` as the parity trees, so every
 interval the search touches is a tree lattice node.
+
+A state is a named tuple, so a step costs one tuple.  ``pending_query``
+names the next first half as a ``ParityQuery``; a caller that computes the
+midpoint itself, as the engine's responder does, calls ``step`` alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import ConfigurationError, ProtocolError
 from .paritytree import Interval, split_point
@@ -27,8 +31,7 @@ class ParityQuery:
     round_index: int
 
 
-@dataclass(frozen=True)
-class BinarySearchState:
+class BinarySearchState(NamedTuple):
     """Immutable snapshot of one running (or finished) search."""
 
     lo: int
@@ -78,18 +81,19 @@ def step(
     the channel; it advances the search identically but does not count as
     a disclosure.
     """
-    if state.is_found:
+    lo, hi, round_index, disclosed, found = state
+    if found is not None:
         raise ProtocolError("search already terminated")
     if local_first_parity not in (0, 1) or remote_first_parity not in (0, 1):
         raise ConfigurationError("parities must be bits")
-    mid = split_point(state.lo, state.hi)
+    mid = split_point(lo, hi)
     if local_first_parity != remote_first_parity:
-        lo, hi = state.lo, mid
+        hi = mid
     else:
-        lo, hi = mid, state.hi
-    disclosed = state.disclosed + (0 if from_reuse else 1)
-    found = lo if hi - lo == 1 else None
-    return BinarySearchState(lo, hi, state.round_index, disclosed, found)
+        lo = mid
+    if not from_reuse:
+        disclosed += 1
+    return BinarySearchState(lo, hi, round_index, disclosed, lo if hi - lo == 1 else None)
 
 
 def disclosed_count(state: BinarySearchState) -> int:

@@ -29,13 +29,19 @@ vectorised step, and only the blocks that differ become searches.
 
 Within a round the responder works in "waves".  Each wave advances every
 live search as far as stored parities allow, performs at most one channel
-exchange per search, then applies the located corrections.  Each flip is
-one pass over the opened rounds: it XORs the suffix of every round's prefix
-past the bit's position, updates the parity map, queues the earlier
-rounds' blocks that hold the bit (the cascade), and aborts the live search
-whose working interval it touched.  Running identical waves regardless of
-query batching is what makes the batched and unbatched modes produce
-bit-identical corrections.
+exchange per search, then applies the located corrections.  A search step
+computes its interval's midpoint once: the first half is looked up in the
+parity map (stored, or derived from the current interval and the second
+half), and otherwise becomes the step's query, whose answer is applied
+straight to the search state.  Each flip is one pass over the opened
+rounds: it updates the parity map, queues the earlier rounds' blocks that
+hold the bit (the cascade), and aborts the live search whose working
+interval it touched; each round's prefix is then XORed past the wave's
+flipped positions.  A queued block becomes a search only if its parity
+differs, by the comparison used at round entry.  The waves are the same
+regardless of query batching, and each wave's corrections are credited in
+the order its searches were created, so the batched and unbatched modes
+produce bit-identical corrections.
 """
 
 from __future__ import annotations
@@ -46,7 +52,7 @@ import math
 import threading
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Set, Tuple
 
 import numpy as np
 
@@ -120,8 +126,7 @@ class SessionConfig:
             raise ConfigurationError("seed must fit in 64 bits")
 
 
-@dataclass(frozen=True)
-class CorrectionEvent:
+class CorrectionEvent(NamedTuple):
     """One corrected bit and what it cost to locate.
 
     ``corrected_round`` is the round during which the flip landed;
@@ -394,6 +399,11 @@ class _Stage(enum.Enum):
     DONE = "done"
 
 
+# Module globals: reading a member through the enum class costs several
+# times a global read, and the wave loop tests stages once per task and step.
+_PENDING, _PROBING, _RUNNING, _DONE = _Stage
+
+
 class _SearchTask:
     """One candidate block being checked / searched."""
 
@@ -411,8 +421,8 @@ class _SearchTask:
     def __init__(self, round_index: int, block: Interval):
         self.round_index = round_index
         self.block = block
-        self.stage = _Stage.PENDING
-        self.regions: deque = deque()
+        self.stage = _PENDING
+        self.regions: Optional[deque] = None
         self.state: Optional[bisect_search.BinarySearchState] = None
         self.current_remote: Optional[int] = None
         self.probe_interval: Optional[Interval] = None
@@ -429,12 +439,17 @@ class _Responder:
     Each opened round keeps its mapping (original -> round position), the
     uint32 inverse, and the prefix parities of its view as a bytearray plus
     a numpy view over the same bytes: ``_local_parity`` is two byte reads,
-    and a flip XORs the prefix suffix past the flipped position.
+    and a wave's flips XOR the prefix between pairs of flipped positions.
     ``known`` maps ``(round, interval)`` to ``(value, learn_round)``: the
     initiator's parity, and the round it crossed the wire (block
     announcements, answers, corrected leaves) or ``None`` if derived here.
-    A lookup starts from a stored ancestor: the block for a frontier probe,
-    the search's current interval for a search step.
+    A frontier probe resolves its region from the stored block in one pass
+    (``_resolve_remote``).  A search step is that walk's one-level case
+    (``_reused_first_half``): its current interval is always stored, so the
+    first half is stored or is derived from the second half.  A wire answer
+    is stored as it arrives and then applied to the search (``_apply_step``),
+    which reads the local first-half parity from the prefix and stores the
+    implied second half.
     ``corrected`` maps ``(round, block)`` to the block positions flipped.
     """
 
@@ -453,7 +468,6 @@ class _Responder:
         self.corrections: List[CorrectionEvent] = []
         self.compromised: Set[int] = set()
         self.parity_bits = 0
-        self.pending_finds: List[Tuple[_SearchTask, int]] = []
 
     # -- round-state plumbing -----------------------------------------------
 
@@ -477,9 +491,21 @@ class _Responder:
         prefix = self.prefixes[round_index]
         return prefix[lo] ^ prefix[hi]
 
-    def _block_of(self, round_index: int, position: int) -> Interval:
-        plan = self.plans[round_index]
-        return plan.intervals[position // plan.block_size]
+    def _flip_prefixes(self, round_index: int, positions: List[int]) -> None:
+        """XOR the round's prefix past each flipped position.
+
+        Two flips cancel past the later one, so the sorted positions pair
+        up into one slice per pair (and one to the end for an odd count).
+        """
+        array = self.prefix_arrays[round_index]
+        bounds = sorted(pos + 1 for pos in positions)
+        bounds.append(self.n + 1)
+        for start, stop in zip(bounds[::2], bounds[1::2]):
+            array[start:stop] ^= 1
+
+    def _block_differs(self, key: Tuple[int, Interval]) -> bool:
+        """Whether a block's local parity differs from the announced one."""
+        return self._local_parity(key[0], *key[1]) != self.known[key][0]
 
     # -- remote parity resolution --------------------------------------------
 
@@ -534,27 +560,40 @@ class _Responder:
     def _begin_search(self, task: _SearchTask, interval: Interval, remote_parity: int) -> None:
         task.state = bisect_search.start(interval[0], interval[1], task.round_index)
         task.current_remote = remote_parity
-        task.stage = _Stage.RUNNING
-        if task.state.is_found:
-            self.pending_finds.append((task, task.state.found))
-            task.stage = _Stage.DONE
+        task.stage = _DONE if task.state.is_found else _RUNNING
 
-    def _apply_step(self, task: _SearchTask, remote_first: int, *, from_reuse: bool) -> None:
+    def _reused_first_half(self, round_index: int, lo: int, mid: int, hi: int) -> Optional[int]:
+        """``_resolve_remote(round_index, (lo, hi), (lo, mid))`` for a search
+        step, whose current interval ``[lo, hi)`` is always stored: the first
+        half's value, or else the current interval's XOR the second half's,
+        memoized as derived."""
+        known = self.known
+        entry = known.get((round_index, (lo, mid)))
+        if entry is not None:
+            return entry[0]
+        entry = known.get((round_index, (mid, hi)))
+        if entry is None:
+            return None
+        value = known[(round_index, (lo, hi))][0] ^ entry[0]
+        known[(round_index, (lo, mid))] = (value, None)
+        return value
+
+    def _apply_step(
+        self, task: _SearchTask, mid: int, remote_first: int, *, from_reuse: bool
+    ) -> None:
+        """Advance ``task`` past its first half ``[state.lo, mid)``."""
         state = task.state
-        mid = split_point(state.lo, state.hi)
-        first = (state.lo, mid)
-        second = (mid, state.hi)
-        local_first = self._local_parity(task.round_index, *first)
+        prefix = self.prefixes[task.round_index]
+        local_first = prefix[state.lo] ^ prefix[mid]
         new_state = bisect_search.step(state, local_first, remote_first, from_reuse=from_reuse)
         # The first half's value came from the map or the wire; the second
         # half's is implied, and never replaces a value learned on the wire.
         second_remote = task.current_remote ^ remote_first
-        self.known.setdefault((task.round_index, second), (second_remote, None))
+        self.known.setdefault((task.round_index, (mid, state.hi)), (second_remote, None))
         task.current_remote = remote_first if new_state.hi == mid else second_remote
         task.state = new_state
-        if new_state.is_found:
-            self.pending_finds.append((task, new_state.found))
-            task.stage = _Stage.DONE
+        if new_state.found is not None:
+            task.stage = _DONE
 
     def _advance_task(self, task: _SearchTask) -> Optional[Interval]:
         """Drive a task as far as stored knowledge allows.
@@ -562,47 +601,43 @@ class _Responder:
         Returns the interval whose remote parity must travel over the
         channel, or ``None`` when the task finished or found its error.
         """
-        while True:
-            if task.stage is _Stage.DONE:
+        if task.stage is _PENDING:
+            if not self._block_differs(task.key):
+                task.stage = _DONE
                 return None
-            if task.stage is _Stage.PENDING:
-                root_remote = self.known[task.key][0]
-                if self._local_parity(task.round_index, *task.block) == root_remote:
-                    task.stage = _Stage.DONE
-                    return None
-                regions: Tuple[Interval, ...] = ()
-                if self.config.parity_reuse:
-                    corrected = self.corrected.get(task.key, ())
-                    on_wire = functools.partial(self._on_wire, task.round_index)
-                    regions = error_frontier(task.block, corrected, on_wire)
-                task.regions = deque(regions)
-                task.stage = _Stage.PROBING
-            if task.stage is _Stage.PROBING:
-                while task.regions:
-                    region = task.regions[0]
-                    value = self._resolve_remote(task.round_index, task.block, region)
-                    if value is None:
-                        task.probe_interval = region
-                        return region
-                    task.regions.popleft()
-                    if self._local_parity(task.round_index, *region) != value:
-                        self._begin_search(task, region, value)
-                        break
-                else:
-                    # No frontier region disagrees; fall back to the whole
-                    # block, whose mismatch was established on entry.
-                    self._begin_search(task, task.block, self.known[task.key][0])
-            if task.stage is _Stage.RUNNING:
-                query = bisect_search.pending_query(task.state)
-                if query is None:
-                    return None
-                value = None
-                if self.config.parity_reuse:
-                    top = task.state.interval
-                    value = self._resolve_remote(task.round_index, top, query.interval)
+            regions: Tuple[Interval, ...] = ()
+            if self.config.parity_reuse:
+                corrected = self.corrected.get(task.key, ())
+                on_wire = functools.partial(self._on_wire, task.round_index)
+                regions = error_frontier(task.block, corrected, on_wire)
+            task.regions = deque(regions)
+            task.stage = _PROBING
+        if task.stage is _PROBING:
+            while task.regions:
+                region = task.regions[0]
+                value = self._resolve_remote(task.round_index, task.block, region)
                 if value is None:
-                    return query.interval
-                self._apply_step(task, value, from_reuse=True)
+                    task.probe_interval = region
+                    return region
+                task.regions.popleft()
+                if self._local_parity(task.round_index, *region) != value:
+                    self._begin_search(task, region, value)
+                    break
+            else:
+                # No frontier region disagrees; fall back to the whole
+                # block, whose mismatch was established on entry.
+                self._begin_search(task, task.block, self.known[task.key][0])
+        # One midpoint per step: the first half is both the reuse lookup and
+        # the interval sent over the wire, whose answer _feed_wire applies.
+        reuse = self.config.parity_reuse
+        while task.stage is _RUNNING:
+            lo, hi = task.state.lo, task.state.hi
+            mid = split_point(lo, hi)
+            value = self._reused_first_half(task.round_index, lo, mid, hi) if reuse else None
+            if value is None:
+                return (lo, mid)
+            self._apply_step(task, mid, value, from_reuse=True)
+        return None
 
     def _learn_syndrome(
         self, round_index: int, interval: Interval, value: int, learn_round: int
@@ -625,8 +660,14 @@ class _Responder:
         self.known[key] = (value, learn_round)
 
     def _feed_wire(self, task: _SearchTask, interval: Interval, parity: int, learn_round: int) -> None:
-        self._learn_syndrome(task.round_index, interval, parity, learn_round)
-        if task.stage is _Stage.PROBING:
+        key = (task.round_index, interval)
+        if key in self.known:
+            self._learn_syndrome(task.round_index, interval, parity, learn_round)
+        else:
+            self.known[key] = (parity, learn_round)
+        if task.stage is _RUNNING:
+            self._apply_step(task, interval[1], parity, from_reuse=False)
+        elif task.stage is _PROBING:
             if task.probe_interval != interval:
                 raise ProtocolError("answer does not match the outstanding probe")
             task.probe_interval = None
@@ -634,8 +675,6 @@ class _Responder:
             task.regions.popleft()
             if self._local_parity(task.round_index, *interval) != parity:
                 self._begin_search(task, interval, parity)
-        elif task.stage is _Stage.RUNNING:
-            self._apply_step(task, parity, from_reuse=False)
         else:
             raise ProtocolError("parity answer delivered to an idle search")
 
@@ -652,9 +691,13 @@ class _Responder:
         On entry one vectorised comparison of the block parities against the
         announced ones picks the blocks that differ; a block that matches
         would finish in the first wave without a query or a state change, so
-        only the differing blocks become searches.  A flip is one pass over
-        the opened rounds that XORs each round's prefix suffix, updates the
-        map, queues the cascade and aborts the touched search.
+        only the differing blocks become searches.  The same comparison
+        screens cascade candidates and deferred re-checks, except a
+        candidate whose key is still deferred: its task holds that key back
+        from the next wave's deferred loop, so it is made either way.  A
+        flip is one pass over the opened rounds that updates the map, queues
+        the cascade and aborts the touched search; the prefixes follow once
+        per round after the wave's flips.
         """
         if not isinstance(block_msg, wire.BlockParities):
             raise ProtocolError(f"expected BlockParities, got {type(block_msg).__name__}")
@@ -700,8 +743,9 @@ class _Responder:
 
             for key in sorted(deferred):
                 if key not in live:
-                    live[key] = _SearchTask(*key)
                     deferred.discard(key)
+                    if self._block_differs(key):
+                        live[key] = _SearchTask(*key)
 
             needs: List[Tuple[_SearchTask, Interval]] = []
             for task in live.values():
@@ -727,61 +771,67 @@ class _Responder:
                 for task, interval, (_, _, parity) in zip(tasks, intervals, entries):
                     self._feed_wire(task, interval, parity, round_index)
 
-            # One pass per flip over the opened rounds: XOR the prefix suffix
-            # past the bit and update the map, queue earlier rounds' blocks
-            # (the cascade), and abort the live search on this block if the
-            # flip touched its working interval.  A flip changes no task's
-            # stage or state, so each test sees what a separate scan after
-            # all flips would see.
+            # One pass per flip over the opened rounds: note the bit's round
+            # position, update the map, queue earlier rounds' blocks (the
+            # cascade), and abort the live search on this block if the flip
+            # touched its working interval.  A flip changes no task's stage or
+            # state, so each test sees what a separate scan after all flips
+            # would see; nothing in the pass reads the prefixes, which are
+            # updated once per round after it.  Finds apply in live
+            # (creation) order in both aggregation modes: a task that ended
+            # this wave holding a search state located a bit, and a bit
+            # located twice is credited to the older search.
+            finds = [t for t in live.values() if t.stage is _DONE and t.state is not None]
             candidates: Set[Tuple[int, Interval]] = set()
             flipped: Set[int] = set()
-            for task, found_pos in self.pending_finds:
+            moved: Dict[int, List[int]] = {r: [] for r in self.mappings}
+            for task in finds:
+                found_pos = task.state.found
                 original = self.inverses[task.round_index].item(found_pos)
                 if original in flipped:
                     continue
                 flipped.add(original)
+                disclosed = task.probe_bits + task.state.disclosed
                 self.corrections.append(
-                    CorrectionEvent(
-                        corrected_round=round_index,
-                        block_round=task.round_index,
-                        original_position=original,
-                        block_position=found_pos,
-                        disclosed_bits=task.probe_bits + task.state.disclosed,
-                    )
+                    CorrectionEvent(round_index, task.round_index, original, found_pos, disclosed)
                 )
-                self.bits[original] ^= 1
-                value = self.bits.item(original)
+                value = self.bits.item(original) ^ 1
+                self.bits[original] = value
                 for r, mapping in self.mappings.items():
                     pos = mapping.item(original)
-                    key = (r, self._block_of(r, pos))
-                    self.prefix_arrays[r][pos + 1 :] ^= 1
+                    moved[r].append(pos)
+                    plan = self.plans[r]
+                    key = (r, plan.intervals[pos // plan.block_size])
                     self.corrected.setdefault(key, set()).add(pos)
                     self._learn_syndrome(r, (pos, pos + 1), value, round_index)
                     if r < round_index:
                         candidates.add(key)
                     other = live.get(key)
                     if other is not None and (
-                        other.stage is _Stage.PROBING
+                        other.stage is _PROBING
                         or (
-                            other.stage is _Stage.RUNNING
+                            other.stage is _RUNNING
                             and other.state.lo <= pos < other.state.hi
                         )
                     ):
-                        other.stage = _Stage.DONE
+                        other.stage = _DONE
                         candidates.add(key)
-            self.pending_finds.clear()
             if flipped:
                 quiet = 0
+                for r, positions in moved.items():
+                    self._flip_prefixes(r, positions)
             self.compromised |= flipped
             corrected_this_round += len(flipped)
 
-            live = {key: task for key, task in live.items() if task.stage is not _Stage.DONE}
+            live = {key: task for key, task in live.items() if task.stage is not _DONE}
             for key in sorted(candidates):
                 if key in live:
                     # A search is mid-flight on this block; re-check the
                     # block once that search has finished.
                     deferred.add(key)
-                else:
+                elif key in deferred or self._block_differs(key):
+                    # A deferred key keeps its task even when it matches now:
+                    # that task holds the key in the next wave's deferred loop.
                     live[key] = _SearchTask(*key)
 
         self.history.append(corrected_this_round)

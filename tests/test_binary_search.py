@@ -66,6 +66,21 @@ def test_singleton_block_is_found_for_free():
     assert pending_query(state) is None
 
 
+def test_state_is_an_immutable_hashable_record():
+    state = BinarySearchState(2, 9, 1)
+    assert BinarySearchState._fields == ("lo", "hi", "round_index", "disclosed", "found")
+    assert (state.disclosed, state.found) == (0, None)
+    assert repr(state) == "BinarySearchState(lo=2, hi=9, round_index=1, disclosed=0, found=None)"
+    assert state.interval == (2, 9) and not state.is_found
+    assert start(2, 9, 1) == state
+    assert {state: "running"}[BinarySearchState(2, 9, 1)] == "running"
+    found = BinarySearchState(4, 5, 0, disclosed=3, found=4)
+    assert found.is_found and found.interval == (4, 5)
+    for name in BinarySearchState._fields:
+        with pytest.raises(AttributeError):
+            setattr(state, name, 0)
+
+
 def test_empty_interval_rejected():
     with pytest.raises(ConfigurationError):
         start(3, 3)
