@@ -27,21 +27,27 @@ interval's parity is two byte reads.  When a round opens, the responder
 compares every block's local parity with the announced one in one
 vectorised step, and only the blocks that differ become searches.
 
-Within a round the responder works in "waves".  Each wave advances every
-live search as far as stored parities allow, performs at most one channel
-exchange per search, then applies the located corrections.  A search step
-computes its interval's midpoint once: the first half is looked up in the
-parity map (stored, or derived from the current interval and the second
-half), and otherwise becomes the step's query, whose answer is applied
-straight to the search state.  Each flip is one pass over the opened
-rounds: it updates the parity map, queues the earlier rounds' blocks that
-hold the bit (the cascade), and aborts the live search whose working
-interval it touched; each round's prefix is then XORed past the wave's
-flipped positions.  A queued block becomes a search only if its parity
-differs, by the comparison used at round entry.  The waves are the same
-regardless of query batching, and each wave's corrections are credited in
-the order its searches were created, so the batched and unbatched modes
-produce bit-identical corrections.
+Within a round the responder works in "waves".  Each block search is one
+generator, written in the protocol's order: check the block, probe the
+regions left by earlier corrections, then bisect.  Each wave resumes every
+live search, which runs as far as stored parities allow and yields the one
+interval whose parity must cross the wire; the wave sends those queries,
+sends each answer back to its search, then applies the located corrections.
+A search step computes its interval's midpoint once: the first half is
+looked up in the parity map (stored, or derived from the current interval
+and the second half), and otherwise becomes the step's query.  After
+applying a wire answer a search pauses until the next wave unless it has
+located its error, so each search makes at most one exchange per wave and
+reads on only after that wave's flips; the transcript depends on both.
+Each flip is one pass over the opened rounds: it updates the parity map,
+queues the earlier rounds' blocks that hold the bit (the cascade), and
+aborts (closes) the live search whose scope it touched; each round's
+prefix is then XORed past the wave's flipped positions.  A queued block
+becomes a search only if its parity differs, by the comparison used at
+round entry.  The waves are the same regardless of query batching, and
+each wave's corrections are credited in the order its searches were
+created, so the batched and unbatched modes produce bit-identical
+corrections.
 """
 
 from __future__ import annotations
@@ -50,7 +56,6 @@ import enum
 import functools
 import math
 import threading
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Set, Tuple
 
@@ -392,45 +397,27 @@ def error_frontier(
     return tuple(sorted(minimal))
 
 
-class _Stage(enum.Enum):
-    PENDING = "pending"
-    PROBING = "probing"
-    RUNNING = "running"
-    DONE = "done"
+class _Search:
+    """What the wave loop reads of one block search.
 
+    ``steps`` is the search itself, a :meth:`_Responder._search` generator.
+    ``scope`` is what a flip must touch to abort the search: the block while
+    probing, then the working interval (the search state, whose first two
+    fields are its bounds), and ``None`` before the first check and after
+    the end.  ``found`` is the located round position and ``disclosed`` the
+    wire parities the search consumed, probing included.
+    """
 
-# Module globals: reading a member through the enum class costs several
-# times a global read, and the wave loop tests stages once per task and step.
-_PENDING, _PROBING, _RUNNING, _DONE = _Stage
+    __slots__ = ("round_index", "block", "scope", "done", "found", "disclosed", "steps")
 
-
-class _SearchTask:
-    """One candidate block being checked / searched."""
-
-    __slots__ = (
-        "round_index",
-        "block",
-        "stage",
-        "regions",
-        "state",
-        "current_remote",
-        "probe_interval",
-        "probe_bits",
-    )
-
-    def __init__(self, round_index: int, block: Interval):
+    def __init__(self, responder: _Responder, round_index: int, block: Interval):
         self.round_index = round_index
         self.block = block
-        self.stage = _PENDING
-        self.regions: Optional[deque] = None
-        self.state: Optional[bisect_search.BinarySearchState] = None
-        self.current_remote: Optional[int] = None
-        self.probe_interval: Optional[Interval] = None
-        self.probe_bits = 0
-
-    @property
-    def key(self) -> Tuple[int, Interval]:
-        return (self.round_index, self.block)
+        self.scope = None
+        self.done = False
+        self.found: Optional[int] = None
+        self.disclosed = 0
+        self.steps = responder._search(self)
 
 
 class _Responder:
@@ -446,10 +433,11 @@ class _Responder:
     A frontier probe resolves its region from the stored block in one pass
     (``_resolve_remote``).  A search step is that walk's one-level case
     (``_reused_first_half``): its current interval is always stored, so the
-    first half is stored or is derived from the second half.  A wire answer
-    is stored as it arrives and then applied to the search (``_apply_step``),
-    which reads the local first-half parity from the prefix and stores the
-    implied second half.
+    first half is stored or is derived from the second half.  Each block
+    search is one generator (``_search``); a wire answer is stored as it
+    arrives (``_feed_wire``) and then sent to it, and the search reads the
+    local first-half parity from the prefix and stores the implied second
+    half.
     ``corrected`` maps ``(round, block)`` to the block positions flipped.
     """
 
@@ -466,7 +454,6 @@ class _Responder:
         self.corrected: Dict[Tuple[int, Interval], Set[int]] = {}
         self.history: List[int] = []
         self.corrections: List[CorrectionEvent] = []
-        self.compromised: Set[int] = set()
         self.parity_bits = 0
 
     # -- round-state plumbing -----------------------------------------------
@@ -555,12 +542,7 @@ class _Responder:
     def _on_wire(self, round_index: int, interval: Interval) -> bool:
         return self.known.get((round_index, interval), (0, None))[1] is not None
 
-    # -- search task lifecycle -----------------------------------------------
-
-    def _begin_search(self, task: _SearchTask, interval: Interval, remote_parity: int) -> None:
-        task.state = bisect_search.start(interval[0], interval[1], task.round_index)
-        task.current_remote = remote_parity
-        task.stage = _DONE if task.state.is_found else _RUNNING
+    # -- block searches ------------------------------------------------------
 
     def _reused_first_half(self, round_index: int, lo: int, mid: int, hi: int) -> Optional[int]:
         """``_resolve_remote(round_index, (lo, hi), (lo, mid))`` for a search
@@ -578,66 +560,64 @@ class _Responder:
         known[(round_index, (lo, mid))] = (value, None)
         return value
 
-    def _apply_step(
-        self, task: _SearchTask, mid: int, remote_first: int, *, from_reuse: bool
-    ) -> None:
-        """Advance ``task`` past its first half ``[state.lo, mid)``."""
-        state = task.state
-        prefix = self.prefixes[task.round_index]
-        local_first = prefix[state.lo] ^ prefix[mid]
-        new_state = bisect_search.step(state, local_first, remote_first, from_reuse=from_reuse)
-        # The first half's value came from the map or the wire; the second
-        # half's is implied, and never replaces a value learned on the wire.
-        second_remote = task.current_remote ^ remote_first
-        self.known.setdefault((task.round_index, (mid, state.hi)), (second_remote, None))
-        task.current_remote = remote_first if new_state.hi == mid else second_remote
-        task.state = new_state
-        if new_state.found is not None:
-            task.stage = _DONE
+    def _search(self, task: _Search) -> Iterator[Optional[Interval]]:
+        """One block search: check the block, probe the frontier, bisect.
 
-    def _advance_task(self, task: _SearchTask) -> Optional[Interval]:
-        """Drive a task as far as stored knowledge allows.
-
-        Returns the interval whose remote parity must travel over the
-        channel, or ``None`` when the task finished or found its error.
+        ``run_round`` resumes it once per wave.  It yields each interval
+        whose remote parity must cross the wire and is sent that parity
+        back by ``_feed_wire``.  The step after a wire answer waits for the
+        next wave: unless the answer located the error, the search pauses
+        with a bare ``yield``, so it reads on only after the wave's flips.
         """
-        if task.stage is _PENDING:
-            if not self._block_differs(task.key):
-                task.stage = _DONE
-                return None
-            regions: Tuple[Interval, ...] = ()
-            if self.config.parity_reuse:
-                corrected = self.corrected.get(task.key, ())
-                on_wire = functools.partial(self._on_wire, task.round_index)
-                regions = error_frontier(task.block, corrected, on_wire)
-            task.regions = deque(regions)
-            task.stage = _PROBING
-        if task.stage is _PROBING:
-            while task.regions:
-                region = task.regions[0]
-                value = self._resolve_remote(task.round_index, task.block, region)
-                if value is None:
-                    task.probe_interval = region
-                    return region
-                task.regions.popleft()
-                if self._local_parity(task.round_index, *region) != value:
-                    self._begin_search(task, region, value)
+        r, block = task.round_index, task.block
+        key = (r, block)
+        if not self._block_differs(key):
+            task.done = True
+            return
+        task.scope = block
+        interval, remote = block, self.known[key][0]
+        answered = False
+        if self.config.parity_reuse:
+            # The first frontier region that disagrees is searched; if none
+            # does, the whole block, whose mismatch was just checked.
+            on_wire = functools.partial(self._on_wire, r)
+            for region in error_frontier(block, self.corrected.get(key, ()), on_wire):
+                if answered:
+                    yield
+                value = self._resolve_remote(r, block, region)
+                answered = value is None
+                if answered:
+                    value = yield region
+                    task.disclosed += 1
+                if self._local_parity(r, *region) != value:
+                    interval, remote = region, value
                     break
-            else:
-                # No frontier region disagrees; fall back to the whole
-                # block, whose mismatch was established on entry.
-                self._begin_search(task, task.block, self.known[task.key][0])
         # One midpoint per step: the first half is both the reuse lookup and
-        # the interval sent over the wire, whose answer _feed_wire applies.
+        # the wire query.
+        state = bisect_search.start(interval[0], interval[1], r)
+        prefix = self.prefixes[r]
         reuse = self.config.parity_reuse
-        while task.stage is _RUNNING:
-            lo, hi = task.state.lo, task.state.hi
+        while state.found is None:
+            task.scope = state
+            if answered:
+                yield
+            lo, hi = state.lo, state.hi
             mid = split_point(lo, hi)
-            value = self._reused_first_half(task.round_index, lo, mid, hi) if reuse else None
-            if value is None:
-                return (lo, mid)
-            self._apply_step(task, mid, value, from_reuse=True)
-        return None
+            value = self._reused_first_half(r, lo, mid, hi) if reuse else None
+            answered = value is None
+            if answered:
+                value = yield (lo, mid)
+            local = prefix[lo] ^ prefix[mid]
+            state = bisect_search.step(state, local, value, from_reuse=not answered)
+            # The second half's value is implied, and never replaces a value
+            # learned on the wire.
+            second = remote ^ value
+            self.known.setdefault((r, (mid, hi)), (second, None))
+            remote = value if state.hi == mid else second
+        task.scope = None
+        task.found = state.found
+        task.disclosed += state.disclosed
+        task.done = True
 
     def _learn_syndrome(
         self, round_index: int, interval: Interval, value: int, learn_round: int
@@ -659,24 +639,16 @@ class _Responder:
                 return
         self.known[key] = (value, learn_round)
 
-    def _feed_wire(self, task: _SearchTask, interval: Interval, parity: int, learn_round: int) -> None:
+    def _feed_wire(self, task: _Search, interval: Interval, parity: int, learn_round: int) -> None:
         key = (task.round_index, interval)
         if key in self.known:
             self._learn_syndrome(task.round_index, interval, parity, learn_round)
         else:
             self.known[key] = (parity, learn_round)
-        if task.stage is _RUNNING:
-            self._apply_step(task, interval[1], parity, from_reuse=False)
-        elif task.stage is _PROBING:
-            if task.probe_interval != interval:
-                raise ProtocolError("answer does not match the outstanding probe")
-            task.probe_interval = None
-            task.probe_bits += 1
-            task.regions.popleft()
-            if self._local_parity(task.round_index, *interval) != parity:
-                self._begin_search(task, interval, parity)
-        else:
-            raise ProtocolError("parity answer delivered to an idle search")
+        try:
+            task.steps.send(parity)
+        except StopIteration:  # the answer located the error
+            pass
 
     # -- the round wave loop -----------------------------------------------------
 
@@ -716,8 +688,8 @@ class _Responder:
             self.known[(round_index, interval)] = (bit, round_index)
 
         differ = np.flatnonzero(local != np.asarray(block_msg.parities)).tolist()
-        live: Dict[Tuple[int, Interval], _SearchTask] = {
-            (round_index, plan.intervals[i]): _SearchTask(round_index, plan.intervals[i])
+        live: Dict[Tuple[int, Interval], _Search] = {
+            (round_index, plan.intervals[i]): _Search(self, round_index, plan.intervals[i])
             for i in differ
         }
         # Candidate blocks that already had a live search when they were
@@ -734,105 +706,108 @@ class _Responder:
         longest = max(min(plan.block_size, self.n) for plan in self.plans.values())
         quiet_limit = 2 * (longest + longest.bit_length() + 1) + 1
         quiet = 0
-        while live or deferred:
-            quiet += 1
-            if quiet > quiet_limit:
-                raise ProtocolError(
-                    f"internal: round {round_index} ran {quiet_limit} waves without a flip"
-                )
+        try:
+            while live or deferred:
+                quiet += 1
+                if quiet > quiet_limit:
+                    raise ProtocolError(
+                        f"internal: round {round_index} ran {quiet_limit} waves without a flip"
+                    )
 
-            for key in sorted(deferred):
-                if key not in live:
-                    deferred.discard(key)
-                    if self._block_differs(key):
-                        live[key] = _SearchTask(*key)
+                for key in sorted(deferred):
+                    if key not in live:
+                        deferred.discard(key)
+                        if self._block_differs(key):
+                            live[key] = _Search(self, *key)
 
-            needs: List[Tuple[_SearchTask, Interval]] = []
-            for task in live.values():
-                need = self._advance_task(task)
-                if need is not None:
-                    needs.append((task, need))
+                needs: List[Tuple[_Search, Interval]] = []
+                for task in live.values():
+                    need = next(task.steps, None)
+                    if need is not None:
+                        needs.append((task, need))
 
-            # Aggregation only chooses the groups: one query per referenced
-            # round in round order, or one per need in need order.
-            if self.config.aggregation:
-                by_round: Dict[int, List[Tuple[_SearchTask, Interval]]] = {}
-                for need in needs:
-                    by_round.setdefault(need[0].round_index, []).append(need)
-                groups = [by_round[r_key] for r_key in sorted(by_round)]
-            else:
-                groups = [[need] for need in needs]
-            for group in groups:
-                tasks, intervals = zip(*group)
-                r_key = tasks[0].round_index
-                reply = yield [wire.ParityQuery(r_key, intervals)]
-                entries = self._checked_entries(reply, r_key, intervals)
-                self.parity_bits += len(entries)
-                for task, interval, (_, _, parity) in zip(tasks, intervals, entries):
-                    self._feed_wire(task, interval, parity, round_index)
+                # Aggregation only chooses the groups: one query per referenced
+                # round in round order, or one per need in need order.
+                if self.config.aggregation:
+                    by_round: Dict[int, List[Tuple[_Search, Interval]]] = {}
+                    for need in needs:
+                        by_round.setdefault(need[0].round_index, []).append(need)
+                    groups = [by_round[r_key] for r_key in sorted(by_round)]
+                else:
+                    groups = [[need] for need in needs]
+                for group in groups:
+                    tasks, intervals = zip(*group)
+                    r_key = tasks[0].round_index
+                    reply = yield [wire.ParityQuery(r_key, intervals)]
+                    entries = self._checked_entries(reply, r_key, intervals)
+                    self.parity_bits += len(entries)
+                    for task, interval, (_, _, parity) in zip(tasks, intervals, entries):
+                        self._feed_wire(task, interval, parity, round_index)
 
-            # One pass per flip over the opened rounds: note the bit's round
-            # position, update the map, queue earlier rounds' blocks (the
-            # cascade), and abort the live search on this block if the flip
-            # touched its working interval.  A flip changes no task's stage or
-            # state, so each test sees what a separate scan after all flips
-            # would see; nothing in the pass reads the prefixes, which are
-            # updated once per round after it.  Finds apply in live
-            # (creation) order in both aggregation modes: a task that ended
-            # this wave holding a search state located a bit, and a bit
-            # located twice is credited to the older search.
-            finds = [t for t in live.values() if t.stage is _DONE and t.state is not None]
-            candidates: Set[Tuple[int, Interval]] = set()
-            flipped: Set[int] = set()
-            moved: Dict[int, List[int]] = {r: [] for r in self.mappings}
-            for task in finds:
-                found_pos = task.state.found
-                original = self.inverses[task.round_index].item(found_pos)
-                if original in flipped:
-                    continue
-                flipped.add(original)
-                disclosed = task.probe_bits + task.state.disclosed
-                self.corrections.append(
-                    CorrectionEvent(round_index, task.round_index, original, found_pos, disclosed)
-                )
-                value = self.bits.item(original) ^ 1
-                self.bits[original] = value
-                for r, mapping in self.mappings.items():
-                    pos = mapping.item(original)
-                    moved[r].append(pos)
-                    plan = self.plans[r]
-                    key = (r, plan.intervals[pos // plan.block_size])
-                    self.corrected.setdefault(key, set()).add(pos)
-                    self._learn_syndrome(r, (pos, pos + 1), value, round_index)
-                    if r < round_index:
-                        candidates.add(key)
-                    other = live.get(key)
-                    if other is not None and (
-                        other.stage is _PROBING
-                        or (
-                            other.stage is _RUNNING
-                            and other.state.lo <= pos < other.state.hi
+                # One pass per flip over the opened rounds: note the bit's round
+                # position, update the map, queue earlier rounds' blocks (the
+                # cascade), and abort the live search on this block if the flip
+                # touched its scope.  A flip advances no search, so each test
+                # sees what a separate scan after all flips would see; nothing in
+                # the pass reads the prefixes, which are updated once per round
+                # after it.  Finds apply in live (creation) order in both
+                # aggregation modes, and a bit located twice is credited to the
+                # older search.
+                finds = [t for t in live.values() if t.found is not None]
+                candidates: Set[Tuple[int, Interval]] = set()
+                flipped: Set[int] = set()
+                moved: Dict[int, List[int]] = {r: [] for r in self.mappings}
+                for task in finds:
+                    original = self.inverses[task.round_index].item(task.found)
+                    if original in flipped:
+                        continue
+                    flipped.add(original)
+                    self.corrections.append(
+                        CorrectionEvent(
+                            round_index, task.round_index, original, task.found, task.disclosed
                         )
-                    ):
-                        other.stage = _DONE
-                        candidates.add(key)
-            if flipped:
-                quiet = 0
-                for r, positions in moved.items():
-                    self._flip_prefixes(r, positions)
-            self.compromised |= flipped
-            corrected_this_round += len(flipped)
+                    )
+                    value = self.bits.item(original) ^ 1
+                    self.bits[original] = value
+                    for r, mapping in self.mappings.items():
+                        pos = mapping.item(original)
+                        moved[r].append(pos)
+                        plan = self.plans[r]
+                        key = (r, plan.intervals[pos // plan.block_size])
+                        self.corrected.setdefault(key, set()).add(pos)
+                        self._learn_syndrome(r, (pos, pos + 1), value, round_index)
+                        if r < round_index:
+                            candidates.add(key)
+                        other = live.get(key)
+                        scope = None if other is None else other.scope
+                        if scope is not None and scope[0] <= pos < scope[1]:
+                            # A suspended search's frame holds its record: left
+                            # open, that cycle keeps this responder alive until
+                            # the cyclic collector runs.
+                            other.steps.close()
+                            other.scope = None
+                            other.done = True
+                            candidates.add(key)
+                if flipped:
+                    quiet = 0
+                    for r, positions in moved.items():
+                        self._flip_prefixes(r, positions)
+                corrected_this_round += len(flipped)
 
-            live = {key: task for key, task in live.items() if task.stage is not _DONE}
-            for key in sorted(candidates):
-                if key in live:
-                    # A search is mid-flight on this block; re-check the
-                    # block once that search has finished.
-                    deferred.add(key)
-                elif key in deferred or self._block_differs(key):
-                    # A deferred key keeps its task even when it matches now:
-                    # that task holds the key in the next wave's deferred loop.
-                    live[key] = _SearchTask(*key)
+                live = {key: task for key, task in live.items() if not task.done}
+                for key in sorted(candidates):
+                    if key in live:
+                        # A search is mid-flight on this block; re-check the
+                        # block once that search has finished.
+                        deferred.add(key)
+                    elif key in deferred or self._block_differs(key):
+                        # A deferred key keeps its task even when it matches now:
+                        # that task holds the key in the next wave's deferred loop.
+                        live[key] = _Search(self, *key)
+        finally:
+            # An error can leave searches suspended: close them, as an abort does.
+            for task in live.values():
+                task.steps.close()
 
         self.history.append(corrected_this_round)
         reply = yield [wire.RoundDone(round_index, corrected_this_round)]
@@ -911,7 +886,7 @@ def responder_session(config: SessionConfig, frame: BitFrame):
         sum(core.history),
         tuple(core.history),
         tuple(core.corrections),
-        frozenset(core.compromised),
+        frozenset(event.original_position for event in core.corrections),
         core.parity_bits,
         own_fingerprint,
     )

@@ -12,11 +12,12 @@ refuses to produce a record if they disagree.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Union
 
 from .bitframe import BitFrame, Bsc, FixedErrors, apply_noise, hamming_distance
 from .channel import Channel, EveTap, SessionStatus, leakage_report
@@ -292,6 +293,42 @@ def _fan_out(jobs: Sequence[Callable[[], object]], workers: int) -> List[object]
         return [future.result() for future in futures]
 
 
+def _sweep(
+    run: Callable[..., object],
+    template: SessionTemplate,
+    label: str,
+    grid: Sequence[tuple],
+    repeats: int,
+    base_seed: int,
+    workers: int,
+) -> List[object]:
+    """Run ``repeats`` trials of each ``(length, noise, scenario_id)`` point.
+
+    Each trial's seed derives from ``base_seed``, the sweep's ``label``, the
+    point's index and the repeat, and the results come back in grid order.
+    ``workers`` runs the trials on that many threads.  The records equal
+    the serial run's, but the sessions hold the interpreter lock, so more
+    workers give no speed-up until trials run in separate processes; each
+    job is a ``functools.partial`` of a module-level function, so it pickles.
+    """
+    root = SeededRng(base_seed)
+    sweep_label = label_from_text(label)
+    jobs = [
+        functools.partial(
+            run,
+            template,
+            length,
+            noise,
+            root.derive(sweep_label, point_index, repeat).next_u64(),
+            scenario_id=scenario_id,
+            trial_index=repeat,
+        )
+        for point_index, (length, noise, scenario_id) in enumerate(grid)
+        for repeat in range(repeats)
+    ]
+    return _fan_out(jobs, workers)
+
+
 def sweep_qber(
     template: SessionTemplate,
     sweep: QberSweep = QberSweep(),
@@ -299,25 +336,9 @@ def sweep_qber(
     base_seed: int = 1,
     workers: int = 1,
 ) -> List[TrialRecord]:
-    """Run the error-rate sweep; records come back in grid order.
-
-    ``workers`` runs the trials on that many threads.  The records equal
-    the serial run's, but the sessions hold the interpreter lock, so more
-    workers give no speed-up until trials run in separate processes.
-    """
-    root = SeededRng(base_seed)
-    sweep_label = label_from_text("qber-sweep")
-    jobs = []
-    for point_index, qber in enumerate(sweep.points()):
-        for repeat in range(sweep.repeats):
-            seed = root.derive(sweep_label, point_index, repeat).next_u64()
-            scenario = f"qber={qber:.6g}/len={sweep.length}"
-            jobs.append(
-                lambda q=qber, s=seed, sc=scenario, r=repeat: run_trial(
-                    template, sweep.length, Bsc(q), s, scenario_id=sc, trial_index=r
-                )
-            )
-    return _fan_out(jobs, workers)
+    """Run the error-rate sweep on ``workers`` threads; records come back in grid order."""
+    grid = [(sweep.length, Bsc(q), f"qber={q:.6g}/len={sweep.length}") for q in sweep.points()]
+    return _sweep(run_trial, template, "qber-sweep", grid, sweep.repeats, base_seed, workers)
 
 
 def sweep_length(
@@ -327,25 +348,10 @@ def sweep_length(
     base_seed: int = 1,
     workers: int = 1,
 ) -> List[TrialRecord]:
-    """Run the frame-length sweep; records come back in grid order.
-
-    ``workers`` runs the trials on that many threads.  The records equal
-    the serial run's, but the sessions hold the interpreter lock, so more
-    workers give no speed-up until trials run in separate processes.
-    """
-    root = SeededRng(base_seed)
-    sweep_label = label_from_text("length-sweep")
-    jobs = []
-    for point_index, length in enumerate(sweep.points()):
-        for repeat in range(sweep.repeats):
-            seed = root.derive(sweep_label, point_index, repeat).next_u64()
-            scenario = f"len={length}/errors={sweep.fixed_errors}"
-            jobs.append(
-                lambda n=length, s=seed, sc=scenario, r=repeat: run_trial(
-                    template, n, FixedErrors(sweep.fixed_errors), s, scenario_id=sc, trial_index=r
-                )
-            )
-    return _fan_out(jobs, workers)
+    """Run the frame-length sweep on ``workers`` threads; records come back in grid order."""
+    noise = FixedErrors(sweep.fixed_errors)
+    grid = [(n, noise, f"len={n}/errors={sweep.fixed_errors}") for n in sweep.points()]
+    return _sweep(run_trial, template, "length-sweep", grid, sweep.repeats, base_seed, workers)
 
 
 def compare_aggregation(
@@ -355,25 +361,12 @@ def compare_aggregation(
     base_seed: int = 1,
     workers: int = 1,
 ) -> List[PairedOutcome]:
-    """Paired batching-off/batching-on runs across the length sweep.
-
-    ``workers`` runs the trials on that many threads.  The records equal
-    the serial run's, but the sessions hold the interpreter lock, so more
-    workers give no speed-up until trials run in separate processes.
-    """
-    root = SeededRng(base_seed)
-    sweep_label = label_from_text("aggregation-compare")
-    jobs = []
-    for point_index, length in enumerate(sweep.points()):
-        for repeat in range(sweep.repeats):
-            seed = root.derive(sweep_label, point_index, repeat).next_u64()
-            scenario = f"paired/len={length}"
-            jobs.append(
-                lambda n=length, s=seed, sc=scenario, r=repeat: run_paired_trial(
-                    template, n, FixedErrors(sweep.fixed_errors), s, scenario_id=sc, trial_index=r
-                )
-            )
-    return _fan_out(jobs, workers)
+    """Paired batching-off/batching-on runs across the length sweep, on ``workers`` threads."""
+    noise = FixedErrors(sweep.fixed_errors)
+    grid = [(n, noise, f"paired/len={n}") for n in sweep.points()]
+    return _sweep(
+        run_paired_trial, template, "aggregation-compare", grid, sweep.repeats, base_seed, workers
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """End-to-end tests for the reconciliation engine."""
 
+import gc
 import hashlib
 import itertools
 import random
@@ -362,6 +363,24 @@ def test_lockstep_and_threaded_transcripts_are_identical():
     threaded = run_pair(config, frame_a, frame_b, scheduling="threaded")
     assert lockstep.channel.transcript_bytes() == threaded.channel.transcript_bytes()
     assert lockstep.responder.final_frame == threaded.responder.final_frame
+
+
+@pytest.mark.parametrize("scheduling", ["lockstep", "threaded"])
+@pytest.mark.parametrize("aggregation", [False, True])
+def test_no_search_outlives_its_session(scheduling, aggregation):
+    # At 10% errors flips abort live searches.  A search left suspended keeps
+    # its responder alive through its generator frame until the cyclic
+    # collector runs, so with the collector off none may remain.
+    gc.collect()
+    gc.disable()
+    try:
+        detail = run_trial_detailed(
+            SessionTemplate(aggregation=aggregation), 4096, Bsc(0.10), 1000, scheduling=scheduling
+        )
+        assert detail.record.corrected_errors > 0
+        assert not [obj for obj in gc.get_objects() if isinstance(obj, _Responder)]
+    finally:
+        gc.enable()
 
 
 def test_repeat_runs_are_byte_identical():

@@ -1,6 +1,7 @@
 """Faulty peers: a lying initiator may only cause a clean error or an honest verdict."""
 
 import dataclasses
+import gc
 import random
 import threading
 import time
@@ -153,6 +154,52 @@ def test_a_verdict_in_place_of_a_round_is_a_protocol_error(
         )
 
 
+def _shift_last_interval(answer):
+    *rest, (lo, hi, parity) = answer.entries
+    return dataclasses.replace(answer, entries=(*rest, (lo + 1, hi + 1, parity)))
+
+
+def _drop_last_entry(answer):
+    return dataclasses.replace(answer, entries=answer.entries[:-1])
+
+
+def _next_round(answer):
+    return dataclasses.replace(answer, round_index=answer.round_index + 1)
+
+
+# fault -> (change to one ParityAnswer, the responder's refusal)
+MISFITS = {
+    "interval": (_shift_last_interval, r"answer interval \[\d+, \d+\) does not match query"),
+    "count": (_drop_last_entry, r"expected \d+ answer entries, got \d+"),
+    "round": (_next_round, r"answer references round \d+, expected \d+"),
+}
+
+
+@pytest.mark.parametrize("scheduling", ["lockstep", "threaded"])
+@pytest.mark.parametrize("fault", list(MISFITS))
+def test_an_answer_that_does_not_fit_its_query_is_refused(monkeypatch, scheduling, fault):
+    # Each search receives exactly the answer to the interval it asked for,
+    # because the responder refuses an answer whose round, entry count or
+    # intervals differ from its query.
+    alter, error = MISFITS[fault]
+    altered = []
+
+    def lie(message):
+        if isinstance(message, wire.ParityAnswer) and not altered:
+            altered.append(message)
+            return alter(message)
+        return message
+
+    monkeypatch.setattr(
+        engine, "initiator_session", _lying_initiator(engine.initiator_session, lie)
+    )
+    with pytest.raises(ProtocolError, match=error):
+        run_trial_detailed(
+            SessionTemplate(aggregation=True), 1024, Bsc(0.05), 3, scheduling=scheduling
+        )
+    assert len(altered[0].entries) > 1
+
+
 def _verdict_in_place_of_handshake(config, frame):
     """A responder that answers the initiator's ``Init`` with ``Result(SUCCESS)``."""
     yield []
@@ -302,3 +349,16 @@ def test_injected_message_faults_end_in_a_clean_error_or_an_honest_verdict(monke
         outcomes[result.initiator.status.value] += 1
     assert set(fired) == set(MUTATIONS), fired
     assert outcomes["ProtocolError"] > 0 and outcomes["DecodeError"] > 0, outcomes
+
+
+def test_no_search_outlives_a_session_that_ends_in_an_error(lying_initiator):
+    # A round that ends in ProtocolError leaves searches suspended; they are
+    # closed, so with the collector off no responder remains.
+    gc.collect()
+    gc.disable()
+    try:
+        with pytest.raises(ProtocolError):
+            run_trial_detailed(SessionTemplate(aggregation=True), 4096, Bsc(0.10), 1000)
+        assert not [obj for obj in gc.get_objects() if isinstance(obj, engine._Responder)]
+    finally:
+        gc.enable()
