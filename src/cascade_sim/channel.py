@@ -16,6 +16,11 @@ transcript is byte-reproducible across runs and platforms:
 Schedule parameters ride as f64 (estimated error rate) plus u32 (growth
 factor) for the geometric variant, or f64 alone for the adaptive variant.
 
+Each layout is one ``struct.Struct`` and each byte-coded value (permutation
+kind, schedule and break variant, status, direction) one tuple indexed by
+its byte; the encoder, the decoder and the transcript reader and writer all
+use the same ones, so the format is stated once for both directions.
+
 Each field has exactly one encoding, and the encoder is the validity
 check: it accepts exactly the messages that decode back equal (bit
 parities, in-range integers, a 64-bit seed, known kinds, tuples where the
@@ -37,7 +42,7 @@ import struct
 import threading
 from dataclasses import dataclass, field
 from itertools import starmap
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import ConfigurationError, DecodeError, TransportError
 from .schedule import (
@@ -70,10 +75,6 @@ class Direction(enum.Enum):
 
     A_TO_B = "a->b"
     B_TO_A = "b->a"
-
-    @property
-    def wire_byte(self) -> int:
-        return 0 if self is Direction.A_TO_B else 1
 
 
 # ---------------------------------------------------------------------------
@@ -140,25 +141,66 @@ class Result:
 
 Message = Union[Init, BlockParities, ParityQuery, ParityAnswer, RoundDone, Finalize, Result]
 
-_PERMUTATION_BYTES = {"shuffle": 0, "lcg": 1}
-_PERMUTATION_NAMES = {v: k for k, v in _PERMUTATION_BYTES.items()}
-# A status's wire byte is its index here; a tuple lookup hashes no enum.
+# The byte tables: a value's wire byte is its index, for the encoder, the
+# decoder and the transcript files alike.  A tuple lookup hashes no enum.  A
+# schedule's or a break's wire parameters are its dataclass fields, in the
+# order ``vars`` lists them and its constructor takes them.
+_PERMUTATION_KINDS = ("shuffle", "lcg")
+_SCHEDULES = (StaticSchedule, DynamicSchedule)
+_BREAKS = (FixedRoundsBreak, QuietRoundsBreak, ThresholdBreak)
 _STATUSES = (SessionStatus.SUCCESS, SessionStatus.FAILURE, SessionStatus.CONFIG_MISMATCH)
+_DIRECTIONS = (Direction.A_TO_B, Direction.B_TO_A)  # also each direction's lane
+
+
+def _wire_byte(table: tuple, value, what: str) -> int:
+    """``value``'s index in a byte table; a value not in it cannot be sent."""
+    try:
+        return table.index(value)
+    except ValueError:
+        raise DecodeError(f"unknown {what}: {value!r}") from None
+
+
+def _from_byte(table: tuple, byte: int, what: str):
+    """The entry of a byte table that a received byte names."""
+    if byte >= len(table):
+        raise DecodeError(f"unknown {what} byte: {byte}")
+    return table[byte]
 
 
 # ---------------------------------------------------------------------------
 # codec
 # ---------------------------------------------------------------------------
 
-# One precompiled layout per message shape; a leading B is the type byte.
-_INIT_STATIC = struct.Struct(">BIBBdIBIQ")  # ..., schedule 0, estimate, k, break, seed
-_INIT_DYNAMIC = struct.Struct(">BIBBdBIQ")  # ..., schedule 1, estimate, break, seed
-_COUNTED_HEADER = struct.Struct(">BII")  # type, round, entry count
-_INTERVAL = struct.Struct(">II")
-_ANSWER_ENTRY = struct.Struct(">IIB")
-_ROUND_DONE = struct.Struct(">BII")
-_FINALIZE = struct.Struct(">BQ")
-_RESULT = struct.Struct(">BB")
+_LAYOUT_FIELDS: Dict[struct.Struct, Tuple[str, ...]] = {}
+
+
+def _layout(*fields: str) -> struct.Struct:
+    """A big-endian wire layout of ``"name:code"`` fields, in wire order.
+
+    The names serve the decoder, which names the first field a short
+    payload lacks.
+    """
+    layout = struct.Struct(">" + "".join(field.partition(":")[2] for field in fields))
+    _LAYOUT_FIELDS[layout] = fields
+    return layout
+
+
+# One layout per message shape; a leading B is the type byte.  The encoders
+# pack these, and the decoder checks a payload's length against them and
+# unpacks them.
+_INIT_HEAD = _layout("type:B", "frame_length:I", "permutation_kind:B", "schedule:B")
+_INIT_TAIL = ("break_condition:B", "break_condition.parameter:I", "seed:Q")
+_INIT_LAYOUTS = (  # indexed by schedule byte
+    _layout(*_LAYOUT_FIELDS[_INIT_HEAD], "schedule.qber_estimate:d", "schedule.k:I", *_INIT_TAIL),
+    _layout(*_LAYOUT_FIELDS[_INIT_HEAD], "schedule.qber_estimate:d", *_INIT_TAIL),
+)
+_COUNTED_HEADER = _layout("type:B", "round_index:I", "count:I")
+_INTERVAL = _layout("lo:I", "hi:I")
+_ANSWER_ENTRY = _layout("lo:I", "hi:I", "parity:B")
+_ROUND_DONE = _layout("type:B", "round_index:I", "corrected:I")
+_FINALIZE = _layout("type:B", "fingerprint:Q")
+_RESULT = _layout("type:B", "status:B")
+_ANSWER_PARITIES = slice(_INTERVAL.size, None, _ANSWER_ENTRY.size)  # each entry's parity byte
 _NOT_BITS = bytes(range(2))  # translate() deletes these; anything left is not a bit
 _ONLY_TUPLES = frozenset((tuple,))
 
@@ -169,40 +211,35 @@ def _require_tuples(name: str, value, nested: bool) -> None:
         raise DecodeError(f"{name} must be a tuple{' of tuples' if nested else ''}")
 
 
-def _break_fields(condition: BreakCondition) -> Tuple[int, int]:
-    if type(condition) is FixedRoundsBreak:
-        return 0, condition.total_rounds
-    if type(condition) is QuietRoundsBreak:
-        return 1, condition.quiet_rounds
-    if type(condition) is ThresholdBreak:
-        return 2, condition.min_corrected
-    raise DecodeError(f"unknown break variant: {type(condition).__name__}")
+def _require_bits(name: str, bits: bytes) -> None:
+    """Each byte of ``bits`` is one parity; ``name.format(i)`` names the i-th."""
+    if bits.translate(None, _NOT_BITS):
+        i = next(i for i, bit in enumerate(bits) if bit > 1)
+        raise DecodeError(f"{name.format(i)} is not a bit: {bits[i]}")
 
 
 def _encode_init(message: Init) -> bytes:
-    kind = _PERMUTATION_BYTES.get(message.permutation_kind)
-    if kind is None:
-        raise DecodeError(f"unknown permutation kind: {message.permutation_kind!r}")
-    schedule = message.schedule
-    if type(schedule) is StaticSchedule:
-        layout, fields = _INIT_STATIC, (0, schedule.qber_estimate, schedule.k)
-    elif type(schedule) is DynamicSchedule:
-        layout, fields = _INIT_DYNAMIC, (1, schedule.qber_estimate)
-    else:
-        raise DecodeError(f"unknown schedule variant: {type(schedule).__name__}")
+    schedule, condition = message.schedule, message.break_condition
+    variant = _wire_byte(_SCHEDULES, type(schedule), "schedule variant")
     # An estimate that is not a float (a Fraction, say) would read back unequal.
     if float(schedule.qber_estimate) != schedule.qber_estimate:
         raise DecodeError(f"schedule estimate {schedule.qber_estimate!r} is not an f64")
-    condition = _break_fields(message.break_condition)
-    return layout.pack(1, message.frame_length, kind, *fields, *condition, message.seed)
+    return _INIT_LAYOUTS[variant].pack(
+        1,
+        message.frame_length,
+        _wire_byte(_PERMUTATION_KINDS, message.permutation_kind, "permutation kind"),
+        variant,
+        *vars(schedule).values(),
+        _wire_byte(_BREAKS, type(condition), "break variant"),
+        *vars(condition).values(),
+        message.seed,
+    )
 
 
 def _encode_block_parities(message: BlockParities) -> bytes:
     _require_tuples("block_parities.parities", message.parities, nested=False)
     bits = bytes(message.parities)
-    if bits.translate(None, _NOT_BITS):
-        i = next(i for i, bit in enumerate(bits) if bit > 1)
-        raise DecodeError(f"block_parities.parities[{i}] is not a bit: {bits[i]}")
+    _require_bits("block_parities.parities[{}]", bits)
     return _COUNTED_HEADER.pack(2, message.round_index, len(bits)) + bits
 
 
@@ -217,17 +254,8 @@ def _encode_parity_answer(message: ParityAnswer) -> bytes:
     entries = message.entries
     _require_tuples("parity_answer.entries", entries, nested=True)
     body = b"".join(starmap(_ANSWER_ENTRY.pack, entries))
-    parities = body[_INTERVAL.size :: _ANSWER_ENTRY.size]
-    if parities.translate(None, _NOT_BITS):
-        i = next(i for i, bit in enumerate(parities) if bit > 1)
-        raise DecodeError(f"parity_answer.entries[{i}] parity is not a bit: {parities[i]}")
+    _require_bits("parity_answer.entries[{}] parity", body[_ANSWER_PARITIES])
     return _COUNTED_HEADER.pack(4, message.round_index, len(entries)) + body
-
-
-def _encode_result(message: Result) -> bytes:
-    if type(message.status) is not SessionStatus:
-        raise DecodeError(f"unknown status: {message.status!r}")
-    return _RESULT.pack(7, _STATUSES.index(message.status))
 
 
 _ENCODERS = {
@@ -237,7 +265,7 @@ _ENCODERS = {
     ParityAnswer: _encode_parity_answer,
     RoundDone: lambda message: _ROUND_DONE.pack(5, message.round_index, message.corrected),
     Finalize: lambda message: _FINALIZE.pack(6, message.fingerprint),
-    Result: _encode_result,
+    Result: lambda message: _RESULT.pack(7, _wire_byte(_STATUSES, message.status, "status")),
 }
 
 
@@ -261,112 +289,85 @@ def encode_message(message: Message) -> bytes:
         raise DecodeError(f"cannot encode {type(message).__name__}: {exc}") from exc
 
 
-class _Reader:
-    """Cursor over a byte payload that names the field on underrun."""
-
-    def __init__(self, payload: bytes):
-        self._payload = payload
-        self._offset = 0
-
-    def take(self, fmt: str, field_name: str):
-        size = struct.calcsize(fmt)
-        if self._offset + size > len(self._payload):
-            raise DecodeError(f"truncated message: missing field {field_name!r}")
-        values = struct.unpack_from(fmt, self._payload, self._offset)
-        self._offset += size
-        return values if len(values) > 1 else values[0]
-
-    def finish(self) -> None:
-        if self._offset != len(self._payload):
-            extra = len(self._payload) - self._offset
-            raise DecodeError(f"trailing garbage: {extra} unconsumed bytes")
+def _truncated(name: str) -> DecodeError:
+    return DecodeError(f"truncated message: missing field {name!r}")
 
 
-def _decode_schedule(reader: _Reader) -> ScheduleConfig:
-    variant = reader.take(">B", "schedule.variant")
-    try:
-        if variant == 0:
-            estimate, k = reader.take(">dI", "schedule.static")
-            return StaticSchedule(estimate, k)
-        if variant == 1:
-            estimate = reader.take(">d", "schedule.dynamic")
-            return DynamicSchedule(estimate)
-    except ConfigurationError as exc:
-        raise DecodeError(f"invalid schedule: {exc}") from exc
-    raise DecodeError(f"unknown schedule variant byte: {variant}")
+def _require_end(payload: bytes, size: int) -> None:
+    if len(payload) > size:
+        raise DecodeError(f"trailing garbage: {len(payload) - size} unconsumed bytes")
 
 
-def _decode_break(reader: _Reader) -> BreakCondition:
-    variant = reader.take(">B", "break.variant")
-    value = reader.take(">I", "break.parameter")
-    try:
-        if variant == 0:
-            return FixedRoundsBreak(value)
-        if variant == 1:
-            return QuietRoundsBreak(value)
-        if variant == 2:
-            return ThresholdBreak(value)
-    except ConfigurationError as exc:
-        raise DecodeError(f"invalid break.parameter: {exc}") from exc
-    raise DecodeError(f"unknown break variant byte: {variant}")
+def _unpack_from(layout: struct.Struct, payload: bytes, message: str) -> tuple:
+    """The fields of ``layout`` that open ``payload``; a short payload names the first it lacks."""
+    if len(payload) < layout.size:
+        fields = _LAYOUT_FIELDS[layout]
+        ends = (struct.calcsize(layout.format[: i + 2]) for i in range(len(fields)))
+        missing = next(field for field, end in zip(fields, ends) if end > len(payload))
+        raise _truncated(f"{message}.{missing.partition(':')[0]}")
+    return layout.unpack_from(payload)
+
+
+def _unpack(layout: struct.Struct, payload: bytes, message: str) -> tuple:
+    """The fields of ``layout``, which ``payload`` must fill exactly."""
+    fields = _unpack_from(layout, payload, message)
+    _require_end(payload, layout.size)
+    return fields
+
+
+def _counted(payload: bytes, message: str, entries: str, entry_size: int) -> Tuple[int, bytes]:
+    """Round index and body of a counted message, the body ``count`` entries long."""
+    _, round_index, count = _unpack_from(_COUNTED_HEADER, payload, message)
+    body = payload[_COUNTED_HEADER.size :]
+    if len(body) < count * entry_size:
+        raise _truncated(f"{message}.{entries}[{len(body) // entry_size}]")
+    _require_end(body, count * entry_size)
+    return round_index, body
 
 
 def decode_message(payload: bytes) -> Message:
     """Parse one schema-1 byte string back into a message."""
-    reader = _Reader(payload)
-    type_byte = reader.take(">B", "type")
+    if not payload:
+        raise _truncated("type")
+    type_byte = payload[0]
     if type_byte == 1:
-        frame_length, kind_byte = reader.take(">IB", "init.header")
-        kind = _PERMUTATION_NAMES.get(kind_byte)
-        if kind is None:
-            raise DecodeError(f"unknown permutation byte: {kind_byte}")
-        schedule = _decode_schedule(reader)
-        condition = _decode_break(reader)
-        seed = reader.take(">Q", "init.seed")
-        reader.finish()
+        # The schedule byte picks the layout; every Init layout opens with _INIT_HEAD.
+        _, frame_length, kind, variant = _unpack_from(_INIT_HEAD, payload, "init")
+        kind = _from_byte(_PERMUTATION_KINDS, kind, "permutation")
+        schedule_type = _from_byte(_SCHEDULES, variant, "schedule variant")
+        _, _, _, _, *parameters, rule, parameter, seed = _unpack(
+            _INIT_LAYOUTS[variant], payload, "init"
+        )
+        break_type = _from_byte(_BREAKS, rule, "break variant")
+        try:
+            schedule = schedule_type(*parameters)
+        except ConfigurationError as exc:
+            raise DecodeError(f"invalid schedule: {exc}") from exc
+        try:
+            condition = break_type(parameter)
+        except ConfigurationError as exc:
+            raise DecodeError(f"invalid break.parameter: {exc}") from exc
         return Init(frame_length, kind, schedule, condition, seed)
     if type_byte == 2:
-        round_index, count = reader.take(">II", "block_parities.header")
-        parities = []
-        for i in range(count):
-            bit = reader.take(">B", f"block_parities.parities[{i}]")
-            if bit not in (0, 1):
-                raise DecodeError(f"block_parities.parities[{i}] is not a bit: {bit}")
-            parities.append(bit)
-        reader.finish()
-        return BlockParities(round_index, tuple(parities))
+        round_index, bits = _counted(payload, "block_parities", "parities", 1)
+        _require_bits("block_parities.parities[{}]", bits)
+        return BlockParities(round_index, tuple(bits))
     if type_byte == 3:
-        round_index, count = reader.take(">II", "parity_query.header")
-        intervals = []
-        for i in range(count):
-            lo, hi = reader.take(">II", f"parity_query.intervals[{i}]")
-            intervals.append((lo, hi))
-        reader.finish()
-        return ParityQuery(round_index, tuple(intervals))
+        round_index, body = _counted(payload, "parity_query", "intervals", _INTERVAL.size)
+        return ParityQuery(round_index, tuple(_INTERVAL.iter_unpack(body)))
     if type_byte == 4:
-        round_index, count = reader.take(">II", "parity_answer.header")
-        entries = []
-        for i in range(count):
-            lo, hi, parity = reader.take(">IIB", f"parity_answer.entries[{i}]")
-            if parity not in (0, 1):
-                raise DecodeError(f"parity_answer.entries[{i}] parity is not a bit: {parity}")
-            entries.append((lo, hi, parity))
-        reader.finish()
-        return ParityAnswer(round_index, tuple(entries))
+        round_index, body = _counted(payload, "parity_answer", "entries", _ANSWER_ENTRY.size)
+        _require_bits("parity_answer.entries[{}] parity", body[_ANSWER_PARITIES])
+        return ParityAnswer(round_index, tuple(_ANSWER_ENTRY.iter_unpack(body)))
     if type_byte == 5:
-        round_index, corrected = reader.take(">II", "round_done.body")
-        reader.finish()
+        _, round_index, corrected = _unpack(_ROUND_DONE, payload, "round_done")
         return RoundDone(round_index, corrected)
     if type_byte == 6:
-        fingerprint = reader.take(">Q", "finalize.fingerprint")
-        reader.finish()
+        _, fingerprint = _unpack(_FINALIZE, payload, "finalize")
         return Finalize(fingerprint)
     if type_byte == 7:
-        status_byte = reader.take(">B", "result.status")
-        if status_byte >= len(_STATUSES):
-            raise DecodeError(f"unknown status byte: {status_byte}")
-        reader.finish()
-        return Result(_STATUSES[status_byte])
+        _, status = _unpack(_RESULT, payload, "result")
+        return Result(_from_byte(_STATUSES, status, "status"))
     raise DecodeError(f"unknown message type byte: {type_byte}")
 
 
@@ -418,18 +419,15 @@ class EveTap:
         self.entries.append(entry)
 
 
-_A_TO_B = Direction.A_TO_B
-_B_TO_A = Direction.B_TO_A
 _CLOSED = object()  # the close marker that ends each lane
 
 
-def _lane_index(direction: Direction) -> int:
-    """0 for a->b, 1 for b->a; an identity test, so no enum is hashed."""
-    if direction is _A_TO_B:
-        return 0
-    if direction is _B_TO_A:
-        return 1
-    raise TransportError(f"unknown direction: {direction!r}")
+def _direction_byte(direction: Direction) -> int:
+    """The direction's wire byte, which also indexes its lane."""
+    try:
+        return _DIRECTIONS.index(direction)
+    except ValueError:
+        raise TransportError(f"unknown direction: {direction!r}") from None
 
 
 class Channel:
@@ -443,7 +441,7 @@ class Channel:
 
     def __init__(self, taps: Sequence[EveTap] = ()):
         self._lock = threading.Lock()
-        # Indexed by _lane_index: a->b, then b->a.
+        # Indexed by direction byte: a->b, then b->a.
         self._lanes = (queue.SimpleQueue(), queue.SimpleQueue())
         self._sequences = [0, 0]
         self._transcript: List[TranscriptEntry] = []
@@ -454,7 +452,7 @@ class Channel:
         # Encoding is the validity check, so a malformed message fails here
         # and the receiver can take the sent message itself.
         payload = encode_message(message)
-        index = _lane_index(direction)
+        index = _direction_byte(direction)
         with self._lock:
             if self._closed:
                 raise TransportError("channel is closed")
@@ -468,7 +466,7 @@ class Channel:
 
     def recv(self, direction: Direction, timeout: Optional[float] = None) -> Message:
         """Take the next message; wait up to ``timeout`` seconds if given."""
-        lane = self._lanes[_lane_index(direction)]
+        lane = self._lanes[_direction_byte(direction)]
         try:
             if timeout is None:
                 message = lane.get_nowait()
@@ -483,7 +481,7 @@ class Channel:
 
     def pending(self, direction: Direction) -> int:
         """Messages queued in ``direction``; the close marker is not one."""
-        lane = self._lanes[_lane_index(direction)]
+        lane = self._lanes[_direction_byte(direction)]
         with self._lock:
             # Nothing queues behind the marker, so while a receiver holds it
             # the lane is empty and the difference is clamped to 0.
@@ -551,7 +549,8 @@ def _frame_transcript(transcript: Iterable[TranscriptEntry]) -> bytes:
     parts = [TRANSCRIPT_MAGIC, bytes((WIRE_VERSION,))]
     for entry in transcript:
         payload = entry.payload
-        parts.append(_RECORD_HEADER.pack(entry.direction.wire_byte, entry.sequence, len(payload)))
+        direction = _direction_byte(entry.direction)
+        parts.append(_RECORD_HEADER.pack(direction, entry.sequence, len(payload)))
         parts.append(payload)
     return b"".join(parts)
 
@@ -586,9 +585,9 @@ def read_transcript(path: str) -> List[TranscriptEntry]:
             raise DecodeError("transcript file: truncated record header")
         direction_byte, sequence, length = _RECORD_HEADER.unpack_from(blob, offset)
         offset += _RECORD_HEADER.size
-        if direction_byte not in (0, 1):
+        if direction_byte >= len(_DIRECTIONS):
             raise DecodeError(f"transcript file: bad direction byte {direction_byte}")
-        direction = _A_TO_B if direction_byte == 0 else _B_TO_A
+        direction = _DIRECTIONS[direction_byte]
         if sequence != sequences[direction_byte]:
             raise DecodeError(
                 f"transcript file: sequence {sequence} in direction {direction.value}, "

@@ -107,6 +107,23 @@ def _add_template_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", default=None, help="JSON file with defaults for these flags")
 
 
+def _add_length_grid_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--start", type=int, default=512)
+    parser.add_argument("--step", type=int, default=512)
+    parser.add_argument("--stop", type=int, default=20480)
+    parser.add_argument("--errors", type=int, default=10)
+
+
+def _add_sweep_flags(parser: argparse.ArgumentParser, **out) -> None:
+    """The flags every sweep takes after its grid; ``out`` configures ``--out``."""
+    parser.add_argument("--repeats", type=int, default=3)
+    parser.add_argument("--base-seed", type=int, default=1)
+    parser.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
+    parser.add_argument("--out", **out)
+    parser.add_argument("--format", choices=("csv", "jsonl"), default="csv")
+    _add_template_flags(parser)
+
+
 def _template_from_args(args: argparse.Namespace) -> SessionTemplate:
     return SessionTemplate(
         schedule_variant=args.schedule,
@@ -214,38 +231,17 @@ def _build_parser() -> argparse.ArgumentParser:
     qber_parser.add_argument("--start", type=float, default=0.005)
     qber_parser.add_argument("--step", type=float, default=0.005)
     qber_parser.add_argument("--steps", type=int, default=60)
-    qber_parser.add_argument("--repeats", type=int, default=3)
-    qber_parser.add_argument("--base-seed", type=int, default=1)
-    qber_parser.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
-    qber_parser.add_argument("--out", required=True, help="records file to write")
-    qber_parser.add_argument("--format", choices=("csv", "jsonl"), default="csv")
-    _add_template_flags(qber_parser)
+    _add_sweep_flags(qber_parser, required=True, help="records file to write")
 
     length_parser = sub.add_parser("sweep-length", help="sweep the frame length")
-    length_parser.add_argument("--start", type=int, default=512)
-    length_parser.add_argument("--step", type=int, default=512)
-    length_parser.add_argument("--stop", type=int, default=20480)
-    length_parser.add_argument("--errors", type=int, default=10)
-    length_parser.add_argument("--repeats", type=int, default=3)
-    length_parser.add_argument("--base-seed", type=int, default=1)
-    length_parser.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
-    length_parser.add_argument("--out", required=True, help="records file to write")
-    length_parser.add_argument("--format", choices=("csv", "jsonl"), default="csv")
-    _add_template_flags(length_parser)
+    _add_length_grid_flags(length_parser)
+    _add_sweep_flags(length_parser, required=True, help="records file to write")
 
     cmp_parser = sub.add_parser(
         "compare-aggregation", help="paired runs with query batching off and on"
     )
-    cmp_parser.add_argument("--start", type=int, default=512)
-    cmp_parser.add_argument("--step", type=int, default=512)
-    cmp_parser.add_argument("--stop", type=int, default=20480)
-    cmp_parser.add_argument("--errors", type=int, default=10)
-    cmp_parser.add_argument("--repeats", type=int, default=3)
-    cmp_parser.add_argument("--base-seed", type=int, default=1)
-    cmp_parser.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
-    cmp_parser.add_argument("--out", default=None, help="write batched-run records here")
-    cmp_parser.add_argument("--format", choices=("csv", "jsonl"), default="csv")
-    _add_template_flags(cmp_parser)
+    _add_length_grid_flags(cmp_parser)
+    _add_sweep_flags(cmp_parser, default=None, help="write batched-run records here")
 
     return parser
 
@@ -282,20 +278,18 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0 if record.success else 1
 
 
-def _cmd_sweep_qber(args: argparse.Namespace) -> int:
-    template = _template_from_args(args)
-    sweep = QberSweep(args.start, args.step, args.steps, args.length, args.repeats)
-    records = sweep_qber(template, sweep, base_seed=args.base_seed, workers=args.workers)
-    export_records(records, args.out, args.format)
-    successes = sum(1 for r in records if r.success)
-    print(f"wrote {len(records)} records to {args.out} ({successes} successful)")
-    return 0
+def _length_sweep(args: argparse.Namespace) -> LengthSweep:
+    return LengthSweep(args.start, args.step, args.stop, args.errors, args.repeats)
 
 
-def _cmd_sweep_length(args: argparse.Namespace) -> int:
-    template = _template_from_args(args)
-    sweep = LengthSweep(args.start, args.step, args.stop, args.errors, args.repeats)
-    records = sweep_length(template, sweep, base_seed=args.base_seed, workers=args.workers)
+def _cmd_sweep(args: argparse.Namespace) -> int:
+    if args.command == "sweep-qber":
+        sweep = QberSweep(args.start, args.step, args.steps, args.length, args.repeats)
+        run = sweep_qber
+    else:
+        sweep = _length_sweep(args)
+        run = sweep_length
+    records = run(_template_from_args(args), sweep, base_seed=args.base_seed, workers=args.workers)
     export_records(records, args.out, args.format)
     successes = sum(1 for r in records if r.success)
     print(f"wrote {len(records)} records to {args.out} ({successes} successful)")
@@ -304,7 +298,7 @@ def _cmd_sweep_length(args: argparse.Namespace) -> int:
 
 def _cmd_compare_aggregation(args: argparse.Namespace) -> int:
     template = _template_from_args(args)
-    sweep = LengthSweep(args.start, args.step, args.stop, args.errors, args.repeats)
+    sweep = _length_sweep(args)
     outcomes = compare_aggregation(template, sweep, base_seed=args.base_seed, workers=args.workers)
     identical = sum(1 for o in outcomes if o.frames_identical)
     reductions = [
@@ -329,8 +323,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         args = parser.parse_args(argv)
         handler = {
             "run": _cmd_run,
-            "sweep-qber": _cmd_sweep_qber,
-            "sweep-length": _cmd_sweep_length,
+            "sweep-qber": _cmd_sweep,
+            "sweep-length": _cmd_sweep,
             "compare-aggregation": _cmd_compare_aggregation,
         }[args.command]
         return handler(args)

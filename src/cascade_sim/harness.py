@@ -16,10 +16,10 @@ import functools
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, fields
-from typing import Callable, List, Optional, Sequence, Union
+from dataclasses import asdict, dataclass
+from typing import Callable, List, Optional, Sequence, get_type_hints
 
-from .bitframe import BitFrame, Bsc, FixedErrors, apply_noise, hamming_distance
+from .bitframe import BitFrame, Bsc, FixedErrors, NoiseSpec, apply_noise, hamming_distance
 from .channel import Channel, EveTap, SessionStatus, leakage_report
 from .engine import PairResult, SessionConfig, run_session_pair
 from .errors import ConfigurationError, ProtocolError
@@ -31,8 +31,6 @@ from .schedule import (
     ScheduleConfig,
     StaticSchedule,
 )
-
-NoiseSpec = Union[Bsc, FixedErrors]
 
 _FRAME_LABEL = label_from_text("trial-frame-seed")
 _NOISE_LABEL = label_from_text("trial-noise-seed")
@@ -373,19 +371,25 @@ def compare_aggregation(
 # record export / import
 # ---------------------------------------------------------------------------
 
-_FIELDS = [f.name for f in fields(TrialRecord)]
-_INT_FIELDS = {
-    "trial_index",
-    "seed",
-    "length",
-    "injected_errors",
-    "rounds_executed",
-    "corrected_errors",
-    "residual_errors",
-    "parity_bits_disclosed",
-    "messages_sent",
+# A CSV cell's text back to its value, one parser per annotated field type,
+# so a new TrialRecord field of one of these types needs no edit here.
+_FROM_TEXT = {
+    str: str,
+    int: int,
+    float: float,
+    bool: lambda text: text == "true",
+    Optional[int]: lambda text: int(text) if text else None,
 }
-_FLOAT_FIELDS = {"qber_true", "qber_estimate", "parity_fraction", "wall_time"}
+_COLUMNS = {name: _FROM_TEXT[hint] for name, hint in get_type_hints(TrialRecord).items()}
+
+
+def _csv_text(value) -> str:
+    """The CSV cell of one record value, as a ``_FROM_TEXT`` parser reads it back."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)  # a float's str is its shortest round-tripping repr
 
 
 def export_records(records: Sequence[TrialRecord], path: str, fmt: str = "csv") -> None:
@@ -393,18 +397,9 @@ def export_records(records: Sequence[TrialRecord], path: str, fmt: str = "csv") 
     if fmt == "csv":
         with open(path, "w", newline="") as handle:
             writer = csv.writer(handle)
-            writer.writerow(_FIELDS)
+            writer.writerow(_COLUMNS)
             for record in records:
-                row = []
-                for name in _FIELDS:
-                    value = getattr(record, name)
-                    if value is None:
-                        row.append("")
-                    elif isinstance(value, bool):
-                        row.append("true" if value else "false")
-                    else:
-                        row.append(repr(value) if isinstance(value, float) else str(value))
-                writer.writerow(row)
+                writer.writerow(_csv_text(getattr(record, name)) for name in _COLUMNS)
     elif fmt == "jsonl":
         with open(path, "w") as handle:
             for record in records:
@@ -420,21 +415,8 @@ def load_records(path: str, fmt: Optional[str] = None) -> List[TrialRecord]:
     records: List[TrialRecord] = []
     if fmt == "csv":
         with open(path, newline="") as handle:
-            reader = csv.DictReader(handle)
-            for row in reader:
-                values = {}
-                for name in _FIELDS:
-                    raw = row[name]
-                    if name == "messages_baseline":
-                        values[name] = int(raw) if raw else None
-                    elif name in _INT_FIELDS:
-                        values[name] = int(raw)
-                    elif name in _FLOAT_FIELDS:
-                        values[name] = float(raw)
-                    elif name == "success":
-                        values[name] = raw == "true"
-                    else:
-                        values[name] = raw
+            for row in csv.DictReader(handle):
+                values = {name: parse(row[name]) for name, parse in _COLUMNS.items()}
                 records.append(TrialRecord(**values))
     elif fmt == "jsonl":
         with open(path) as handle:

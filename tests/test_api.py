@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import cascade_sim
-from cascade_sim import bitframe, rng
+from cascade_sim import bitframe, channel, rng
 
 # Deleted because nothing in the package or its tools called them.
 REMOVED = [
@@ -18,6 +18,7 @@ REMOVED = [
     (bitframe, "invert_permutation"),
     (bitframe.BitFrame, "to01"),
     (rng, "bit_stream"),
+    (channel.Direction, "wire_byte"),
 ]
 
 

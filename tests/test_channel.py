@@ -210,6 +210,12 @@ def test_truncation_names_the_missing_field():
     blob = encode_message(BlockParities(1, (1, 0)))
     with pytest.raises(DecodeError, match=r"parities\[1\]"):
         decode_message(blob[:-1])
+    blob = encode_message(ParityQuery(1, ((0, 4), (8, 16))))
+    with pytest.raises(DecodeError, match=r"parity_query.intervals\[1\]"):
+        decode_message(blob[:-3])
+    blob = encode_message(ParityAnswer(1, ((0, 4, 1), (8, 16, 0), (20, 24, 1))))
+    with pytest.raises(DecodeError, match=r"parity_answer.entries\[2\]"):
+        decode_message(blob[:-1])
     with pytest.raises(DecodeError, match="type"):
         decode_message(b"")
 
@@ -256,14 +262,39 @@ def byte_mutations(blob):
 
 
 def test_decoding_mutated_bytes_raises_only_decode_error():
-    # A mutated payload may still decode to a valid message; anything else
-    # must be a DecodeError.
+    # A mutated payload may still decode to a valid message, but only if it
+    # is that message's one encoding; anything else must be a DecodeError.
     for message in one_message_of_each_type():
         for blob in byte_mutations(encode_message(message)):
             try:
-                decode_message(blob)
+                decoded = decode_message(blob)
             except DecodeError:
-                pass
+                continue
+            assert encode_message(decoded) == blob
+
+
+# Arbitrary bytes behind each type byte, and well-formed encodings cut short
+# and extended by arbitrary bytes.
+PAYLOADS = st.one_of(
+    st.builds(lambda kind, body: bytes([kind]) + body, st.integers(1, 7), st.binary(max_size=40)),
+    st.builds(
+        lambda message, cut, extra: encode_message(message)[:cut] + extra,
+        WELL_FORMED,
+        st.integers(0, 64),
+        st.binary(max_size=12),
+    ),
+)
+
+
+@given(PAYLOADS)
+def test_the_decoder_accepts_only_canonical_bytes(payload):
+    # With the round trips above, this pins the decoder to exactly the
+    # encoder's image: whatever it accepts re-encodes to the same bytes.
+    try:
+        decoded = decode_message(payload)
+    except DecodeError:
+        return
+    assert encode_message(decoded) == payload
 
 
 def test_reading_a_mutated_transcript_raises_only_decode_error(tmp_path):

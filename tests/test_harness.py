@@ -10,6 +10,7 @@ from cascade_sim.harness import (
     LengthSweep,
     QberSweep,
     SessionTemplate,
+    TrialRecord,
     compare_aggregation,
     export_records,
     load_records,
@@ -161,6 +162,36 @@ def test_jsonl_round_trip_preserves_records(tmp_path):
     path = str(tmp_path / "records.jsonl")
     export_records(records, path, fmt="jsonl")
     assert load_records(path) == records  # format inferred from suffix
+
+
+def test_csv_text_of_a_fixed_record(tmp_path):
+    record = TrialRecord(
+        scenario_id="pinned",
+        trial_index=1,
+        seed=2**63 + 5,
+        length=3,
+        qber_true=0.1,
+        qber_estimate=1e-05,
+        injected_errors=0,
+        rounds_executed=4,
+        corrected_errors=0,
+        residual_errors=0,
+        parity_bits_disclosed=1,
+        parity_fraction=1 / 3,
+        messages_sent=9,
+        messages_baseline=None,
+        success=True,
+        wall_time=0.25,
+    )
+    path = tmp_path / "pinned.csv"
+    export_records([record], str(path), fmt="csv")
+    assert path.read_bytes() == (
+        b"scenario_id,trial_index,seed,length,qber_true,qber_estimate,injected_errors,"
+        b"rounds_executed,corrected_errors,residual_errors,parity_bits_disclosed,"
+        b"parity_fraction,messages_sent,messages_baseline,success,wall_time\r\n"
+        b"pinned,1,9223372036854775813,3,0.1,1e-05,0,4,0,0,1,0.3333333333333333,9,,true,0.25\r\n"
+    )
+    assert load_records(str(path)) == [record]
 
 
 def test_baseline_column_round_trips_when_present(tmp_path):
