@@ -300,6 +300,11 @@ def _cmd_compare_aggregation(args: argparse.Namespace) -> int:
     template = _template_from_args(args)
     sweep = _length_sweep(args)
     outcomes = compare_aggregation(template, sweep, base_seed=args.base_seed, workers=args.workers)
+    if not outcomes:
+        raise ConfigurationError(
+            f"the length grid is empty: --start {sweep.start} --step {sweep.step} "
+            f"--stop {sweep.stop} with --repeats {sweep.repeats} gives no pairs"
+        )
     identical = sum(1 for o in outcomes if o.frames_identical)
     reductions = [
         1.0 - o.batched.messages_sent / o.unbatched.messages_sent for o in outcomes

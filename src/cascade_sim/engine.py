@@ -23,7 +23,11 @@ Conversation shape (strict half-duplex: at most one message in flight):
 
 Both parties keep each opened round as prefix parities of its permuted
 view: ``prefix[i]`` is the parity of the round's first ``i`` bits, so any
-interval's parity is two byte reads.  When a round opens, the responder
+interval's parity is two byte reads.  The initiator keeps a list of them.
+The responder keeps one record per opened round, in a list indexed by
+round: the round's plan, its mapping and inverse, its prefix parities, its
+parity map (the initiator's parities it knows, keyed by ``(lo, hi)``) and
+the positions corrected in each block.  When a round opens, the responder
 compares every block's local parity with the announced one in one
 vectorised step, and only the blocks that differ become searches.
 
@@ -39,21 +43,20 @@ and the second half), and otherwise becomes the step's query.  After
 applying a wire answer a search pauses until the next wave unless it has
 located its error, so each search makes at most one exchange per wave and
 reads on only after that wave's flips; the transcript depends on both.
-Each flip is one pass over the opened rounds: it updates the parity map,
-queues the earlier rounds' blocks that hold the bit (the cascade), and
-aborts (closes) the live search whose scope it touched; each round's
-prefix is then XORed past the wave's flipped positions.  A queued block
-becomes a search only if its parity differs, by the comparison used at
-round entry.  The waves are the same regardless of query batching, and
-each wave's corrections are credited in the order its searches were
-created, so the batched and unbatched modes produce bit-identical
-corrections.
+Each flip is one pass over the round records: it updates each record's
+parity map and corrected positions, queues the earlier rounds' blocks that
+hold the bit (the cascade), and aborts (closes) the live search whose scope
+it touched; each record's prefix is then XORed past the wave's flipped
+positions.  A queued block becomes a search only if its parity differs, by
+the comparison used at round entry.  The waves are the same regardless of
+query batching, and each wave's corrections are credited in the order its
+searches were created, so the batched and unbatched modes produce
+bit-identical corrections.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 import math
 import threading
 from dataclasses import dataclass
@@ -307,18 +310,19 @@ def initiator_session(config: SessionConfig, frame: BitFrame):
         mismatch = wire.SessionStatus.CONFIG_MISMATCH
         return _unreconciled(Role.INITIATOR, mismatch, frame, parity_bits), [wire.Result(mismatch)]
 
-    prefixes: Dict[int, bytearray] = {}
+    prefixes: List[bytearray] = []
     history: List[int] = []
     round_index = 0
     while True:
-        _, prefixes[round_index], array = _round_prefix(config, round_index, frame.bits)
+        _, prefix, array = _round_prefix(config, round_index, frame.bits)
+        prefixes.append(prefix)
         plan = plan_round(config.schedule, round_index, n, tuple(history))
         parities = tuple(_block_parities(array, plan).tolist())
         parity_bits += len(parities)
         inbound = yield [wire.BlockParities(round_index, parities)]
 
         while isinstance(inbound, wire.ParityQuery):
-            if inbound.round_index not in prefixes:
+            if not 0 <= inbound.round_index < len(prefixes):
                 raise ProtocolError(
                     f"query references round {inbound.round_index} before it was opened"
                 )
@@ -397,21 +401,80 @@ def error_frontier(
     return tuple(sorted(minimal))
 
 
+class _Round:
+    """What the responder keeps of one opened round.
+
+    ``mapping`` takes an original position to its round position and the
+    uint32 ``inverse`` takes it back.  ``prefix`` holds the prefix parities
+    of the round's view as a bytearray and ``array`` is a writable numpy
+    view over the same bytes: ``parity`` is two byte reads, and a wave's
+    flips XOR the prefix between pairs of flipped positions.  ``known`` maps
+    an interval ``(lo, hi)`` to ``(value, learn_round)``: the initiator's
+    parity, and the round it crossed the wire (block announcements, answers,
+    corrected leaves) or ``None`` if derived here; it starts with the
+    announced block parities.  ``corrected`` maps a block to its positions
+    flipped.
+    """
+
+    __slots__ = ("index", "plan", "mapping", "inverse", "prefix", "array", "known", "corrected")
+
+    def __init__(
+        self, config: SessionConfig, plan: RoundPlan, bits: np.ndarray, announced: Iterable[int]
+    ):
+        self.index = index = plan.round_index
+        self.plan = plan
+        self.mapping, self.prefix, self.array = _round_prefix(config, index, bits)
+        # Frames are shorter than 2**32 bits (SessionConfig), so uint32 holds
+        # every original position.  Round 0's mapping is the identity.
+        inverse = sources = np.arange(config.frame_length, dtype=np.uint32)
+        if index:
+            inverse = np.empty_like(sources)
+            inverse[self.mapping] = sources
+        self.inverse = inverse
+        self.known: Dict[Interval, Tuple[int, Optional[int]]] = {
+            block: (bit, index) for block, bit in zip(plan.intervals, announced)
+        }
+        self.corrected: Dict[Interval, Set[int]] = {}
+
+    def parity(self, lo: int, hi: int) -> int:
+        return self.prefix[lo] ^ self.prefix[hi]
+
+    def differs(self, block: Interval) -> bool:
+        """Whether a block's local parity differs from the announced one."""
+        return self.parity(*block) != self.known[block][0]
+
+    def on_wire(self, interval: Interval) -> bool:
+        return self.known.get(interval, (0, None))[1] is not None
+
+    def flip(self, positions: List[int]) -> None:
+        """XOR the prefix past each flipped position.
+
+        Two flips cancel past the later one, so the sorted positions pair
+        up into one slice per pair (and one to the end for an odd count).
+        """
+        array = self.array
+        bounds = sorted(pos + 1 for pos in positions)
+        bounds.append(array.size)
+        for start, stop in zip(bounds[::2], bounds[1::2]):
+            array[start:stop] ^= 1
+
+
 class _Search:
     """What the wave loop reads of one block search.
 
-    ``steps`` is the search itself, a :meth:`_Responder._search` generator.
-    ``scope`` is what a flip must touch to abort the search: the block while
-    probing, then the working interval (the search state, whose first two
-    fields are its bounds), and ``None`` before the first check and after
-    the end.  ``found`` is the located round position and ``disclosed`` the
-    wire parities the search consumed, probing included.
+    ``steps`` is the search itself, a :meth:`_Responder._search` generator
+    over ``block`` of the round record ``rnd``.  ``scope`` is what a flip
+    must touch to abort the search: the block while probing, then the
+    working interval (the search state, whose first two fields are its
+    bounds), and ``None`` before the first check and after the end.
+    ``found`` is the located round position and ``disclosed`` the wire
+    parities the search consumed, probing included.
     """
 
-    __slots__ = ("round_index", "block", "scope", "done", "found", "disclosed", "steps")
+    __slots__ = ("rnd", "block", "scope", "done", "found", "disclosed", "steps")
 
     def __init__(self, responder: _Responder, round_index: int, block: Interval):
-        self.round_index = round_index
+        self.rnd = responder.rounds[round_index]
         self.block = block
         self.scope = None
         self.done = False
@@ -421,83 +484,31 @@ class _Search:
 
 
 class _Responder:
-    """Responder-side state: round prefix parities and a remote-parity map.
+    """Responder-side state: one :class:`_Round` record per opened round.
 
-    Each opened round keeps its mapping (original -> round position), the
-    uint32 inverse, and the prefix parities of its view as a bytearray plus
-    a numpy view over the same bytes: ``_local_parity`` is two byte reads,
-    and a wave's flips XOR the prefix between pairs of flipped positions.
-    ``known`` maps ``(round, interval)`` to ``(value, learn_round)``: the
-    initiator's parity, and the round it crossed the wire (block
-    announcements, answers, corrected leaves) or ``None`` if derived here.
-    A frontier probe resolves its region from the stored block in one pass
-    (``_resolve_remote``).  A search step is that walk's one-level case
-    (``_reused_first_half``): its current interval is always stored, so the
-    first half is stored or is derived from the second half.  Each block
-    search is one generator (``_search``); a wire answer is stored as it
-    arrives (``_feed_wire``) and then sent to it, and the search reads the
-    local first-half parity from the prefix and stores the implied second
-    half.
-    ``corrected`` maps ``(round, block)`` to the block positions flipped.
+    ``rounds[r]`` holds round ``r``'s plan, mapping and inverse, prefix
+    parities, parity map and corrected positions.  A remote parity is
+    looked up or derived in one pass from a stored lattice ancestor
+    (``_resolve_remote``): the block for a frontier probe, the current
+    interval for a search step.  Each block search is one generator
+    (``_search``); every wire parity is stored through ``_learn_syndrome``
+    (``_feed_wire``) and then sent to its search, which reads the local
+    first-half parity from the prefix and stores the implied second half.
     """
 
     def __init__(self, config: SessionConfig, frame: BitFrame):
         self.config = config
         self.n = config.frame_length
         self.bits = frame.bits.copy()
-        self.mappings: Dict[int, np.ndarray] = {}
-        self.inverses: Dict[int, np.ndarray] = {}
-        self.prefixes: Dict[int, bytearray] = {}
-        self.prefix_arrays: Dict[int, np.ndarray] = {}
-        self.plans: Dict[int, RoundPlan] = {}
-        self.known: Dict[Tuple[int, Interval], Tuple[int, Optional[int]]] = {}
-        self.corrected: Dict[Tuple[int, Interval], Set[int]] = {}
+        self.rounds: List[_Round] = []
         self.history: List[int] = []
         self.corrections: List[CorrectionEvent] = []
         self.parity_bits = 0
 
-    # -- round-state plumbing -----------------------------------------------
-
-    def _open_round(self, round_index: int, plan: RoundPlan) -> np.ndarray:
-        """Build the round's state; returns every block's local parity."""
-        mapping, prefix, array = _round_prefix(self.config, round_index, self.bits)
-        # Frames are shorter than 2**32 bits (SessionConfig), so uint32 holds
-        # every original position.  Round 0's mapping is the identity.
-        inverse = sources = np.arange(self.n, dtype=np.uint32)
-        if round_index:
-            inverse = np.empty_like(sources)
-            inverse[mapping] = sources
-        self.mappings[round_index] = mapping
-        self.inverses[round_index] = inverse
-        self.prefixes[round_index] = prefix
-        self.prefix_arrays[round_index] = array
-        self.plans[round_index] = plan
-        return _block_parities(array, plan)
-
-    def _local_parity(self, round_index: int, lo: int, hi: int) -> int:
-        prefix = self.prefixes[round_index]
-        return prefix[lo] ^ prefix[hi]
-
-    def _flip_prefixes(self, round_index: int, positions: List[int]) -> None:
-        """XOR the round's prefix past each flipped position.
-
-        Two flips cancel past the later one, so the sorted positions pair
-        up into one slice per pair (and one to the end for an odd count).
-        """
-        array = self.prefix_arrays[round_index]
-        bounds = sorted(pos + 1 for pos in positions)
-        bounds.append(self.n + 1)
-        for start, stop in zip(bounds[::2], bounds[1::2]):
-            array[start:stop] ^= 1
-
-    def _block_differs(self, key: Tuple[int, Interval]) -> bool:
-        """Whether a block's local parity differs from the announced one."""
-        return self._local_parity(key[0], *key[1]) != self.known[key][0]
-
     # -- remote parity resolution --------------------------------------------
 
-    def _resolve_remote(self, round_index: int, top: Interval, interval: Interval) -> Optional[int]:
-        """Look up or derive the initiator's parity of ``interval``.
+    def _resolve_remote(self, rnd: _Round, top: Interval, interval: Interval) -> Optional[int]:
+        """Look up or derive the initiator's parity of ``interval`` in ``rnd``.
 
         ``top`` is a lattice ancestor of ``interval`` (or the interval itself)
         whose value is stored.  One pass walks the split path from ``top``
@@ -506,11 +517,11 @@ class _Responder:
         Returns ``None`` at the first sibling that is not stored, or when
         ``interval`` is not on ``top``'s lattice.
         """
-        known = self.known
-        entry = known.get((round_index, interval))
+        known = rnd.known
+        entry = known.get(interval)
         if entry is not None:
             return entry[0]
-        value = known[(round_index, top)][0]
+        value = known[top][0]
         # (node, sibling) for each level below the deepest stored node.
         below: List[Tuple[Interval, Interval]] = []
         lo, hi = top
@@ -525,40 +536,21 @@ class _Responder:
             else:
                 return None  # interval straddles the split: off-lattice
             lo, hi = node
-            entry = known.get((round_index, node))
+            entry = known.get(node)
             if entry is None:
                 below.append((node, sibling))
             else:
                 value = entry[0]
                 below.clear()
         for node, sibling in below:
-            entry = known.get((round_index, sibling))
+            entry = known.get(sibling)
             if entry is None:
                 return None
             value ^= entry[0]
-            known[(round_index, node)] = (value, None)
+            known[node] = (value, None)
         return value
-
-    def _on_wire(self, round_index: int, interval: Interval) -> bool:
-        return self.known.get((round_index, interval), (0, None))[1] is not None
 
     # -- block searches ------------------------------------------------------
-
-    def _reused_first_half(self, round_index: int, lo: int, mid: int, hi: int) -> Optional[int]:
-        """``_resolve_remote(round_index, (lo, hi), (lo, mid))`` for a search
-        step, whose current interval ``[lo, hi)`` is always stored: the first
-        half's value, or else the current interval's XOR the second half's,
-        memoized as derived."""
-        known = self.known
-        entry = known.get((round_index, (lo, mid)))
-        if entry is not None:
-            return entry[0]
-        entry = known.get((round_index, (mid, hi)))
-        if entry is None:
-            return None
-        value = known[(round_index, (lo, hi))][0] ^ entry[0]
-        known[(round_index, (lo, mid))] = (value, None)
-        return value
 
     def _search(self, task: _Search) -> Iterator[Optional[Interval]]:
         """One block search: check the block, probe the frontier, bisect.
@@ -569,41 +561,40 @@ class _Responder:
         next wave: unless the answer located the error, the search pauses
         with a bare ``yield``, so it reads on only after the wave's flips.
         """
-        r, block = task.round_index, task.block
-        key = (r, block)
-        if not self._block_differs(key):
+        rnd, block = task.rnd, task.block
+        if not rnd.differs(block):
             task.done = True
             return
         task.scope = block
-        interval, remote = block, self.known[key][0]
+        known = rnd.known
+        interval, remote = block, known[block][0]
         answered = False
-        if self.config.parity_reuse:
+        reuse = self.config.parity_reuse
+        if reuse:
             # The first frontier region that disagrees is searched; if none
             # does, the whole block, whose mismatch was just checked.
-            on_wire = functools.partial(self._on_wire, r)
-            for region in error_frontier(block, self.corrected.get(key, ()), on_wire):
+            for region in error_frontier(block, rnd.corrected.get(block, ()), rnd.on_wire):
                 if answered:
                     yield
-                value = self._resolve_remote(r, block, region)
+                value = self._resolve_remote(rnd, block, region)
                 answered = value is None
                 if answered:
                     value = yield region
                     task.disclosed += 1
-                if self._local_parity(r, *region) != value:
+                if rnd.parity(*region) != value:
                     interval, remote = region, value
                     break
         # One midpoint per step: the first half is both the reuse lookup and
         # the wire query.
-        state = bisect_search.start(interval[0], interval[1], r)
-        prefix = self.prefixes[r]
-        reuse = self.config.parity_reuse
+        state = bisect_search.start(interval[0], interval[1], rnd.index)
+        prefix = rnd.prefix
         while state.found is None:
             task.scope = state
             if answered:
                 yield
             lo, hi = state.lo, state.hi
             mid = split_point(lo, hi)
-            value = self._reused_first_half(r, lo, mid, hi) if reuse else None
+            value = self._resolve_remote(rnd, (lo, hi), (lo, mid)) if reuse else None
             answered = value is None
             if answered:
                 value = yield (lo, mid)
@@ -612,7 +603,7 @@ class _Responder:
             # The second half's value is implied, and never replaces a value
             # learned on the wire.
             second = remote ^ value
-            self.known.setdefault((r, (mid, hi)), (second, None))
+            known.setdefault((mid, hi), (second, None))
             remote = value if state.hi == mid else second
         task.scope = None
         task.found = state.found
@@ -620,12 +611,11 @@ class _Responder:
         task.done = True
 
     def _learn_syndrome(
-        self, round_index: int, interval: Interval, value: int, learn_round: int
+        self, rnd: _Round, interval: Interval, value: int, learn_round: int
     ) -> None:
         """Record a wire-learned parity under ``set_syndrome``'s stamp rule:
         a later stamp replaces an earlier or derived (unstamped) entry."""
-        key = (round_index, interval)
-        entry = self.known.get(key)
+        entry = rnd.known.get(interval)
         if entry is not None and entry[1] is not None:
             old_value, old_round = entry
             # Honest parities never contradict each other within a round, so
@@ -633,18 +623,14 @@ class _Responder:
             if learn_round == old_round and value != old_value:
                 raise ProtocolError(
                     f"inconsistent peer parities for [{interval[0]}, {interval[1]}) "
-                    f"of round {round_index}, learned in round {learn_round}"
+                    f"of round {rnd.index}, learned in round {learn_round}"
                 )
             if learn_round <= old_round:
                 return
-        self.known[key] = (value, learn_round)
+        rnd.known[interval] = (value, learn_round)
 
     def _feed_wire(self, task: _Search, interval: Interval, parity: int, learn_round: int) -> None:
-        key = (task.round_index, interval)
-        if key in self.known:
-            self._learn_syndrome(task.round_index, interval, parity, learn_round)
-        else:
-            self.known[key] = (parity, learn_round)
+        self._learn_syndrome(task.rnd, interval, parity, learn_round)
         try:
             task.steps.send(parity)
         except StopIteration:  # the answer located the error
@@ -682,11 +668,11 @@ class _Responder:
             raise ProtocolError(
                 f"expected {len(plan.intervals)} block parities, got {len(block_msg.parities)}"
             )
-        local = self._open_round(round_index, plan)
+        rnd = _Round(self.config, plan, self.bits, block_msg.parities)
+        self.rounds.append(rnd)
         self.parity_bits += len(block_msg.parities)
-        for interval, bit in zip(plan.intervals, block_msg.parities):
-            self.known[(round_index, interval)] = (bit, round_index)
 
+        local = _block_parities(rnd.array, plan)
         differ = np.flatnonzero(local != np.asarray(block_msg.parities)).tolist()
         live: Dict[Tuple[int, Interval], _Search] = {
             (round_index, plan.intervals[i]): _Search(self, round_index, plan.intervals[i])
@@ -703,7 +689,7 @@ class _Responder:
         # second flip's leaf stamp conflicts in _learn_syndrome).  So every
         # round ends, whatever the peer says; the guard only catches an
         # engine fault.
-        longest = max(min(plan.block_size, self.n) for plan in self.plans.values())
+        longest = max(min(opened.plan.block_size, self.n) for opened in self.rounds)
         quiet_limit = 2 * (longest + longest.bit_length() + 1) + 1
         quiet = 0
         try:
@@ -717,7 +703,7 @@ class _Responder:
                 for key in sorted(deferred):
                     if key not in live:
                         deferred.discard(key)
-                        if self._block_differs(key):
+                        if self.rounds[key[0]].differs(key[1]):
                             live[key] = _Search(self, *key)
 
                 needs: List[Tuple[_Search, Interval]] = []
@@ -731,13 +717,13 @@ class _Responder:
                 if self.config.aggregation:
                     by_round: Dict[int, List[Tuple[_Search, Interval]]] = {}
                     for need in needs:
-                        by_round.setdefault(need[0].round_index, []).append(need)
+                        by_round.setdefault(need[0].rnd.index, []).append(need)
                     groups = [by_round[r_key] for r_key in sorted(by_round)]
                 else:
                     groups = [[need] for need in needs]
                 for group in groups:
                     tasks, intervals = zip(*group)
-                    r_key = tasks[0].round_index
+                    r_key = tasks[0].rnd.index
                     reply = yield [wire.ParityQuery(r_key, intervals)]
                     entries = self._checked_entries(reply, r_key, intervals)
                     self.parity_bits += len(entries)
@@ -756,27 +742,28 @@ class _Responder:
                 finds = [t for t in live.values() if t.found is not None]
                 candidates: Set[Tuple[int, Interval]] = set()
                 flipped: Set[int] = set()
-                moved: Dict[int, List[int]] = {r: [] for r in self.mappings}
+                moved: List[List[int]] = [[] for _ in self.rounds]
                 for task in finds:
-                    original = self.inverses[task.round_index].item(task.found)
+                    original = task.rnd.inverse.item(task.found)
                     if original in flipped:
                         continue
                     flipped.add(original)
                     self.corrections.append(
                         CorrectionEvent(
-                            round_index, task.round_index, original, task.found, task.disclosed
+                            round_index, task.rnd.index, original, task.found, task.disclosed
                         )
                     )
                     value = self.bits.item(original) ^ 1
                     self.bits[original] = value
-                    for r, mapping in self.mappings.items():
-                        pos = mapping.item(original)
-                        moved[r].append(pos)
-                        plan = self.plans[r]
-                        key = (r, plan.intervals[pos // plan.block_size])
-                        self.corrected.setdefault(key, set()).add(pos)
-                        self._learn_syndrome(r, (pos, pos + 1), value, round_index)
-                        if r < round_index:
+                    for opened, positions in zip(self.rounds, moved):
+                        pos = opened.mapping.item(original)
+                        positions.append(pos)
+                        plan = opened.plan
+                        block = plan.intervals[pos // plan.block_size]
+                        opened.corrected.setdefault(block, set()).add(pos)
+                        self._learn_syndrome(opened, (pos, pos + 1), value, round_index)
+                        key = (opened.index, block)
+                        if opened.index < round_index:
                             candidates.add(key)
                         other = live.get(key)
                         scope = None if other is None else other.scope
@@ -790,8 +777,8 @@ class _Responder:
                             candidates.add(key)
                 if flipped:
                     quiet = 0
-                    for r, positions in moved.items():
-                        self._flip_prefixes(r, positions)
+                    for opened, positions in zip(self.rounds, moved):
+                        opened.flip(positions)
                 corrected_this_round += len(flipped)
 
                 live = {key: task for key, task in live.items() if not task.done}
@@ -800,7 +787,7 @@ class _Responder:
                         # A search is mid-flight on this block; re-check the
                         # block once that search has finished.
                         deferred.add(key)
-                    elif key in deferred or self._block_differs(key):
+                    elif key in deferred or self.rounds[key[0]].differs(key[1]):
                         # A deferred key keeps its task even when it matches now:
                         # that task holds the key in the next wave's deferred loop.
                         live[key] = _Search(self, *key)

@@ -170,6 +170,9 @@ def run_trial_detailed(
     messages_baseline: Optional[int] = None,
 ) -> TrialDetail:
     """Run one full trial and keep the raw session artifacts around."""
+    if length < 1:
+        # Checked before the error-rate estimate divides by the length.
+        raise ConfigurationError(f"frame length must be >= 1, got {length}")
     root = SeededRng(seed)
     frame_seed = root.derive(_FRAME_LABEL).next_u64()
     noise_seed = root.derive(_NOISE_LABEL).next_u64()

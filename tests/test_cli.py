@@ -226,6 +226,31 @@ def test_compare_aggregation_reports_identical_pairs(tmp_path, capsys):
     assert len(load_records(str(out_file))) == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("run", "--length", "0"), "frame length must be >= 1, got 0"),
+        (("run", "--length", "0", "--errors", "3"), "frame length must be >= 1, got 0"),
+        (
+            ("sweep-qber", "--length", "0", "--steps", "1", "--repeats", "1", "--out", "x.csv"),
+            "frame length must be >= 1, got 0",
+        ),
+        (("compare-aggregation", "--start", "1024", "--stop", "512"), "the length grid is empty"),
+        (("compare-aggregation", "--repeats", "0"), "the length grid is empty"),
+    ],
+    ids=["run-qber", "run-errors", "sweep-qber", "start-past-stop", "no-repeats"],
+)
+def test_empty_frames_and_grids_are_configuration_errors(
+    tmp_path, monkeypatch, capsys, argv, message
+):
+    monkeypatch.chdir(tmp_path)
+    code = run_cli(*argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"configuration error: {message}" in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_module_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "cascade_sim.cli", "run", "--length", "64",

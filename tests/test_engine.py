@@ -32,6 +32,7 @@ from cascade_sim.engine import (
     Role,
     SessionConfig,
     _Responder,
+    _Round,
     _init_from_config,
     _round_prefix,
     error_frontier,
@@ -579,11 +580,10 @@ def _lattice_nodes(block):
     return sorted(nodes)
 
 
-def _recursive_resolve(known, round_index, block, interval, _active=None):
+def _recursive_resolve(known, block, interval, _active=None):
     """The recursive lattice walk the responder used before its one-pass lookup."""
-    key = (round_index, interval)
-    if key in known:
-        return known[key][0]
+    if interval in known:
+        return known[interval][0]
     if interval == block:
         return None
     if _active is None:
@@ -606,21 +606,21 @@ def _recursive_resolve(known, round_index, block, interval, _active=None):
         if child == interval:
             break
         parent = child
-    parent_value = _recursive_resolve(known, round_index, block, parent, _active)
+    parent_value = _recursive_resolve(known, block, parent, _active)
     if parent_value is None:
         return None
-    sibling_value = _recursive_resolve(known, round_index, block, sibling, _active)
+    sibling_value = _recursive_resolve(known, block, sibling, _active)
     if sibling_value is None:
         return None
     value = parent_value ^ sibling_value
-    known[key] = (value, None)
+    known[interval] = (value, None)
     return value
 
 
 @st.composite
-def _stored_lattice(draw, min_size=1):
+def _stored_lattice(draw):
     lo = draw(st.integers(0, 100))
-    block = (lo, lo + draw(st.integers(min_size, 64)))
+    block = (lo, lo + draw(st.integers(1, 64)))
     size = block[1] - block[0]
     view = draw(st.lists(st.integers(0, 1), min_size=size, max_size=size))
     nodes = _lattice_nodes(block)
@@ -630,10 +630,10 @@ def _stored_lattice(draw, min_size=1):
         if node == block or draw(st.booleans()):
             stamp = draw(st.one_of(st.none(), st.integers(0, 3)))
             value = sum(view[node[0] - lo : node[1] - lo]) % 2
-            known[(0, node)] = (value, stamp)
+            known[node] = (value, stamp)
     interval = draw(st.sampled_from(nodes))
     path = [node for node in nodes if node[0] <= interval[0] and interval[1] <= node[1]]
-    top = draw(st.sampled_from([node for node in path if (0, node) in known]))
+    top = draw(st.sampled_from([node for node in path if node in known]))
     return block, view, known, top, interval
 
 
@@ -642,31 +642,16 @@ def _stored_lattice(draw, min_size=1):
 def test_one_pass_lookup_matches_the_recursive_walk(case):
     block, view, known, top, interval = case
     expected_known = dict(known)
-    expected = _recursive_resolve(expected_known, 0, block, interval)
-    responder = _Responder(basic_config(block[1], 0.1, 1), BitFrame.zeros(block[1]))
-    responder.known = dict(known)
-    assert responder._resolve_remote(0, top, interval) == expected
-    assert responder.known == expected_known
+    expected = _recursive_resolve(expected_known, block, interval)
+    config = basic_config(block[1], 0.1, 1)
+    responder = _Responder(config, BitFrame.zeros(block[1]))
+    plan = plan_round(config.schedule, 0, block[1], ())
+    rnd = _Round(config, plan, responder.bits, ())
+    rnd.known = dict(known)
+    assert responder._resolve_remote(rnd, top, interval) == expected
+    assert rnd.known == expected_known
     if expected is not None:
         assert expected == sum(view[interval[0] - block[0] : interval[1] - block[0]]) % 2
-
-
-@settings(deadline=None)
-@given(_stored_lattice(min_size=2), st.data())
-def test_search_step_lookup_matches_the_one_pass_lookup(case, data):
-    # A running search's interval is always stored and at least two long.
-    block, _, known, _, _ = case
-    running = [node for (_, node) in known if node[1] - node[0] > 1]
-    lo, hi = data.draw(st.sampled_from(sorted(running)))
-    mid = split_point(lo, hi)
-    config = basic_config(block[1], 0.1, 1)
-    oracle = _Responder(config, BitFrame.zeros(block[1]))
-    oracle.known = dict(known)
-    expected = oracle._resolve_remote(0, (lo, hi), (lo, mid))
-    responder = _Responder(config, BitFrame.zeros(block[1]))
-    responder.known = dict(known)
-    assert responder._reused_first_half(0, lo, mid, hi) == expected
-    assert responder.known == oracle.known
 
 
 # ---------------------------------------------------------------- initiator
@@ -795,25 +780,54 @@ def test_odd_length_transcripts_match_the_pinned_hash():
 # ------------------------------------------------------------ prefix state
 
 
+def _round_view(config, round_index, bits):
+    view = np.empty(config.frame_length, dtype=np.uint8)
+    view[round_mapping(config, round_index)] = bits
+    return view
+
+
 def _check_prefix_state(responder, rng):
     """Every opened round's prefix parities agree with the current frame."""
-    config = responder.config
-    n = config.frame_length
-    for r, plan in responder.plans.items():
-        view = np.empty(n, dtype=np.uint8)
-        view[round_mapping(config, r)] = responder.bits
+    n = responder.n
+    for rnd in responder.rounds:
+        view = _round_view(responder.config, rnd.index, responder.bits)
         sampled = tuple(tuple(sorted(rng.sample(range(n + 1), 2))) for _ in range(40))
-        for lo, hi in plan.intervals + sampled:
+        for lo, hi in rnd.plan.intervals + sampled:
             expected = int(np.bitwise_xor.reduce(view[lo:hi]))
-            assert responder._local_parity(r, lo, hi) == expected, (r, lo, hi)
+            assert rnd.parity(lo, hi) == expected, (rnd.index, lo, hi)
+
+
+def _check_round_records(responder, reference, corrections):
+    """Every round record agrees with the reference frame and the corrections.
+
+    Each parity-map entry, from the wire or derived, is the reference
+    parity of its interval in the round's view; every block is stored; and
+    each block's corrected set holds the round positions of the bits
+    corrected while the round was open.
+    """
+    for rnd in responder.rounds:
+        view = _round_view(responder.config, rnd.index, reference.bits)
+        prefix = np.concatenate(([0], np.bitwise_xor.accumulate(view))).tolist()
+        for (lo, hi), (value, _) in rnd.known.items():
+            assert value == prefix[lo] ^ prefix[hi], (rnd.index, lo, hi)
+        assert set(rnd.plan.intervals) <= rnd.known.keys()
+        expected = {}
+        for event in corrections:
+            if event.corrected_round >= rnd.index:
+                pos = int(rnd.mapping[event.original_position])
+                block = rnd.plan.intervals[pos // rnd.plan.block_size]
+                expected.setdefault(block, set()).add(pos)
+        assert rnd.corrected == expected, rnd.index
 
 
 @pytest.mark.parametrize("length", [257, 1024])
 def test_prefix_parities_never_drift(monkeypatch, length):
     rng = random.Random(length)
     original_run_round = _Responder.run_round
+    responders = []
 
     def checked_run_round(self, round_index, block_msg):
+        responders.append(self)
         reply = yield from original_run_round(self, round_index, block_msg)
         _check_prefix_state(self, rng)
         return reply
@@ -823,7 +837,12 @@ def test_prefix_parities_never_drift(monkeypatch, length):
         (1, 2, 3), (0.02, 0.10, 0.30), (False, True), ("lcg", "shuffle")
     ):
         template = SessionTemplate(aggregation=aggregation, permutation_kind=kind)
-        responder = run_trial_detailed(template, length, Bsc(qber), seed).result.responder
+        detail = run_trial_detailed(template, length, Bsc(qber), seed)
+        responder = detail.result.responder
+        (core,) = set(responders)
+        responders.clear()
+        assert len(core.rounds) == responder.rounds_executed
+        _check_round_records(core, detail.reference_frame, responder.corrections)
         assert responder.corrections
         for event in responder.corrections:
             assert type(event.original_position) is int

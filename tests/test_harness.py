@@ -78,6 +78,15 @@ def test_template_estimates_default_to_the_true_rate():
         SessionTemplate(schedule_variant="annealed")
 
 
+@pytest.mark.parametrize("noise", [Bsc(0.02), FixedErrors(3)], ids=["bsc", "fixed-errors"])
+@pytest.mark.parametrize("length", [0, -1])
+def test_trials_reject_lengths_below_one(length, noise):
+    with pytest.raises(ConfigurationError, match="frame length must be >= 1"):
+        run_trial(SessionTemplate(), length, noise, seed=1)
+    with pytest.raises(ConfigurationError, match="frame length must be >= 1"):
+        sweep_qber(SessionTemplate(), QberSweep(steps=1, length=length, repeats=1), workers=2)
+
+
 def test_zero_error_trials_always_succeed():
     record = run_trial(SessionTemplate(), 512, FixedErrors(0), seed=3)
     assert record.success
