@@ -37,8 +37,8 @@ from .schedule import FixedRoundsBreak, QuietRoundsBreak, ThresholdBreak
 
 
 _WORKERS_HELP = (
-    "run trials on this many threads; the records equal a serial run's, and the "
-    "threads share the interpreter lock, so they give no speed-up"
+    "run trials in this many processes, this one included, at most one per usable "
+    "CPU; the records equal a serial run's"
 )
 
 
@@ -282,14 +282,24 @@ def _length_sweep(args: argparse.Namespace) -> LengthSweep:
     return LengthSweep(args.start, args.step, args.stop, args.errors, args.repeats)
 
 
+def _empty_grid(args: argparse.Namespace, grid: str, bound: str) -> ConfigurationError:
+    """The error for a sweep whose flags give no trials; ``bound`` names its last flag."""
+    return ConfigurationError(
+        f"the {grid} grid is empty: --start {args.start} --step {args.step} "
+        f"{bound} with --repeats {args.repeats} gives no trials"
+    )
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.command == "sweep-qber":
         sweep = QberSweep(args.start, args.step, args.steps, args.length, args.repeats)
-        run = sweep_qber
+        run, grid, bound = sweep_qber, "error-rate", f"--steps {args.steps}"
     else:
         sweep = _length_sweep(args)
-        run = sweep_length
+        run, grid, bound = sweep_length, "length", f"--stop {args.stop}"
     records = run(_template_from_args(args), sweep, base_seed=args.base_seed, workers=args.workers)
+    if not records:
+        raise _empty_grid(args, grid, bound)
     export_records(records, args.out, args.format)
     successes = sum(1 for r in records if r.success)
     print(f"wrote {len(records)} records to {args.out} ({successes} successful)")
@@ -301,10 +311,7 @@ def _cmd_compare_aggregation(args: argparse.Namespace) -> int:
     sweep = _length_sweep(args)
     outcomes = compare_aggregation(template, sweep, base_seed=args.base_seed, workers=args.workers)
     if not outcomes:
-        raise ConfigurationError(
-            f"the length grid is empty: --start {sweep.start} --step {sweep.step} "
-            f"--stop {sweep.stop} with --repeats {sweep.repeats} gives no pairs"
-        )
+        raise _empty_grid(args, "length", f"--stop {args.stop}")
     identical = sum(1 for o in outcomes if o.frames_identical)
     reductions = [
         1.0 - o.batched.messages_sent / o.unbatched.messages_sent for o in outcomes

@@ -14,8 +14,8 @@ from __future__ import annotations
 import csv
 import functools
 import json
+import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Callable, List, Optional, Sequence, get_type_hints
 
@@ -146,6 +146,10 @@ class LengthSweep:
     stop: int = 20480
     fixed_errors: int = 10
     repeats: int = 3
+
+    def __post_init__(self) -> None:
+        if self.step < 1:
+            raise ConfigurationError(f"length grid step must be >= 1, got {self.step}")
 
     def points(self) -> List[int]:
         return list(range(self.start, self.stop + 1, self.step))
@@ -287,10 +291,32 @@ def run_paired_trial(
 
 
 def _fan_out(jobs: Sequence[Callable[[], object]], workers: int) -> List[object]:
+    """Run ``jobs`` and return their results in order.
+
+    ``workers`` is clamped to the job count and the usable CPUs.  Beyond one,
+    ``workers - 1`` forked processes take jobs from the front of the queue
+    while the caller, the last worker, claims them from the back.  So the
+    calling process still runs sessions itself, and instrumentation installed
+    in it sees them.  Forked workers start with the program already imported;
+    the pool forks them before it starts its own threads.  A job's exception
+    is re-raised in its place in job order.
+    """
+    workers = min(workers, len(jobs), len(os.sched_getaffinity(0)))
     if workers <= 1:
         return [job() for job in jobs]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    import multiprocessing
+    from concurrent.futures import Future, ProcessPoolExecutor
+
+    with ProcessPoolExecutor(workers - 1, mp_context=multiprocessing.get_context("fork")) as pool:
         futures = [pool.submit(job) for job in jobs]
+        for index in reversed(range(len(jobs))):
+            if not futures[index].cancel():
+                break  # the pool started this job, so it holds every earlier one
+            futures[index] = Future()
+            try:
+                futures[index].set_result(jobs[index]())
+            except Exception as error:
+                futures[index].set_exception(error)
         return [future.result() for future in futures]
 
 
@@ -307,10 +333,10 @@ def _sweep(
 
     Each trial's seed derives from ``base_seed``, the sweep's ``label``, the
     point's index and the repeat, and the results come back in grid order.
-    ``workers`` runs the trials on that many threads.  The records equal
-    the serial run's, but the sessions hold the interpreter lock, so more
-    workers give no speed-up until trials run in separate processes; each
-    job is a ``functools.partial`` of a module-level function, so it pickles.
+    ``workers`` runs the trials in that many processes, the caller being
+    one of them, with the count clamped to the usable CPUs; the records
+    equal the serial run's.  Each job is a ``functools.partial`` of a
+    module-level function, so it pickles.
     """
     root = SeededRng(base_seed)
     sweep_label = label_from_text(label)
@@ -337,7 +363,7 @@ def sweep_qber(
     base_seed: int = 1,
     workers: int = 1,
 ) -> List[TrialRecord]:
-    """Run the error-rate sweep on ``workers`` threads; records come back in grid order."""
+    """Run the error-rate sweep in ``workers`` processes; records come back in grid order."""
     grid = [(sweep.length, Bsc(q), f"qber={q:.6g}/len={sweep.length}") for q in sweep.points()]
     return _sweep(run_trial, template, "qber-sweep", grid, sweep.repeats, base_seed, workers)
 
@@ -349,7 +375,7 @@ def sweep_length(
     base_seed: int = 1,
     workers: int = 1,
 ) -> List[TrialRecord]:
-    """Run the frame-length sweep on ``workers`` threads; records come back in grid order."""
+    """Run the frame-length sweep in ``workers`` processes; records come back in grid order."""
     noise = FixedErrors(sweep.fixed_errors)
     grid = [(n, noise, f"len={n}/errors={sweep.fixed_errors}") for n in sweep.points()]
     return _sweep(run_trial, template, "length-sweep", grid, sweep.repeats, base_seed, workers)
@@ -362,7 +388,7 @@ def compare_aggregation(
     base_seed: int = 1,
     workers: int = 1,
 ) -> List[PairedOutcome]:
-    """Paired batching-off/batching-on runs across the length sweep, on ``workers`` threads."""
+    """Paired batching-off/batching-on runs across the length sweep, in ``workers`` processes."""
     noise = FixedErrors(sweep.fixed_errors)
     grid = [(n, noise, f"paired/len={n}") for n in sweep.points()]
     return _sweep(

@@ -237,8 +237,27 @@ def test_compare_aggregation_reports_identical_pairs(tmp_path, capsys):
         ),
         (("compare-aggregation", "--start", "1024", "--stop", "512"), "the length grid is empty"),
         (("compare-aggregation", "--repeats", "0"), "the length grid is empty"),
+        (("compare-aggregation", "--step", "0"), "length grid step must be >= 1, got 0"),
+        (("sweep-length", "--step", "0", "--out", "y.csv"), "length grid step must be >= 1, got 0"),
+        (
+            ("sweep-length", "--start", "1024", "--stop", "512", "--out", "y.csv"),
+            "the length grid is empty",
+        ),
+        (("sweep-length", "--repeats", "0", "--out", "y.csv"), "the length grid is empty"),
+        (("sweep-qber", "--steps", "0", "--out", "y.csv"), "the error-rate grid is empty"),
     ],
-    ids=["run-qber", "run-errors", "sweep-qber", "start-past-stop", "no-repeats"],
+    ids=[
+        "run-qber",
+        "run-errors",
+        "sweep-qber",
+        "start-past-stop",
+        "no-repeats",
+        "compare-step-0",
+        "sweep-length-step-0",
+        "sweep-length-start-past-stop",
+        "sweep-length-no-repeats",
+        "sweep-qber-no-steps",
+    ],
 )
 def test_empty_frames_and_grids_are_configuration_errors(
     tmp_path, monkeypatch, capsys, argv, message

@@ -1,6 +1,8 @@
 """Tests for the experiment harness: trials, sweeps, records, exports."""
 
 import dataclasses
+import multiprocessing
+import threading
 
 import pytest
 
@@ -130,10 +132,14 @@ def test_length_sweep_produces_grid_ordered_records():
     assert len({r.seed for r in records}) == 8
 
 
-def test_length_sweep_rejects_oversized_error_count():
-    sweep = LengthSweep(start=128, step=128, stop=256, fixed_errors=300, repeats=1)
-    with pytest.raises(ConfigurationError):
-        sweep_length(SessionTemplate(), sweep, base_seed=1)
+@pytest.mark.parametrize("workers", [1, 2])
+def test_length_sweep_rejects_oversized_error_count(workers):
+    # Only the first, 128-bit point is too short.  With two workers the caller
+    # runs the long last point while a child process takes the first, whose
+    # ConfigurationError comes back through the pool unchanged.
+    sweep = LengthSweep(start=128, step=32768, stop=65664, fixed_errors=300, repeats=1)
+    with pytest.raises(ConfigurationError, match="cannot inject more errors"):
+        sweep_length(SessionTemplate(), sweep, base_seed=1, workers=workers)
 
 
 def test_parallel_sweep_equals_serial_sweep():
@@ -141,6 +147,22 @@ def test_parallel_sweep_equals_serial_sweep():
     serial = sweep_qber(SessionTemplate(), sweep, base_seed=9, workers=1)
     parallel = sweep_qber(SessionTemplate(), sweep, base_seed=9, workers=3)
     assert [strip_time(r) for r in serial] == [strip_time(r) for r in parallel]
+
+
+def test_more_workers_than_jobs_equals_serial_sweep():
+    sweep = QberSweep(start=0.02, step=0.03, steps=3, length=256, repeats=1)
+    serial = sweep_qber(SessionTemplate(), sweep, base_seed=3, workers=1)
+    parallel = sweep_qber(SessionTemplate(), sweep, base_seed=3, workers=8)
+    assert [strip_time(r) for r in serial] == [strip_time(r) for r in parallel]
+
+
+def test_parallel_sweep_leaves_nothing_running():
+    threads = threading.active_count()
+    sweep = QberSweep(start=0.01, step=0.01, steps=2, length=256, repeats=2)
+    records = sweep_qber(SessionTemplate(), sweep, base_seed=2, workers=2)
+    assert len(records) == 4
+    assert multiprocessing.active_children() == []
+    assert threading.active_count() == threads
 
 
 def test_compare_aggregation_pairs_up():
