@@ -21,10 +21,13 @@ and hands it over without a copy or a run-time check:
   The keys are computed in blocks rather than by walking the recurrence:
   one row of about ``sqrt(n)`` states, and one jump per block that
   advances a state by a whole number of rows, both from the closed form
-  ``a^k*s + c*(1 + a + ... + a^(k-1)) mod m``; the keys are then one
-  broadcast multiply-add of the jumps over the row.  The order comes from
-  one sort of the packed values ``key << 32 | index``, which is the order a
-  stable argsort of the keys gives.  The generator has full period ``m``
+  ``a^k*s + c*(1 + a + ... + a^(k-1)) mod m``.  The packed values
+  ``key << 32 | index`` are built directly in one uint64 grid of blocks by
+  row: an outer product of the jumps with the row shifted 32 bits up
+  leaves each key's product in the high half, and two broadcast adds put
+  in each block's offset and start index and each column's index.  The
+  order comes from one in-place sort of the packed values, which is the
+  order a stable argsort of the keys gives.  The generator has full period ``m``
   (Hull-Dobell: ``c`` is odd and ``a - 1`` is a multiple of 4), so the keys
   of any frame up to ``2**32`` bits are distinct and their order is unique;
   longer frames are rejected, since neither the keys nor the 32-bit index
@@ -186,22 +189,32 @@ def _affine_powers(a: int, c: int, count: int) -> tuple[np.ndarray, np.ndarray]:
     return mult, offset
 
 
-def _lcg_keys(lcg_seed: int, count: int) -> np.ndarray:
-    """The first ``count`` LCG states after ``lcg_seed`` (reduced mod 2**32).
+def _lcg_packed(lcg_seed: int, count: int) -> np.ndarray:
+    """``key << 32 | index`` for the first ``count`` LCG states after
+    ``lcg_seed`` (reduced mod 2**32), as a flat uint64 array.
 
     Blocked jump-ahead over rows of ``width`` (about ``sqrt(count)``) keys:
     key ``j*width + i`` is state ``i + 1`` advanced by ``j*width`` steps.
     The row of states and the per-block jumps come from the closed form
-    applied twice, so the whole stream is one broadcast multiply-add.
+    applied twice.  The values are built in one grid of ``blocks x width``
+    entries: an outer product of the jump multipliers with the row shifted
+    into the high half keeps exactly each product's low 32 bits there, one
+    broadcast add puts ``jump_offset << 32 | block_start`` on each row, and
+    a second adds the column index.
     """
     width = max(1, math.isqrt(count))
     blocks = -(-count // width)
     mult, offset = _affine_powers(_LCG_A, _LCG_C, width + 1)
     row = mult[1:] * np.uint32(lcg_seed % _LCG_M) + offset[1:]  # states 1 .. width
     jump_mult, jump_offset = _affine_powers(int(mult[width]), int(offset[width]), blocks)
-    keys = np.multiply.outer(jump_mult, row)
-    keys += jump_offset[:, None]
-    return keys.reshape(-1)[:count].astype(np.int64)
+    shift = np.uint64(32)
+    grid = np.empty((blocks, width), dtype=np.uint64)
+    # (m * (r << 32)) mod 2**64 is ((m * r) mod 2**32) << 32.
+    np.multiply.outer(jump_mult, np.left_shift(row, shift, dtype=np.uint64), out=grid)
+    starts = np.arange(0, blocks * width, width, dtype=np.uint64)
+    grid += (np.left_shift(jump_offset, shift, dtype=np.uint64) | starts)[:, None]
+    grid += np.arange(width, dtype=np.uint64)
+    return grid.reshape(-1)[:count]
 
 
 def gen_lcg_permutation(length: int, round_index: int, seed: int) -> np.ndarray:
@@ -214,10 +227,8 @@ def gen_lcg_permutation(length: int, round_index: int, seed: int) -> np.ndarray:
         raise ConfigurationError("round index must be nonnegative")
     lcg_seed = SeededRng(seed).derive(_LCG_LABEL, round_index).next_u64() % _LCG_M
     # Sorting key << 32 | index orders by key, then by index: a stable
-    # argsort of the keys in one in-place sort of the key buffer.
-    packed = _lcg_keys(lcg_seed, length).view(np.uint64)
-    packed <<= np.uint64(32)
-    packed |= np.arange(length, dtype=np.uint64)
+    # argsort of the keys in one in-place sort of the packed buffer.
+    packed = _lcg_packed(lcg_seed, length)
     packed.sort()
     packed &= np.uint64(_LCG_M - 1)
     mapping = packed.view(np.int64)

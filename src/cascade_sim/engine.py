@@ -37,16 +37,18 @@ regions left by earlier corrections, then bisect.  Each wave resumes every
 live search, which runs as far as stored parities allow and yields the one
 interval whose parity must cross the wire; the wave sends those queries,
 sends each answer back to its search, then applies the located corrections.
-A search step computes its interval's midpoint once: the first half is
-looked up in the parity map (stored, or derived from the current interval
-and the second half), and otherwise becomes the step's query.  After
-applying a wire answer a search pauses until the next wave unless it has
-located its error, so each search makes at most one exchange per wave and
-reads on only after that wave's flips; the transcript depends on both.
-Each flip is one pass over the round records: it updates each record's
-parity map and corrected positions, queues the earlier rounds' blocks that
-hold the bit (the cascade), and aborts (closes) the live search whose scope
-it touched; each record's prefix is then XORed past the wave's flipped
+Only a block with corrected positions walks its error frontier first.  A
+search step computes its interval's midpoint once and reads the first half
+directly from the parity map, one level below the stored current interval
+(stored, or derived from the interval and a stored second half); otherwise
+the first half becomes the step's query.  After applying a wire answer a
+search pauses until the next wave unless it has located its error, so each
+search makes at most one exchange per wave and reads on only after that
+wave's flips; the transcript depends on both.  A wave's corrected bits flip
+in the frame at once; then one pass per round record over their positions
+updates the record's parity map and corrected positions, queues the earlier
+rounds' blocks that hold the bits (the cascade), aborts (closes) each live
+search whose scope a flip touched and XORs the prefix past the flipped
 positions.  A queued block becomes a search only if its parity differs, by
 the comparison used at round entry.  The waves are the same regardless of
 query batching, and each wave's corrections are credited in the order its
@@ -401,6 +403,24 @@ def error_frontier(
     return tuple(sorted(minimal))
 
 
+def _first_half(
+    known: Dict[Interval, Tuple[int, Optional[int]]], lo: int, mid: int, hi: int
+) -> Optional[int]:
+    """The initiator's parity of ``(lo, mid)``, the first half of the stored
+    interval ``(lo, hi)``: stored, or derived from ``(lo, hi)`` and a stored
+    second half ``(mid, hi)`` and memoized; ``None`` (nothing written) if
+    neither half is stored."""
+    entry = known.get((lo, mid))
+    if entry is not None:
+        return entry[0]
+    entry = known.get((mid, hi))
+    if entry is None:
+        return None
+    value = known[(lo, hi)][0] ^ entry[0]
+    known[(lo, mid)] = (value, None)
+    return value
+
+
 class _Round:
     """What the responder keeps of one opened round.
 
@@ -487,13 +507,14 @@ class _Responder:
     """Responder-side state: one :class:`_Round` record per opened round.
 
     ``rounds[r]`` holds round ``r``'s plan, mapping and inverse, prefix
-    parities, parity map and corrected positions.  A remote parity is
-    looked up or derived in one pass from a stored lattice ancestor
-    (``_resolve_remote``): the block for a frontier probe, the current
-    interval for a search step.  Each block search is one generator
-    (``_search``); every wire parity is stored through ``_learn_syndrome``
-    (``_feed_wire``) and then sent to its search, which reads the local
-    first-half parity from the prefix and stores the implied second half.
+    parities, parity map and corrected positions.  A frontier probe looks
+    up or derives its remote parity in one pass down from the block
+    (``_resolve_remote``); a search step reads its first half one level
+    below the current interval (``_first_half``).  Each block search is one
+    generator (``_search``); every wire parity is stored through
+    ``_learn_syndrome`` (``_feed_wire``) and then sent to its search, which
+    reads the local first-half parity from the prefix and stores the
+    implied second half.
     """
 
     def __init__(self, config: SessionConfig, frame: BitFrame):
@@ -555,7 +576,10 @@ class _Responder:
     def _search(self, task: _Search) -> Iterator[Optional[Interval]]:
         """One block search: check the block, probe the frontier, bisect.
 
-        ``run_round`` resumes it once per wave.  It yields each interval
+        Only a block with corrected positions has a frontier to probe.  Each
+        bisection step reads its first half from the map with
+        ``_first_half`` before asking the wire.  ``run_round`` resumes it
+        once per wave.  It yields each interval
         whose remote parity must cross the wire and is sent that parity
         back by ``_feed_wire``.  The step after a wire answer waits for the
         next wave: unless the answer located the error, the search pauses
@@ -570,10 +594,11 @@ class _Responder:
         interval, remote = block, known[block][0]
         answered = False
         reuse = self.config.parity_reuse
-        if reuse:
+        corrected = rnd.corrected.get(block)
+        if reuse and corrected:
             # The first frontier region that disagrees is searched; if none
             # does, the whole block, whose mismatch was just checked.
-            for region in error_frontier(block, rnd.corrected.get(block, ()), rnd.on_wire):
+            for region in error_frontier(block, corrected, rnd.on_wire):
                 if answered:
                     yield
                 value = self._resolve_remote(rnd, block, region)
@@ -584,8 +609,8 @@ class _Responder:
                 if rnd.parity(*region) != value:
                     interval, remote = region, value
                     break
-        # One midpoint per step: the first half is both the reuse lookup and
-        # the wire query.
+        # One midpoint per step: the first half is both the map read and the
+        # wire query.
         state = bisect_search.start(interval[0], interval[1], rnd.index)
         prefix = rnd.prefix
         while state.found is None:
@@ -594,7 +619,7 @@ class _Responder:
                 yield
             lo, hi = state.lo, state.hi
             mid = split_point(lo, hi)
-            value = self._resolve_remote(rnd, (lo, hi), (lo, mid)) if reuse else None
+            value = _first_half(known, lo, mid, hi) if reuse else None
             answered = value is None
             if answered:
                 value = yield (lo, mid)
@@ -653,9 +678,9 @@ class _Responder:
         screens cascade candidates and deferred re-checks, except a
         candidate whose key is still deferred: its task holds that key back
         from the next wave's deferred loop, so it is made either way.  A
-        flip is one pass over the opened rounds that updates the map, queues
-        the cascade and aborts the touched search; the prefixes follow once
-        per round after the wave's flips.
+        wave's flips are applied round by round: one pass per opened round
+        over the flipped positions updates its map, queues the cascade,
+        aborts the touched searches and XORs its prefix.
         """
         if not isinstance(block_msg, wire.BlockParities):
             raise ProtocolError(f"expected BlockParities, got {type(block_msg).__name__}")
@@ -730,56 +755,59 @@ class _Responder:
                     for task, interval, (_, _, parity) in zip(tasks, intervals, entries):
                         self._feed_wire(task, interval, parity, round_index)
 
-                # One pass per flip over the opened rounds: note the bit's round
-                # position, update the map, queue earlier rounds' blocks (the
-                # cascade), and abort the live search on this block if the flip
-                # touched its scope.  A flip advances no search, so each test
-                # sees what a separate scan after all flips would see; nothing in
-                # the pass reads the prefixes, which are updated once per round
-                # after it.  Finds apply in live (creation) order in both
-                # aggregation modes, and a bit located twice is credited to the
-                # older search.
-                finds = [t for t in live.values() if t.found is not None]
-                candidates: Set[Tuple[int, Interval]] = set()
-                flipped: Set[int] = set()
-                moved: List[List[int]] = [[] for _ in self.rounds]
-                for task in finds:
-                    original = task.rnd.inverse.item(task.found)
-                    if original in flipped:
+                # Finds apply in live (creation) order in both aggregation
+                # modes, and a bit located twice is credited to the older
+                # search.  The wave's bits flip at once; then one pass per
+                # opened round over their positions updates the map, queues
+                # earlier rounds' blocks (the cascade), aborts the live search
+                # on a block whose scope a flip touched, and XORs the prefix.
+                # A round's iteration reads and writes only that round's record
+                # and searches, and a flip advances no search, so each test sees
+                # what a separate scan after all flips would see.
+                originals: List[int] = []
+                seen: Set[int] = set()
+                for task in live.values():
+                    if task.found is None:
                         continue
-                    flipped.add(original)
+                    original = task.rnd.inverse.item(task.found)
+                    if original in seen:
+                        continue
+                    seen.add(original)
+                    originals.append(original)
                     self.corrections.append(
                         CorrectionEvent(
                             round_index, task.rnd.index, original, task.found, task.disclosed
                         )
                     )
-                    value = self.bits.item(original) ^ 1
-                    self.bits[original] = value
-                    for opened, positions in zip(self.rounds, moved):
-                        pos = opened.mapping.item(original)
-                        positions.append(pos)
-                        plan = opened.plan
-                        block = plan.intervals[pos // plan.block_size]
-                        opened.corrected.setdefault(block, set()).add(pos)
-                        self._learn_syndrome(opened, (pos, pos + 1), value, round_index)
-                        key = (opened.index, block)
-                        if opened.index < round_index:
-                            candidates.add(key)
-                        other = live.get(key)
-                        scope = None if other is None else other.scope
-                        if scope is not None and scope[0] <= pos < scope[1]:
-                            # A suspended search's frame holds its record: left
-                            # open, that cycle keeps this responder alive until
-                            # the cyclic collector runs.
-                            other.steps.close()
-                            other.scope = None
-                            other.done = True
-                            candidates.add(key)
-                if flipped:
+                candidates: Set[Tuple[int, Interval]] = set()
+                if originals:
                     quiet = 0
-                    for opened, positions in zip(self.rounds, moved):
+                    self.bits[originals] ^= 1
+                    values = self.bits[originals].tolist()
+                    for opened in self.rounds:
+                        positions = opened.mapping[originals].tolist()
+                        plan = opened.plan
+                        corrected = opened.corrected
+                        cascade = opened.index < round_index
+                        for pos, value in zip(positions, values):
+                            block = plan.intervals[pos // plan.block_size]
+                            corrected.setdefault(block, set()).add(pos)
+                            self._learn_syndrome(opened, (pos, pos + 1), value, round_index)
+                            key = (opened.index, block)
+                            if cascade:
+                                candidates.add(key)
+                            other = live.get(key)
+                            scope = None if other is None else other.scope
+                            if scope is not None and scope[0] <= pos < scope[1]:
+                                # A suspended search's frame holds its record:
+                                # left open, that cycle keeps this responder
+                                # alive until the cyclic collector runs.
+                                other.steps.close()
+                                other.scope = None
+                                other.done = True
+                                candidates.add(key)
                         opened.flip(positions)
-                corrected_this_round += len(flipped)
+                corrected_this_round += len(originals)
 
                 live = {key: task for key, task in live.items() if not task.done}
                 for key in sorted(candidates):

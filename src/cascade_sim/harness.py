@@ -41,9 +41,11 @@ _SESSION_LABEL = label_from_text("trial-session-seed")
 class SessionTemplate:
     """Reusable session policy; per-trial parameters get filled in later.
 
-    ``qber_estimate`` pins the schedule's error-rate estimate; when left
-    ``None`` each trial estimates from its own noise model (the nominal
-    flip probability, or injected-count / length for counted noise).
+    ``qber_estimate`` pins the schedule's error-rate estimate and must lie
+    in (0, 0.5]; when left ``None`` each trial estimates from its own noise
+    model (the nominal flip probability, or injected-count / length for
+    counted noise).  Either estimate is raised to at least one expected
+    error per frame.
     """
 
     schedule_variant: str = "static"  # "static" | "dynamic"
@@ -58,6 +60,12 @@ class SessionTemplate:
         if self.schedule_variant not in ("static", "dynamic"):
             raise ConfigurationError(
                 f"schedule_variant must be 'static' or 'dynamic', got {self.schedule_variant!r}"
+            )
+        # The schedule refuses the same values; checked here because the
+        # clamp in schedule_for would otherwise hide them.
+        if self.qber_estimate is not None and not 0.0 < self.qber_estimate <= 0.5:
+            raise ConfigurationError(
+                f"qber estimate must lie in (0, 0.5], got {self.qber_estimate!r}"
             )
 
     def schedule_for(self, length: int, true_rate: float) -> ScheduleConfig:

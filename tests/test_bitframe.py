@@ -14,7 +14,7 @@ from cascade_sim.bitframe import (
     hamming_distance,
     out_shuffle_mapping,
     parity,
-    _lcg_keys,
+    _lcg_packed,
 )
 from cascade_sim.errors import ConfigurationError
 
@@ -176,13 +176,14 @@ def test_lcg_permutation_matches_key_stream_construction():
 
 
 def test_lcg_keys_match_scalar_recurrence_at_scale():
-    # The keys are computed in rows of isqrt(count): 4095, 4096, 4097 and
-    # 65,537 end just short of, exactly on and just past a row boundary.
+    # The packed values are built in rows of isqrt(count): 4095, 4096, 4097
+    # and 65,537 end just short of, exactly on and just past a row boundary.
     for lcg_seed in (0, (1 << 32) - 1, (1 << 40) + 12345):
         for count in (0, 1, 2, 3, 4095, 4096, 4097, 65_537, 70_000):
-            keys = _lcg_keys(lcg_seed, count)
-            assert keys.dtype == np.int64
-            assert keys.tolist() == lcg_keys_oracle(lcg_seed, count)
+            packed = _lcg_packed(lcg_seed, count)
+            assert packed.dtype == np.uint64
+            assert (packed >> np.uint64(32)).tolist() == lcg_keys_oracle(lcg_seed, count)
+            assert np.array_equal(packed & np.uint64(0xFFFFFFFF), np.arange(count))
 
 
 def test_lcg_permutation_is_the_stable_argsort_of_the_scalar_keys_at_scale():
@@ -199,7 +200,7 @@ def test_lcg_permutation_is_the_stable_argsort_of_the_scalar_keys_at_scale():
 def test_lcg_keys_are_distinct_so_the_sort_order_is_unique():
     # Full period (Hull-Dobell) makes the keys distinct, so the permutation
     # is the one order of its keys, whichever sort produces it.
-    keys = _lcg_keys(123_456_789, 1 << 18)
+    keys = _lcg_packed(123_456_789, 1 << 18) >> np.uint64(32)
     assert np.unique(keys).size == keys.size
 
 

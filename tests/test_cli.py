@@ -135,6 +135,20 @@ def test_config_file_values_are_checked_like_flags(tmp_path, capsys, values):
     assert repr(key) in err
 
 
+@pytest.mark.parametrize("estimate", ["0", "nan"])
+def test_out_of_range_qber_estimate_is_a_configuration_error(tmp_path, capsys, estimate):
+    code = run_cli("run", "--length", "256", "--qber-estimate", estimate)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "configuration error: qber estimate must lie in (0, 0.5]" in err
+    config = tmp_path / "policy.json"
+    config.write_text(json.dumps({"qber-estimate": float(estimate)}))
+    code = run_cli("run", "--length", "256", "--config", str(config))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "configuration error: qber estimate must lie in (0, 0.5]" in err
+
+
 def test_bad_break_spec_is_a_configuration_error(capsys):
     code = run_cli("run", "--break", "often")
     err = capsys.readouterr().err

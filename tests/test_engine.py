@@ -9,7 +9,7 @@ import types
 import numpy as np
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from cascade_sim.bitframe import BitFrame, Bsc, apply_noise, FixedErrors, hamming_distance
@@ -33,6 +33,7 @@ from cascade_sim.engine import (
     SessionConfig,
     _Responder,
     _Round,
+    _first_half,
     _init_from_config,
     _round_prefix,
     error_frontier,
@@ -453,6 +454,12 @@ def test_random_sessions_agree_across_drivers_and_batching(tmp_path, case):
     assert on.parity_bits_disclosed == off.parity_bits_disclosed
     assert on.compromised_positions == off.compromised_positions
     assert on.corrections == off.corrections
+    for detail in (*runs.values(), threaded):
+        # An honest session corrects each original position at most once,
+        # and only positions that carried an injected error.
+        responder = detail.result.responder
+        assert len(responder.compromised_positions) == len(responder.corrections)
+        assert len(responder.corrections) <= detail.record.injected_errors
     for detail in runs.values():
         result = detail.result
         reconciled = result.responder.final_frame == detail.reference_frame
@@ -652,6 +659,24 @@ def test_one_pass_lookup_matches_the_recursive_walk(case):
     assert rnd.known == expected_known
     if expected is not None:
         assert expected == sum(view[interval[0] - block[0] : interval[1] - block[0]]) % 2
+
+
+@settings(deadline=None)
+@given(_stored_lattice())
+def test_first_half_read_matches_the_one_level_walk(case):
+    block, view, known, top, _ = case
+    lo, hi = top
+    assume(hi - lo >= 2)
+    mid = split_point(lo, hi)
+    config = basic_config(block[1], 0.1, 1)
+    responder = _Responder(config, BitFrame.zeros(block[1]))
+    plan = plan_round(config.schedule, 0, block[1], ())
+    rnd = _Round(config, plan, responder.bits, ())
+    rnd.known = dict(known)
+    expected = responder._resolve_remote(rnd, top, (lo, mid))
+    read = dict(known)
+    assert _first_half(read, lo, mid, hi) == expected
+    assert read == rnd.known
 
 
 # ---------------------------------------------------------------- initiator

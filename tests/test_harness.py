@@ -72,12 +72,21 @@ def test_template_estimates_default_to_the_true_rate():
     # explicit estimate wins
     pinned = SessionTemplate(qber_estimate=0.05)
     assert pinned.schedule_for(4096, 0.02) == StaticSchedule(0.05, 2)
-    # tiny rates clamp to one expected error per frame
+    # tiny rates clamp to one expected error per frame, pinned or not
     assert template.schedule_for(256, 0.0001) == StaticSchedule(1 / 256, 2)
+    tiny = SessionTemplate(qber_estimate=0.0001)
+    assert tiny.schedule_for(256, 0.02) == StaticSchedule(1 / 256, 2)
+    assert SessionTemplate(qber_estimate=0.5).schedule_for(256, 0.02) == StaticSchedule(0.5, 2)
     dynamic = SessionTemplate(schedule_variant="dynamic")
     assert dynamic.schedule_for(512, 0.03) == DynamicSchedule(0.03)
     with pytest.raises(ConfigurationError):
         SessionTemplate(schedule_variant="annealed")
+
+
+@pytest.mark.parametrize("estimate", [-1.0, 0.0, 0.7, float("nan"), float("inf")])
+def test_template_refuses_a_pinned_estimate_outside_the_schedule_range(estimate):
+    with pytest.raises(ConfigurationError, match=r"qber estimate must lie in \(0, 0\.5\]"):
+        SessionTemplate(qber_estimate=estimate)
 
 
 @pytest.mark.parametrize("noise", [Bsc(0.02), FixedErrors(3)], ids=["bsc", "fixed-errors"])
