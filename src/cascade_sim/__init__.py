@@ -4,61 +4,19 @@ Two parties hold almost-identical bit frames.  Over an authenticated
 classical channel they exchange block parities, chase individual
 differences with dichotomic searches, and cascade each correction back
 through earlier rounds — while an accountant tallies every parity bit an
-eavesdropper could have seen.  The package provides the protocol engine,
-whose responder keeps its parity knowledge in one flat map, the channel and
-wire format, a seeded experiment harness with a CLI front end, and
-persistent colored parity trees as a standalone data structure.
+eavesdropper could have seen.
+
+The package root exports the experiment API: noise models, break rules,
+the session policy and sweep grids, trial and sweep runners, records and
+the error types.  Everything else is reached through its module: the
+protocol engine and its drivers (``engine``), the channel, wire format and
+transcript files (``channel``), schedules (``schedule``), frames and
+permutations (``bitframe``), the search state machine (``binary_search``)
+and the standalone colored parity trees (``paritytree``).
 """
 
-from .bitframe import (
-    BitFrame,
-    Bsc,
-    FixedErrors,
-    apply_noise,
-    gen_lcg_permutation,
-    gen_shuffle_permutation,
-    hamming_distance,
-)
-from .binary_search import (
-    BinarySearchState,
-    disclosed_count,
-    pending_query,
-    start,
-    step,
-)
-from .channel import (
-    Channel,
-    Direction,
-    EveTap,
-    LeakageReport,
-    SessionStatus,
-    TranscriptEntry,
-    decode_message,
-    encode_message,
-    leakage_report,
-    read_transcript,
-    write_transcript,
-)
-from .engine import (
-    CorrectionEvent,
-    PairResult,
-    Role,
-    SessionConfig,
-    SessionSummary,
-    frame_fingerprint,
-    initiator_session,
-    responder_session,
-    run_session_pair,
-)
-from .errors import (
-    CascadeError,
-    ConfigurationError,
-    DecodeError,
-    ProtocolError,
-    SyndromeConflictError,
-    TransportError,
-    TreeStructureError,
-)
+from .bitframe import Bsc, FixedErrors
+from .errors import CascadeError, ConfigurationError, DecodeError, ProtocolError, TransportError
 from .harness import (
     LengthSweep,
     PairedOutcome,
@@ -74,110 +32,32 @@ from .harness import (
     sweep_length,
     sweep_qber,
 )
-from .paritytree import (
-    ColoredTree,
-    NodeColor,
-    ParityNode,
-    build_tree,
-    find_unvisited_sibling,
-    mark_compromised,
-    mark_error_leaf,
-    merge_trees,
-    multi_error_frontier,
-    set_syndrome,
-    split_point,
-)
-from .rng import SeededRng
-from .schedule import (
-    DynamicSchedule,
-    FixedRoundsBreak,
-    QuietRoundsBreak,
-    RoundPlan,
-    StaticSchedule,
-    ThresholdBreak,
-    block_size_for_round,
-    initial_block_size,
-    partition_into_blocks,
-    plan_round,
-    should_terminate,
-)
+from .schedule import FixedRoundsBreak, QuietRoundsBreak, ThresholdBreak
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BinarySearchState",
-    "BitFrame",
     "Bsc",
     "CascadeError",
-    "Channel",
-    "ColoredTree",
     "ConfigurationError",
-    "CorrectionEvent",
     "DecodeError",
-    "Direction",
-    "DynamicSchedule",
-    "EveTap",
     "FixedErrors",
     "FixedRoundsBreak",
-    "LeakageReport",
     "LengthSweep",
-    "NodeColor",
-    "PairResult",
     "PairedOutcome",
-    "ParityNode",
     "ProtocolError",
     "QberSweep",
     "QuietRoundsBreak",
-    "Role",
-    "RoundPlan",
-    "SeededRng",
-    "SessionConfig",
-    "SessionStatus",
-    "SessionSummary",
     "SessionTemplate",
-    "StaticSchedule",
-    "SyndromeConflictError",
     "ThresholdBreak",
-    "TranscriptEntry",
     "TransportError",
-    "TreeStructureError",
     "TrialRecord",
-    "apply_noise",
-    "block_size_for_round",
-    "build_tree",
     "compare_aggregation",
-    "decode_message",
-    "disclosed_count",
-    "encode_message",
     "export_records",
-    "find_unvisited_sibling",
-    "frame_fingerprint",
-    "gen_lcg_permutation",
-    "gen_shuffle_permutation",
-    "hamming_distance",
-    "initial_block_size",
-    "initiator_session",
-    "leakage_report",
     "load_records",
-    "mark_compromised",
-    "mark_error_leaf",
-    "merge_trees",
-    "multi_error_frontier",
-    "partition_into_blocks",
-    "pending_query",
-    "plan_round",
-    "read_transcript",
-    "responder_session",
     "run_paired_trial",
-    "run_session_pair",
     "run_trial",
     "run_trial_detailed",
-    "set_syndrome",
-    "should_terminate",
-    "split_point",
-    "start",
-    "step",
     "sweep_length",
     "sweep_qber",
-    "write_transcript",
 ]

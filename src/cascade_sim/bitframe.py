@@ -45,6 +45,9 @@ import numpy as np
 from .errors import ConfigurationError
 from .rng import SeededRng, label_from_text, u64_stream, unit_floats
 
+# The permutation families, by name; the order is the wire byte order.
+PERMUTATION_KINDS = ("shuffle", "lcg")
+
 _LCG_A = 1664525
 _LCG_C = 1013904223
 _LCG_M = 1 << 32

@@ -44,16 +44,9 @@ from dataclasses import dataclass, field
 from itertools import starmap
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
+from .bitframe import PERMUTATION_KINDS
 from .errors import ConfigurationError, DecodeError, TransportError
-from .schedule import (
-    BreakCondition,
-    DynamicSchedule,
-    FixedRoundsBreak,
-    QuietRoundsBreak,
-    ScheduleConfig,
-    StaticSchedule,
-    ThresholdBreak,
-)
+from .schedule import BREAKS, SCHEDULES, BreakCondition, ScheduleConfig
 
 WIRE_VERSION = 1
 TRANSCRIPT_MAGIC = b"CSCT"
@@ -87,7 +80,7 @@ class Init:
     """Opening handshake; both sides must present identical parameters."""
 
     frame_length: int
-    permutation_kind: str  # "shuffle" | "lcg"
+    permutation_kind: str  # one of bitframe.PERMUTATION_KINDS
     schedule: ScheduleConfig
     break_condition: BreakCondition
     seed: int
@@ -142,12 +135,13 @@ class Result:
 Message = Union[Init, BlockParities, ParityQuery, ParityAnswer, RoundDone, Finalize, Result]
 
 # The byte tables: a value's wire byte is its index, for the encoder, the
-# decoder and the transcript files alike.  A tuple lookup hashes no enum.  A
-# schedule's or a break's wire parameters are its dataclass fields, in the
-# order ``vars`` lists them and its constructor takes them.
-_PERMUTATION_KINDS = ("shuffle", "lcg")
-_SCHEDULES = (StaticSchedule, DynamicSchedule)
-_BREAKS = (FixedRoundsBreak, QuietRoundsBreak, ThresholdBreak)
+# decoder and the transcript files alike.  A tuple lookup hashes no enum.  The
+# permutation kinds, schedules and breaks are the tables of the modules that
+# implement them, in their order.  A schedule's or a break's wire parameters
+# are its dataclass fields, in the order ``vars`` lists them and its
+# constructor takes them.
+_SCHEDULES = tuple(SCHEDULES.values())
+_BREAKS = tuple(BREAKS.values())
 _STATUSES = (SessionStatus.SUCCESS, SessionStatus.FAILURE, SessionStatus.CONFIG_MISMATCH)
 _DIRECTIONS = (Direction.A_TO_B, Direction.B_TO_A)  # also each direction's lane
 
@@ -227,7 +221,7 @@ def _encode_init(message: Init) -> bytes:
     return _INIT_LAYOUTS[variant].pack(
         1,
         message.frame_length,
-        _wire_byte(_PERMUTATION_KINDS, message.permutation_kind, "permutation kind"),
+        _wire_byte(PERMUTATION_KINDS, message.permutation_kind, "permutation kind"),
         variant,
         *vars(schedule).values(),
         _wire_byte(_BREAKS, type(condition), "break variant"),
@@ -333,7 +327,7 @@ def decode_message(payload: bytes) -> Message:
     if type_byte == 1:
         # The schedule byte picks the layout; every Init layout opens with _INIT_HEAD.
         _, frame_length, kind, variant = _unpack_from(_INIT_HEAD, payload, "init")
-        kind = _from_byte(_PERMUTATION_KINDS, kind, "permutation")
+        kind = _from_byte(PERMUTATION_KINDS, kind, "permutation")
         schedule_type = _from_byte(_SCHEDULES, variant, "schedule variant")
         _, _, _, _, *parameters, rule, parameter, seed = _unpack(
             _INIT_LAYOUTS[variant], payload, "init"
@@ -411,12 +405,10 @@ class EveTap:
     def __init__(self) -> None:
         self.messages_seen = 0
         self.parity_bits_seen = 0
-        self.entries: List[TranscriptEntry] = []
 
     def observe(self, entry: TranscriptEntry) -> None:
         self.messages_seen += 1
         self.parity_bits_seen += message_parity_bits(entry.message)
-        self.entries.append(entry)
 
 
 _CLOSED = object()  # the close marker that ends each lane

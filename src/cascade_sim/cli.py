@@ -20,10 +20,12 @@ import statistics
 import sys
 from typing import List, Optional
 
-from .bitframe import Bsc, FixedErrors
+from .bitframe import PERMUTATION_KINDS, Bsc, FixedErrors
 from .channel import write_transcript
+from .engine import DRIVERS
 from .errors import CascadeError, ConfigurationError
 from .harness import (
+    FORMATS,
     LengthSweep,
     QberSweep,
     SessionTemplate,
@@ -33,13 +35,14 @@ from .harness import (
     sweep_length,
     sweep_qber,
 )
-from .schedule import FixedRoundsBreak, QuietRoundsBreak, ThresholdBreak
+from .schedule import BREAKS, SCHEDULES
 
 
 _WORKERS_HELP = (
     "run trials in this many processes, this one included, at most one per usable "
     "CPU; the records equal a serial run's"
 )
+_FORMAT_HELP = "records file format (default: jsonl for a .jsonl path, else csv)"
 
 
 def _parse_break(text: str):
@@ -52,20 +55,16 @@ def _parse_break(text: str):
         number = int(value)
     except ValueError:
         raise ConfigurationError(f"break condition parameter must be an integer: {text!r}")
-    if kind == "fixed":
-        return FixedRoundsBreak(number)
-    if kind == "quiet":
-        return QuietRoundsBreak(number)
-    if kind == "threshold":
-        return ThresholdBreak(number)
-    raise ConfigurationError(f"unknown break condition kind: {kind!r}")
+    if kind not in BREAKS:
+        raise ConfigurationError(f"unknown break condition kind: {kind!r}")
+    return BREAKS[kind](number)
 
 
 def _add_template_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--schedule",
-        choices=("static", "dynamic"),
-        default="static",
+        choices=tuple(SCHEDULES),
+        default=SessionTemplate.schedule_variant,
         help="block-size schedule: geometric growth or corrections-adaptive",
     )
     parser.add_argument(
@@ -88,8 +87,8 @@ def _add_template_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--permutation",
-        choices=("shuffle", "lcg"),
-        default="lcg",
+        choices=PERMUTATION_KINDS,
+        default=SessionTemplate.permutation_kind,
         help="round permutation family",
     )
     parser.add_argument(
@@ -120,7 +119,7 @@ def _add_sweep_flags(parser: argparse.ArgumentParser, **out) -> None:
     parser.add_argument("--base-seed", type=int, default=1)
     parser.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
     parser.add_argument("--out", **out)
-    parser.add_argument("--format", choices=("csv", "jsonl"), default="csv")
+    parser.add_argument("--format", choices=FORMATS, help=_FORMAT_HELP)
     _add_template_flags(parser)
 
 
@@ -217,13 +216,17 @@ def _build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("--seed", type=int, default=1, help="trial seed")
     run_parser.add_argument(
         "--scheduling",
-        choices=("lockstep", "threaded"),
+        choices=tuple(DRIVERS),
         default="lockstep",
         help="drive both parties on one thread or on two",
     )
     run_parser.add_argument("--transcript", default=None, help="write the wire transcript here")
-    run_parser.add_argument("--out", default=None, help="append the trial record to this file")
-    run_parser.add_argument("--format", choices=("csv", "jsonl"), default="csv")
+    run_parser.add_argument(
+        "--out",
+        default=None,
+        help="write the trial record to this file, as JSON lines for a .jsonl path, else CSV",
+    )
+    run_parser.add_argument("--format", choices=FORMATS, help=_FORMAT_HELP)
     _add_template_flags(run_parser)
 
     qber_parser = sub.add_parser("sweep-qber", help="sweep the channel error rate")

@@ -68,7 +68,7 @@ import numpy as np
 
 from . import binary_search as bisect_search
 from . import channel as wire
-from .bitframe import BitFrame, gen_lcg_permutation, gen_shuffle_permutation
+from .bitframe import PERMUTATION_KINDS, BitFrame, gen_lcg_permutation, gen_shuffle_permutation
 from .errors import ConfigurationError, ProtocolError, TransportError
 from .paritytree import Interval, split_point
 
@@ -83,14 +83,14 @@ from .paritytree import (  # noqa: F401
 )
 from .rng import SeededRng, label_from_text
 from .schedule import (
+    BREAKS,
+    SCHEDULES,
     BreakCondition,
     RoundPlan,
     ScheduleConfig,
     plan_round,
     should_terminate,
 )
-
-PERMUTATION_KINDS = ("shuffle", "lcg")
 
 _FINGERPRINT_PRIME = (1 << 61) - 1
 _FINGERPRINT_LABEL = label_from_text("frame-fingerprint-base")
@@ -132,6 +132,13 @@ class SessionConfig:
             raise ConfigurationError(
                 f"permutation_kind must be one of {PERMUTATION_KINDS}, got {self.permutation_kind!r}"
             )
+        for name, value, types in (
+            ("schedule", self.schedule, SCHEDULES.values()),
+            ("break_condition", self.break_condition, BREAKS.values()),
+        ):
+            if type(value) not in types:
+                names = ", ".join(t.__name__ for t in types)
+                raise ConfigurationError(f"{name} must be one of {names}, got {value!r}")
         if not 0 <= self.seed < (1 << 64):
             raise ConfigurationError("seed must fit in 64 bits")
 
@@ -233,9 +240,9 @@ def round_mapping(config: SessionConfig, round_index: int) -> np.ndarray:
     n = config.frame_length
     if round_index == 0:
         return np.arange(n, dtype=np.int64)
-    if config.permutation_kind == "shuffle":
-        return gen_shuffle_permutation(n, round_index, config.seed)
-    return gen_lcg_permutation(n, round_index, config.seed)
+    if config.permutation_kind == "lcg":
+        return gen_lcg_permutation(n, round_index, config.seed)
+    return gen_shuffle_permutation(n, round_index, config.seed)
 
 
 # _BYTE_PREFIX[b] holds in bit j the parity of bits 0..j of byte b.
@@ -638,20 +645,21 @@ class _Responder:
     def _learn_syndrome(
         self, rnd: _Round, interval: Interval, value: int, learn_round: int
     ) -> None:
-        """Record a wire-learned parity under ``set_syndrome``'s stamp rule:
-        a later stamp replaces an earlier or derived (unstamped) entry."""
+        """Record a wire-learned parity: a different value with the same stamp
+        is a conflict; anything else is stored with the new stamp.
+
+        Every learn is stamped with the round in progress, so no stored stamp
+        is later than ``learn_round``: this is ``set_syndrome``'s rule, where
+        a later stamp replaces an earlier or derived (unstamped) entry.
+        """
         entry = rnd.known.get(interval)
-        if entry is not None and entry[1] is not None:
-            old_value, old_round = entry
-            # Honest parities never contradict each other within a round, so
-            # a conflict can only come from the peer's answers.
-            if learn_round == old_round and value != old_value:
-                raise ProtocolError(
-                    f"inconsistent peer parities for [{interval[0]}, {interval[1]}) "
-                    f"of round {rnd.index}, learned in round {learn_round}"
-                )
-            if learn_round <= old_round:
-                return
+        # Honest parities never contradict each other within a round, so a
+        # conflict can only come from the peer's answers.
+        if entry is not None and entry[1] == learn_round and entry[0] != value:
+            raise ProtocolError(
+                f"inconsistent peer parities for [{interval[0]}, {interval[1]}) "
+                f"of round {rnd.index}, learned in round {learn_round}"
+            )
         rnd.known[interval] = (value, learn_round)
 
     def _feed_wire(self, task: _Search, interval: Interval, parity: int, learn_round: int) -> None:
@@ -940,7 +948,11 @@ def _step(generator, message, channel_obj: wire.Channel, direction) -> Optional[
 # triples, initiator first; its summaries are a list in the same order.
 
 
-def _drive_lockstep(parties, channel_obj: wire.Channel) -> List[Optional[SessionSummary]]:
+def _drive_lockstep(
+    parties, channel_obj: wire.Channel, timeout: float
+) -> List[Optional[SessionSummary]]:
+    """Single-step both parties on the calling thread; nothing waits, so
+    ``timeout`` goes unused."""
     summaries: List[Optional[SessionSummary]] = [None, None]
     for generator, outbound, _ in parties:
         _step(generator, None, channel_obj, outbound)
@@ -990,6 +1002,10 @@ def _drive_threaded(
     return summaries
 
 
+# The session drivers, by name.
+DRIVERS = {"lockstep": _drive_lockstep, "threaded": _drive_threaded}
+
+
 def run_session_pair(
     config_a: SessionConfig,
     config_b: SessionConfig,
@@ -1002,10 +1018,14 @@ def run_session_pair(
 ) -> PairResult:
     """Run a full session between fresh party generators.
 
-    ``scheduling`` selects the driver: "lockstep" single-steps both parties
-    on the calling thread; "threaded" gives each its own thread.  The
-    half-duplex protocol makes both produce identical transcripts.
+    ``scheduling`` names the driver in ``DRIVERS``: "lockstep" single-steps
+    both parties on the calling thread; "threaded" gives each its own
+    thread.  The half-duplex protocol makes both produce identical
+    transcripts.
     """
+    drive = DRIVERS.get(scheduling)
+    if drive is None:
+        raise ConfigurationError(f"unknown scheduling mode: {scheduling!r}")
     if channel_obj is None:
         channel_obj = wire.Channel()
     a_to_b, b_to_a = wire.Direction.A_TO_B, wire.Direction.B_TO_A
@@ -1013,11 +1033,6 @@ def run_session_pair(
         (initiator_session(config_a, frame_a), a_to_b, b_to_a),
         (responder_session(config_b, frame_b), b_to_a, a_to_b),
     )
-    if scheduling == "lockstep":
-        initiator, responder = _drive_lockstep(parties, channel_obj)
-    elif scheduling == "threaded":
-        initiator, responder = _drive_threaded(parties, channel_obj, timeout)
-    else:
-        raise ConfigurationError(f"unknown scheduling mode: {scheduling!r}")
+    initiator, responder = drive(parties, channel_obj, timeout)
     channel_obj.close()
     return PairResult(initiator, responder, channel_obj)

@@ -12,6 +12,7 @@ refuses to produce a record if they disagree.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import functools
 import json
 import os
@@ -25,11 +26,12 @@ from .engine import PairResult, SessionConfig, run_session_pair
 from .errors import ConfigurationError, ProtocolError
 from .rng import SeededRng, label_from_text
 from .schedule import (
+    SCHEDULES,
     BreakCondition,
-    DynamicSchedule,
     FixedRoundsBreak,
     ScheduleConfig,
     StaticSchedule,
+    check_estimate,
 )
 
 _FRAME_LABEL = label_from_text("trial-frame-seed")
@@ -41,14 +43,15 @@ _SESSION_LABEL = label_from_text("trial-session-seed")
 class SessionTemplate:
     """Reusable session policy; per-trial parameters get filled in later.
 
-    ``qber_estimate`` pins the schedule's error-rate estimate and must lie
-    in (0, 0.5]; when left ``None`` each trial estimates from its own noise
-    model (the nominal flip probability, or injected-count / length for
-    counted noise).  Either estimate is raised to at least one expected
-    error per frame.
+    ``schedule_variant`` names a schedule in ``schedule.SCHEDULES``; the
+    default is the first, ``"static"``.  ``qber_estimate`` pins the
+    schedule's error-rate estimate and must lie in (0, 0.5]; when left
+    ``None`` each trial estimates from its own noise model (the nominal flip
+    probability, or injected-count / length for counted noise).  Either
+    estimate is raised to at least one expected error per frame.
     """
 
-    schedule_variant: str = "static"  # "static" | "dynamic"
+    schedule_variant: str = next(iter(SCHEDULES))
     growth_factor: int = 2
     break_condition: BreakCondition = FixedRoundsBreak(4)
     permutation_kind: str = "lcg"
@@ -57,34 +60,32 @@ class SessionTemplate:
     qber_estimate: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.schedule_variant not in ("static", "dynamic"):
+        if self.schedule_variant not in SCHEDULES:
             raise ConfigurationError(
-                f"schedule_variant must be 'static' or 'dynamic', got {self.schedule_variant!r}"
+                f"schedule_variant must be one of {tuple(SCHEDULES)}, "
+                f"got {self.schedule_variant!r}"
             )
         # The schedule refuses the same values; checked here because the
         # clamp in schedule_for would otherwise hide them.
-        if self.qber_estimate is not None and not 0.0 < self.qber_estimate <= 0.5:
-            raise ConfigurationError(
-                f"qber estimate must lie in (0, 0.5], got {self.qber_estimate!r}"
-            )
+        if self.qber_estimate is not None:
+            check_estimate(self.qber_estimate)
 
     def schedule_for(self, length: int, true_rate: float) -> ScheduleConfig:
         estimate = self.qber_estimate if self.qber_estimate is not None else true_rate
         estimate = min(0.5, max(estimate, 1.0 / length))
-        if self.schedule_variant == "static":
+        schedule = SCHEDULES[self.schedule_variant]
+        if schedule is StaticSchedule:
             return StaticSchedule(estimate, self.growth_factor)
-        return DynamicSchedule(estimate)
+        return schedule(estimate)
 
-    def config_for(
-        self, length: int, true_rate: float, seed: int, *, aggregation: Optional[bool] = None
-    ) -> SessionConfig:
+    def config_for(self, length: int, true_rate: float, seed: int) -> SessionConfig:
         return SessionConfig(
             frame_length=length,
             schedule=self.schedule_for(length, true_rate),
             break_condition=self.break_condition,
             permutation_kind=self.permutation_kind,
             seed=seed,
-            aggregation=self.aggregation if aggregation is None else aggregation,
+            aggregation=self.aggregation,
             parity_reuse=self.parity_reuse,
         )
 
@@ -178,8 +179,6 @@ def run_trial_detailed(
     scenario_id: str = "adhoc",
     trial_index: int = 0,
     scheduling: str = "lockstep",
-    aggregation: Optional[bool] = None,
-    messages_baseline: Optional[int] = None,
 ) -> TrialDetail:
     """Run one full trial and keep the raw session artifacts around."""
     if length < 1:
@@ -193,7 +192,7 @@ def run_trial_detailed(
     reference = BitFrame.random(length, frame_seed)
     noisy, injected = apply_noise(reference, noise, noise_seed)
     rate = _true_rate(noise, length)
-    config = template.config_for(length, rate, session_seed, aggregation=aggregation)
+    config = template.config_for(length, rate, session_seed)
 
     eve = EveTap()
     channel_obj = Channel(taps=(eve,))
@@ -232,7 +231,7 @@ def run_trial_detailed(
         parity_bits_disclosed=engine_bits_b,
         parity_fraction=engine_bits_b / length,
         messages_sent=report.messages_total,
-        messages_baseline=messages_baseline,
+        messages_baseline=None,
         success=success,
         wall_time=wall_time,
     )
@@ -275,27 +274,20 @@ def run_paired_trial(
     The batched record carries the unbatched message count in
     ``messages_baseline`` so reductions can be read off one row.
     """
-    off = run_trial_detailed(
-        template,
-        length,
-        noise,
-        seed,
-        scenario_id=scenario_id,
-        trial_index=trial_index,
-        aggregation=False,
+    off, on = (
+        run_trial_detailed(
+            dataclasses.replace(template, aggregation=aggregation),
+            length,
+            noise,
+            seed,
+            scenario_id=scenario_id,
+            trial_index=trial_index,
+        )
+        for aggregation in (False, True)
     )
-    on = run_trial_detailed(
-        template,
-        length,
-        noise,
-        seed,
-        scenario_id=scenario_id,
-        trial_index=trial_index,
-        aggregation=True,
-        messages_baseline=off.record.messages_sent,
-    )
+    batched = dataclasses.replace(on.record, messages_baseline=off.record.messages_sent)
     identical = off.result.responder.final_frame == on.result.responder.final_frame
-    return PairedOutcome(off.record, on.record, identical)
+    return PairedOutcome(off.record, batched, identical)
 
 
 def _fan_out(jobs: Sequence[Callable[[], object]], workers: int) -> List[object]:
@@ -341,11 +333,13 @@ def _sweep(
 
     Each trial's seed derives from ``base_seed``, the sweep's ``label``, the
     point's index and the repeat, and the results come back in grid order.
-    ``workers`` runs the trials in that many processes, the caller being
-    one of them, with the count clamped to the usable CPUs; the records
-    equal the serial run's.  Each job is a ``functools.partial`` of a
-    module-level function, so it pickles.
+    ``workers`` (at least 1) runs the trials in that many processes, the
+    caller being one of them, with the count clamped to the usable CPUs; the
+    records equal the serial run's.  Each job is a ``functools.partial`` of
+    a module-level function, so it pickles.
     """
+    if workers < 1:
+        raise ConfigurationError(f"workers must be >= 1, got {workers}")
     root = SeededRng(base_seed)
     sweep_label = label_from_text(label)
     jobs = [
@@ -429,37 +423,46 @@ def _csv_text(value) -> str:
     return str(value)  # a float's str is its shortest round-tripping repr
 
 
-def export_records(records: Sequence[TrialRecord], path: str, fmt: str = "csv") -> None:
-    """Write records to ``path`` as CSV (with header) or JSON lines."""
-    if fmt == "csv":
+FORMATS = ("csv", "jsonl")
+
+
+def _format(path: str, fmt: Optional[str]) -> str:
+    """``fmt`` if given; otherwise JSON lines for a ``.jsonl`` path, CSV for any other."""
+    if fmt is None:
+        return "jsonl" if path.endswith(".jsonl") else "csv"
+    if fmt not in FORMATS:
+        raise ConfigurationError(f"unknown export format: {fmt!r}")
+    return fmt
+
+
+def export_records(records: Sequence[TrialRecord], path: str, fmt: Optional[str] = None) -> None:
+    """Write records to ``path`` as CSV (with header) or JSON lines.
+
+    ``fmt`` is one of ``FORMATS``; without it the path's suffix decides.
+    """
+    if _format(path, fmt) == "csv":
         with open(path, "w", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(_COLUMNS)
             for record in records:
                 writer.writerow(_csv_text(getattr(record, name)) for name in _COLUMNS)
-    elif fmt == "jsonl":
+    else:
         with open(path, "w") as handle:
             for record in records:
                 handle.write(json.dumps(asdict(record)) + "\n")
-    else:
-        raise ConfigurationError(f"unknown export format: {fmt!r}")
 
 
 def load_records(path: str, fmt: Optional[str] = None) -> List[TrialRecord]:
     """Read records back from a file produced by :func:`export_records`."""
-    if fmt is None:
-        fmt = "jsonl" if path.endswith(".jsonl") else "csv"
     records: List[TrialRecord] = []
-    if fmt == "csv":
+    if _format(path, fmt) == "csv":
         with open(path, newline="") as handle:
             for row in csv.DictReader(handle):
                 values = {name: parse(row[name]) for name, parse in _COLUMNS.items()}
                 records.append(TrialRecord(**values))
-    elif fmt == "jsonl":
+    else:
         with open(path) as handle:
             for line in handle:
                 if line.strip():
                     records.append(TrialRecord(**json.loads(line)))
-    else:
-        raise ConfigurationError(f"unknown export format: {fmt!r}")
     return records

@@ -18,6 +18,12 @@ from typing import Sequence, Union
 from .errors import ConfigurationError
 
 
+def check_estimate(qber_estimate: float) -> None:
+    """Refuse an error-rate estimate outside (0, 0.5]; NaN lies outside."""
+    if not 0.0 < qber_estimate <= 0.5:
+        raise ConfigurationError(f"qber estimate must lie in (0, 0.5], got {qber_estimate!r}")
+
+
 @dataclass(frozen=True)
 class StaticSchedule:
     """Geometric schedule: round r uses ``ceil(1 / qber_estimate) * k**r``."""
@@ -26,8 +32,7 @@ class StaticSchedule:
     k: int = 2
 
     def __post_init__(self):
-        if not 0.0 < self.qber_estimate <= 0.5:
-            raise ConfigurationError("qber estimate must lie in (0, 0.5]")
+        check_estimate(self.qber_estimate)
         if self.k < 2:
             raise ConfigurationError("block growth factor k must be at least 2")
 
@@ -39,9 +44,11 @@ class DynamicSchedule:
     qber_estimate: float
 
     def __post_init__(self):
-        if not 0.0 < self.qber_estimate <= 0.5:
-            raise ConfigurationError("qber estimate must lie in (0, 0.5]")
+        check_estimate(self.qber_estimate)
 
+
+# A schedule's name to its type; the order is the wire byte order.
+SCHEDULES = {"static": StaticSchedule, "dynamic": DynamicSchedule}
 
 ScheduleConfig = Union[StaticSchedule, DynamicSchedule]
 
@@ -79,6 +86,9 @@ class FixedRoundsBreak:
             raise ConfigurationError("total_rounds must be at least 1")
 
 
+# A break rule's name to its type; the order is the wire byte order.
+BREAKS = {"fixed": FixedRoundsBreak, "quiet": QuietRoundsBreak, "threshold": ThresholdBreak}
+
 BreakCondition = Union[QuietRoundsBreak, ThresholdBreak, FixedRoundsBreak]
 
 
@@ -93,8 +103,7 @@ class RoundPlan:
 
 def initial_block_size(qber_estimate: float) -> int:
     """``ceil(1 / qber_estimate)``; the caller clamps to the frame."""
-    if not 0.0 < qber_estimate <= 0.5:
-        raise ConfigurationError("qber estimate must lie in (0, 0.5]")
+    check_estimate(qber_estimate)
     return math.ceil(1.0 / qber_estimate)
 
 

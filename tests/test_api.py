@@ -22,6 +22,42 @@ REMOVED = [
 ]
 
 
+# The root exports the experiment API; everything else is reached through
+# its module.
+EXPERIMENT_API = {
+    "Bsc",
+    "FixedErrors",
+    "FixedRoundsBreak",
+    "QuietRoundsBreak",
+    "ThresholdBreak",
+    "SessionTemplate",
+    "QberSweep",
+    "LengthSweep",
+    "run_trial",
+    "run_trial_detailed",
+    "run_paired_trial",
+    "sweep_qber",
+    "sweep_length",
+    "compare_aggregation",
+    "TrialRecord",
+    "PairedOutcome",
+    "export_records",
+    "load_records",
+    "CascadeError",
+    "ConfigurationError",
+    "ProtocolError",
+    "DecodeError",
+    "TransportError",
+}
+
+
+def test_the_root_exports_the_experiment_api_only():
+    assert set(cascade_sim.__all__) == EXPERIMENT_API
+    assert len(EXPERIMENT_API) == 23
+    for name in ("run_session_pair", "read_transcript", "start", "step", "SessionConfig"):
+        assert not hasattr(cascade_sim, name), name
+
+
 def test_every_exported_name_resolves():
     assert len(set(cascade_sim.__all__)) == len(cascade_sim.__all__)
     for name in cascade_sim.__all__:

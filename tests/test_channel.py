@@ -473,7 +473,6 @@ def test_eve_tap_matches_transcript_report():
     assert report.per_round_parity_bits == ((0, 5),)
     assert tap.parity_bits_seen == report.parity_bits_disclosed
     assert tap.messages_seen == report.messages_total
-    assert tap.entries == list(chan.transcript)
 
 
 def test_leakage_report_counts_per_round():

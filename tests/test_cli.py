@@ -62,6 +62,19 @@ def test_run_errors_flag_beats_qber(tmp_path, capsys):
     assert record.success
 
 
+def test_run_out_format_follows_the_suffix_unless_given(tmp_path, capsys):
+    jsonl, forced = tmp_path / "r.jsonl", tmp_path / "forced.jsonl"
+    flags = ("run", "--length", "128", "--errors", "2", "--seed", "3")
+    assert run_cli(*flags, "--out", str(jsonl)) == 0
+    assert run_cli(*flags, "--out", str(forced), "--format", "csv") == 0
+    capsys.readouterr()
+    (record,) = load_records(str(jsonl))
+    assert json.loads(jsonl.read_text())["seed"] == record.seed == 3
+    assert forced.read_text().startswith("scenario_id,trial_index,seed,")
+    (forced_record,) = load_records(str(forced), fmt="csv")
+    assert forced_record.seed == 3
+
+
 def test_run_writes_readable_transcript(tmp_path, capsys):
     transcript_file = tmp_path / "wire.bin"
     out_file = tmp_path / "one.jsonl"
@@ -259,6 +272,16 @@ def test_compare_aggregation_reports_identical_pairs(tmp_path, capsys):
         ),
         (("sweep-length", "--repeats", "0", "--out", "y.csv"), "the length grid is empty"),
         (("sweep-qber", "--steps", "0", "--out", "y.csv"), "the error-rate grid is empty"),
+        (
+            ("sweep-qber", "--length", "64", "--steps", "1", "--repeats", "1", "--workers", "0",
+             "--out", "y.csv"),
+            "workers must be >= 1, got 0",
+        ),
+        (
+            ("compare-aggregation", "--start", "64", "--stop", "64", "--repeats", "1",
+             "--workers", "-3"),
+            "workers must be >= 1, got -3",
+        ),
     ],
     ids=[
         "run-qber",
@@ -271,6 +294,8 @@ def test_compare_aggregation_reports_identical_pairs(tmp_path, capsys):
         "sweep-length-start-past-stop",
         "sweep-length-no-repeats",
         "sweep-qber-no-steps",
+        "sweep-qber-workers-0",
+        "compare-workers-negative",
     ],
 )
 def test_empty_frames_and_grids_are_configuration_errors(

@@ -1,5 +1,6 @@
 """End-to-end tests for the reconciliation engine."""
 
+import dataclasses
 import gc
 import hashlib
 import itertools
@@ -183,6 +184,21 @@ def test_config_validation():
             BitFrame.random(16, 1),
             scheduling="fibers",
         )
+
+
+def test_config_checks_the_schedule_and_break_types():
+    with pytest.raises(
+        ConfigurationError, match="schedule must be one of StaticSchedule, DynamicSchedule, got 0.1"
+    ):
+        SessionConfig(16, 0.1, FixedRoundsBreak(2))
+    # A break rule given as its command-line text is refused when the
+    # config is built, not by the wire encoder at the first send.
+    with pytest.raises(
+        ConfigurationError,
+        match="break_condition must be one of FixedRoundsBreak, QuietRoundsBreak, "
+        "ThresholdBreak, got 'fixed:4'",
+    ):
+        SessionTemplate(break_condition="fixed:4").config_for(16, 0.1, 1)
 
 
 # ------------------------------------------------------------ clean frames
@@ -439,11 +455,17 @@ def _session_case(draw):
 def test_random_sessions_agree_across_drivers_and_batching(tmp_path, case):
     template, length, noise, seed, threaded_aggregation = case
     runs = {
-        aggregation: run_trial_detailed(template, length, noise, seed, aggregation=aggregation)
+        aggregation: run_trial_detailed(
+            dataclasses.replace(template, aggregation=aggregation), length, noise, seed
+        )
         for aggregation in (False, True)
     }
     threaded = run_trial_detailed(
-        template, length, noise, seed, aggregation=threaded_aggregation, scheduling="threaded"
+        dataclasses.replace(template, aggregation=threaded_aggregation),
+        length,
+        noise,
+        seed,
+        scheduling="threaded",
     )
     lockstep = runs[threaded_aggregation].result.channel
     assert threaded.result.channel.transcript_bytes() == lockstep.transcript_bytes()
@@ -677,6 +699,29 @@ def test_first_half_read_matches_the_one_level_walk(case):
     read = dict(known)
     assert _first_half(read, lo, mid, hi) == expected
     assert read == rnd.known
+
+
+def test_learned_syndromes_follow_one_write_rule():
+    config = basic_config(16, 0.25, 2)
+    responder = _Responder(config, BitFrame.zeros(16))
+    plan = plan_round(config.schedule, 0, 16, ())
+    rnd = _Round(config, plan, responder.bits, (0,) * len(plan.intervals))
+    responder._learn_syndrome(rnd, (0, 2), 1, 0)
+    assert rnd.known[(0, 2)] == (1, 0)
+    # A same-round conflict raises and leaves the entry as it was.
+    with pytest.raises(ProtocolError, match="inconsistent peer parities"):
+        responder._learn_syndrome(rnd, (0, 2), 0, 0)
+    assert rnd.known[(0, 2)] == (1, 0)
+    # A same-round equal value leaves the entry as it was.
+    responder._learn_syndrome(rnd, (0, 2), 1, 0)
+    assert rnd.known[(0, 2)] == (1, 0)
+    # A later round replaces a wire entry's value and stamp.
+    responder._learn_syndrome(rnd, (0, 2), 0, 1)
+    assert rnd.known[(0, 2)] == (0, 1)
+    # A wire value replaces a derived entry.
+    rnd.known[(2, 4)] = (1, None)
+    responder._learn_syndrome(rnd, (2, 4), 0, 1)
+    assert rnd.known[(2, 4)] == (0, 1)
 
 
 # ---------------------------------------------------------------- initiator

@@ -1,6 +1,7 @@
 """Tests for the experiment harness: trials, sweeps, records, exports."""
 
 import dataclasses
+import json
 import multiprocessing
 import threading
 
@@ -174,6 +175,17 @@ def test_parallel_sweep_leaves_nothing_running():
     assert threading.active_count() == threads
 
 
+@pytest.mark.parametrize("workers", [0, -3])
+def test_sweeps_refuse_fewer_than_one_worker(workers):
+    message = f"workers must be >= 1, got {workers}"
+    with pytest.raises(ConfigurationError, match=message):
+        sweep_qber(SessionTemplate(), QberSweep(steps=1, length=64, repeats=1), workers=workers)
+    with pytest.raises(ConfigurationError, match=message):
+        sweep_length(SessionTemplate(), LengthSweep(64, 64, 64, 1, 1), workers=workers)
+    with pytest.raises(ConfigurationError, match=message):
+        compare_aggregation(SessionTemplate(), LengthSweep(64, 64, 64, 1, 1), workers=workers)
+
+
 def test_compare_aggregation_pairs_up():
     sweep = LengthSweep(start=256, step=256, stop=768, fixed_errors=4, repeats=1)
     outcomes = compare_aggregation(SessionTemplate(), sweep, base_seed=4)
@@ -202,6 +214,23 @@ def test_jsonl_round_trip_preserves_records(tmp_path):
     path = str(tmp_path / "records.jsonl")
     export_records(records, path, fmt="jsonl")
     assert load_records(path) == records  # format inferred from suffix
+
+
+def test_export_format_follows_the_suffix_unless_given(tmp_path):
+    records = [run_trial(SessionTemplate(), 128, FixedErrors(2), seed=s) for s in (1, 2)]
+    jsonl = tmp_path / "x.jsonl"
+    export_records(records, str(jsonl))
+    assert [json.loads(line)["seed"] for line in jsonl.read_text().splitlines()] == [1, 2]
+    assert load_records(str(jsonl)) == records
+    forced = tmp_path / "forced.jsonl"
+    export_records(records, str(forced), fmt="csv")
+    assert forced.read_text().startswith("scenario_id,")
+    assert load_records(str(forced), fmt="csv") == records
+    with pytest.raises(ConfigurationError, match="unknown export format: 'xml'"):
+        export_records(records, str(tmp_path / "x.xml"), fmt="xml")
+    assert not (tmp_path / "x.xml").exists()
+    with pytest.raises(ConfigurationError, match="unknown export format: 'xml'"):
+        load_records(str(forced), fmt="xml")
 
 
 def test_csv_text_of_a_fixed_record(tmp_path):
