@@ -31,6 +31,13 @@ the positions corrected in each block.  When a round opens, the responder
 compares every block's local parity with the announced one in one
 vectorised step, and only the blocks that differ become searches.
 
+An honest parity never changes, since it describes the initiator's fixed
+frame; so a wire parity that contradicts a stored wire parity, whichever
+round stored it, is a ``ProtocolError``.  Each position therefore flips at
+most once per session, which bounds every break rule: at most n flips,
+``ThresholdBreak(m)`` ends within n // m + 1 rounds and
+``QuietRoundsBreak(q)`` within (n + 1) * q rounds.
+
 Within a round the responder works in "waves".  Each block search is one
 generator, written in the protocol's order: check the block, probe the
 regions left by earlier corrections, then bisect.  Each wave resumes every
@@ -411,7 +418,7 @@ def error_frontier(
 
 
 def _first_half(
-    known: Dict[Interval, Tuple[int, Optional[int]]], lo: int, mid: int, hi: int
+    known: Dict[Interval, Tuple[int, bool]], lo: int, mid: int, hi: int
 ) -> Optional[int]:
     """The initiator's parity of ``(lo, mid)``, the first half of the stored
     interval ``(lo, hi)``: stored, or derived from ``(lo, hi)`` and a stored
@@ -424,7 +431,7 @@ def _first_half(
     if entry is None:
         return None
     value = known[(lo, hi)][0] ^ entry[0]
-    known[(lo, mid)] = (value, None)
+    known[(lo, mid)] = (value, False)
     return value
 
 
@@ -436,11 +443,14 @@ class _Round:
     of the round's view as a bytearray and ``array`` is a writable numpy
     view over the same bytes: ``parity`` is two byte reads, and a wave's
     flips XOR the prefix between pairs of flipped positions.  ``known`` maps
-    an interval ``(lo, hi)`` to ``(value, learn_round)``: the initiator's
-    parity, and the round it crossed the wire (block announcements, answers,
-    corrected leaves) or ``None`` if derived here; it starts with the
-    announced block parities.  ``corrected`` maps a block to its positions
-    flipped.
+    an interval ``(lo, hi)`` to ``(value, wire)``: the initiator's parity,
+    and whether it crossed the wire (block announcements, answers, corrected
+    leaves) or was derived here; it starts with the announced block
+    parities.  Every disclosed parity describes the initiator's fixed frame,
+    so an honest one never changes: ``learn`` refuses a wire value that
+    differs from a stored wire value, whichever round stored it, and a wire
+    value replaces a derived one.  A derived value is written only where
+    nothing is stored.  ``corrected`` maps a block to its positions flipped.
     """
 
     __slots__ = ("index", "plan", "mapping", "inverse", "prefix", "array", "known", "corrected")
@@ -458,8 +468,8 @@ class _Round:
             inverse = np.empty_like(sources)
             inverse[self.mapping] = sources
         self.inverse = inverse
-        self.known: Dict[Interval, Tuple[int, Optional[int]]] = {
-            block: (bit, index) for block, bit in zip(plan.intervals, announced)
+        self.known: Dict[Interval, Tuple[int, bool]] = {
+            block: (bit, True) for block, bit in zip(plan.intervals, announced)
         }
         self.corrected: Dict[Interval, Set[int]] = {}
 
@@ -471,7 +481,61 @@ class _Round:
         return self.parity(*block) != self.known[block][0]
 
     def on_wire(self, interval: Interval) -> bool:
-        return self.known.get(interval, (0, None))[1] is not None
+        return self.known.get(interval, (0, False))[1]
+
+    def learn(self, interval: Interval, value: int) -> None:
+        """Store a parity that crossed the wire, or refuse one that
+        contradicts a stored wire parity."""
+        entry = self.known.get(interval)
+        if entry is not None and entry[1] and entry[0] != value:
+            raise ProtocolError(
+                f"inconsistent peer parities for [{interval[0]}, {interval[1]}) "
+                f"of round {self.index}"
+            )
+        self.known[interval] = (value, True)
+
+    def resolve(self, top: Interval, interval: Interval) -> Optional[int]:
+        """Look up or derive the initiator's parity of ``interval``.
+
+        ``top`` is a lattice ancestor of ``interval`` (or the interval itself)
+        whose value is stored.  One pass walks the split path from ``top``
+        down to ``interval`` and starts from the deepest stored node on it;
+        each level below XORs in its stored sibling and is memoized.
+        Returns ``None`` at the first sibling that is not stored, or when
+        ``interval`` is not on ``top``'s lattice.
+        """
+        known = self.known
+        entry = known.get(interval)
+        if entry is not None:
+            return entry[0]
+        value = known[top][0]
+        # (node, sibling) for each level below the deepest stored node.
+        below: List[Tuple[Interval, Interval]] = []
+        lo, hi = top
+        while (lo, hi) != interval:
+            if hi - lo <= 1:
+                return None
+            mid = split_point(lo, hi)
+            if interval[1] <= mid:
+                node, sibling = (lo, mid), (mid, hi)
+            elif interval[0] >= mid:
+                node, sibling = (mid, hi), (lo, mid)
+            else:
+                return None  # interval straddles the split: off-lattice
+            lo, hi = node
+            entry = known.get(node)
+            if entry is None:
+                below.append((node, sibling))
+            else:
+                value = entry[0]
+                below.clear()
+        for node, sibling in below:
+            entry = known.get(sibling)
+            if entry is None:
+                return None
+            value ^= entry[0]
+            known[node] = (value, False)
+        return value
 
     def flip(self, positions: List[int]) -> None:
         """XOR the prefix past each flipped position.
@@ -516,12 +580,18 @@ class _Responder:
     ``rounds[r]`` holds round ``r``'s plan, mapping and inverse, prefix
     parities, parity map and corrected positions.  A frontier probe looks
     up or derives its remote parity in one pass down from the block
-    (``_resolve_remote``); a search step reads its first half one level
+    (``_Round.resolve``); a search step reads its first half one level
     below the current interval (``_first_half``).  Each block search is one
     generator (``_search``); every wire parity is stored through
-    ``_learn_syndrome`` (``_feed_wire``) and then sent to its search, which
-    reads the local first-half parity from the prefix and stores the
-    implied second half.
+    ``_Round.learn`` and then sent to its search, which reads the local
+    first-half parity from the prefix and stores the implied second half.
+
+    Each wave's flip pass learns every corrected leaf in round 0's record
+    first, so a second flip of any position contradicts the stored leaf
+    and is a ``ProtocolError``: a session makes at most n flips, whatever
+    the peer says.  With every round ending (see ``run_round``),
+    ``ThresholdBreak(m)`` ends a session within n // m + 1 rounds and
+    ``QuietRoundsBreak(q)`` within (n + 1) * q rounds.
     """
 
     def __init__(self, config: SessionConfig, frame: BitFrame):
@@ -533,51 +603,6 @@ class _Responder:
         self.corrections: List[CorrectionEvent] = []
         self.parity_bits = 0
 
-    # -- remote parity resolution --------------------------------------------
-
-    def _resolve_remote(self, rnd: _Round, top: Interval, interval: Interval) -> Optional[int]:
-        """Look up or derive the initiator's parity of ``interval`` in ``rnd``.
-
-        ``top`` is a lattice ancestor of ``interval`` (or the interval itself)
-        whose value is stored.  One pass walks the split path from ``top``
-        down to ``interval`` and starts from the deepest stored node on it;
-        each level below XORs in its stored sibling and is memoized.
-        Returns ``None`` at the first sibling that is not stored, or when
-        ``interval`` is not on ``top``'s lattice.
-        """
-        known = rnd.known
-        entry = known.get(interval)
-        if entry is not None:
-            return entry[0]
-        value = known[top][0]
-        # (node, sibling) for each level below the deepest stored node.
-        below: List[Tuple[Interval, Interval]] = []
-        lo, hi = top
-        while (lo, hi) != interval:
-            if hi - lo <= 1:
-                return None
-            mid = split_point(lo, hi)
-            if interval[1] <= mid:
-                node, sibling = (lo, mid), (mid, hi)
-            elif interval[0] >= mid:
-                node, sibling = (mid, hi), (lo, mid)
-            else:
-                return None  # interval straddles the split: off-lattice
-            lo, hi = node
-            entry = known.get(node)
-            if entry is None:
-                below.append((node, sibling))
-            else:
-                value = entry[0]
-                below.clear()
-        for node, sibling in below:
-            entry = known.get(sibling)
-            if entry is None:
-                return None
-            value ^= entry[0]
-            known[node] = (value, None)
-        return value
-
     # -- block searches ------------------------------------------------------
 
     def _search(self, task: _Search) -> Iterator[Optional[Interval]]:
@@ -586,11 +611,12 @@ class _Responder:
         Only a block with corrected positions has a frontier to probe.  Each
         bisection step reads its first half from the map with
         ``_first_half`` before asking the wire.  ``run_round`` resumes it
-        once per wave.  It yields each interval
-        whose remote parity must cross the wire and is sent that parity
-        back by ``_feed_wire``.  The step after a wire answer waits for the
-        next wave: unless the answer located the error, the search pauses
-        with a bare ``yield``, so it reads on only after the wave's flips.
+        once per wave.  It yields each interval whose remote parity must
+        cross the wire and is sent that parity back by the wave loop once
+        ``_Round.learn`` has stored it.  The step after a wire answer waits
+        for the next wave: unless the answer located the error, the search
+        pauses with a bare ``yield``, so it reads on only after the wave's
+        flips.
         """
         rnd, block = task.rnd, task.block
         if not rnd.differs(block):
@@ -608,7 +634,7 @@ class _Responder:
             for region in error_frontier(block, corrected, rnd.on_wire):
                 if answered:
                     yield
-                value = self._resolve_remote(rnd, block, region)
+                value = rnd.resolve(block, region)
                 answered = value is None
                 if answered:
                     value = yield region
@@ -635,39 +661,12 @@ class _Responder:
             # The second half's value is implied, and never replaces a value
             # learned on the wire.
             second = remote ^ value
-            known.setdefault((mid, hi), (second, None))
+            known.setdefault((mid, hi), (second, False))
             remote = value if state.hi == mid else second
         task.scope = None
         task.found = state.found
         task.disclosed += state.disclosed
         task.done = True
-
-    def _learn_syndrome(
-        self, rnd: _Round, interval: Interval, value: int, learn_round: int
-    ) -> None:
-        """Record a wire-learned parity: a different value with the same stamp
-        is a conflict; anything else is stored with the new stamp.
-
-        Every learn is stamped with the round in progress, so no stored stamp
-        is later than ``learn_round``: this is ``set_syndrome``'s rule, where
-        a later stamp replaces an earlier or derived (unstamped) entry.
-        """
-        entry = rnd.known.get(interval)
-        # Honest parities never contradict each other within a round, so a
-        # conflict can only come from the peer's answers.
-        if entry is not None and entry[1] == learn_round and entry[0] != value:
-            raise ProtocolError(
-                f"inconsistent peer parities for [{interval[0]}, {interval[1]}) "
-                f"of round {rnd.index}, learned in round {learn_round}"
-            )
-        rnd.known[interval] = (value, learn_round)
-
-    def _feed_wire(self, task: _Search, interval: Interval, parity: int, learn_round: int) -> None:
-        self._learn_syndrome(task.rnd, interval, parity, learn_round)
-        try:
-            task.steps.send(parity)
-        except StopIteration:  # the answer located the error
-            pass
 
     # -- the round wave loop -----------------------------------------------------
 
@@ -718,10 +717,10 @@ class _Responder:
         # A search lives at most one wave per frontier region (no more than
         # its block's length), one per search step and one more.  Without a
         # flip only deferred re-checks start, so a round can go at most two
-        # lifetimes without one; and a bit flips at most once per round (a
-        # second flip's leaf stamp conflicts in _learn_syndrome).  So every
-        # round ends, whatever the peer says; the guard only catches an
-        # engine fault.
+        # lifetimes without one; and a bit flips at most once per session (a
+        # second flip's leaf conflicts in _Round.learn).  So every round
+        # ends, whatever the peer says; the guard only catches an engine
+        # fault.
         longest = max(min(opened.plan.block_size, self.n) for opened in self.rounds)
         quiet_limit = 2 * (longest + longest.bit_length() + 1) + 1
         quiet = 0
@@ -761,7 +760,11 @@ class _Responder:
                     entries = self._checked_entries(reply, r_key, intervals)
                     self.parity_bits += len(entries)
                     for task, interval, (_, _, parity) in zip(tasks, intervals, entries):
-                        self._feed_wire(task, interval, parity, round_index)
+                        task.rnd.learn(interval, parity)
+                        try:
+                            task.steps.send(parity)
+                        except StopIteration:  # the answer located the error
+                            pass
 
                 # Finds apply in live (creation) order in both aggregation
                 # modes, and a bit located twice is credited to the older
@@ -800,7 +803,7 @@ class _Responder:
                         for pos, value in zip(positions, values):
                             block = plan.intervals[pos // plan.block_size]
                             corrected.setdefault(block, set()).add(pos)
-                            self._learn_syndrome(opened, (pos, pos + 1), value, round_index)
+                            opened.learn((pos, pos + 1), value)
                             key = (opened.index, block)
                             if cascade:
                                 candidates.add(key)

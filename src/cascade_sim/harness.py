@@ -18,7 +18,7 @@ import json
 import os
 import time
 from dataclasses import asdict, dataclass
-from typing import Callable, List, Optional, Sequence, get_type_hints
+from typing import Callable, Collection, List, Optional, Sequence, get_type_hints
 
 from .bitframe import BitFrame, Bsc, FixedErrors, NoiseSpec, apply_noise, hamming_distance
 from .channel import Channel, EveTap, SessionStatus, leakage_report
@@ -452,17 +452,51 @@ def export_records(records: Sequence[TrialRecord], path: str, fmt: Optional[str]
                 handle.write(json.dumps(asdict(record)) + "\n")
 
 
+def _check_names(path: str, line: int, names: Collection[str]) -> None:
+    """Refuse a CSV header or JSON object whose names are not ``TrialRecord``'s fields."""
+    missing = [name for name in _COLUMNS if name not in names]
+    unexpected = [name for name in names if name not in _COLUMNS]
+    if missing or unexpected:
+        raise ConfigurationError(
+            f"{path}, line {line}: not a trial record (missing: {', '.join(missing) or 'none'}; "
+            f"unexpected: {', '.join(unexpected) or 'none'})"
+        )
+
+
 def load_records(path: str, fmt: Optional[str] = None) -> List[TrialRecord]:
-    """Read records back from a file produced by :func:`export_records`."""
+    """Read records back from a file produced by :func:`export_records`.
+
+    A file that is not one raises ``ConfigurationError`` naming the path and
+    the line.
+    """
     records: List[TrialRecord] = []
     if _format(path, fmt) == "csv":
         with open(path, newline="") as handle:
-            for row in csv.DictReader(handle):
-                values = {name: parse(row[name]) for name, parse in _COLUMNS.items()}
+            rows = csv.reader(handle)
+            header = next(rows, [])
+            _check_names(path, 1, header)
+            for row in rows:
+                if not row:
+                    continue
+                where = f"{path}, line {rows.line_num}"
+                if len(row) != len(header):
+                    raise ConfigurationError(f"{where}: {len(row)} cells for {len(header)} columns")
+                try:
+                    values = {name: _COLUMNS[name](text) for name, text in zip(header, row)}
+                except ValueError as exc:
+                    raise ConfigurationError(f"{where}: {exc}") from None
                 records.append(TrialRecord(**values))
     else:
         with open(path) as handle:
-            for line in handle:
-                if line.strip():
-                    records.append(TrialRecord(**json.loads(line)))
+            for number, line in enumerate(handle, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    values = json.loads(line)
+                except ValueError as exc:
+                    raise ConfigurationError(f"{path}, line {number}: {exc}") from None
+                if not isinstance(values, dict):
+                    raise ConfigurationError(f"{path}, line {number}: not a JSON object")
+                _check_names(path, number, values)
+                records.append(TrialRecord(**values))
     return records

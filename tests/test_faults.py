@@ -8,13 +8,15 @@ import time
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cascade_sim import channel as wire
 from cascade_sim import engine
 from cascade_sim.bitframe import BitFrame, Bsc, apply_noise
 from cascade_sim.errors import DecodeError, ProtocolError
 from cascade_sim.harness import SessionTemplate, run_trial_detailed
-from cascade_sim.schedule import QuietRoundsBreak
+from cascade_sim.schedule import FixedRoundsBreak, QuietRoundsBreak, StaticSchedule, ThresholdBreak
 
 LIE_INTERVAL = (0, 1)
 SEEDS = range(1000, 1040)
@@ -112,6 +114,126 @@ def test_a_peer_that_keeps_a_round_alive_and_then_lies_ends_in_protocol_error(mo
     with pytest.raises(ProtocolError, match="inconsistent peer parities"):
         run_trial_detailed(template, 4096, Bsc(0.45), 1007)
     assert answered[2] > honest_answers, answered
+
+
+def _twin_in_round(honest, lie_round, position):
+    """An initiator that sends round ``lie_round``'s messages (its block
+    parities and every answer until the next round opens) as an honest twin
+    would whose frame differs from its own at ``position``; it is honest
+    otherwise."""
+
+    def session(config, frame):
+        bits = frame.bits.copy()
+        bits[position] ^= 1
+        own, twin = honest(config, frame), honest(config, BitFrame(bits))
+        outbound = (next(own), next(twin))
+        current = None
+        while True:
+            for message in outbound[0]:
+                if isinstance(message, wire.BlockParities):
+                    current = message.round_index
+            inbound = yield outbound[1] if current == lie_round else outbound[0]
+            try:
+                outbound = (own.send(inbound), twin.send(inbound))
+            except StopIteration as stop:
+                return stop.value
+
+    return session
+
+
+@pytest.mark.parametrize("scheduling", ["lockstep", "threaded"])
+@pytest.mark.parametrize("kind", ["lcg", "shuffle"])
+@pytest.mark.parametrize(
+    "break_condition", [FixedRoundsBreak(3), QuietRoundsBreak(2), ThresholdBreak(1)]
+)
+def test_a_parity_that_changes_in_a_later_round_is_a_protocol_error(
+    monkeypatch, break_condition, kind, scheduling
+):
+    # Round 0 corrects the one differing bit, 0.  Round 1 is answered as if
+    # the initiator's bit 0 were flipped, so its search locates bit 0 again;
+    # the second flip contradicts round 0's stored leaf [0, 1).  Taking it
+    # would flip a bit the frames agree on.
+    monkeypatch.setattr(
+        engine, "initiator_session", _twin_in_round(engine.initiator_session, 1, 0)
+    )
+    reference = BitFrame.zeros(8)
+    noisy = BitFrame([1, 0, 0, 0, 0, 0, 0, 0])
+    config = engine.SessionConfig(
+        8, StaticSchedule(0.25), break_condition, permutation_kind=kind, seed=5
+    )
+    threads_before = set(threading.enumerate())
+    started = time.monotonic()
+    with pytest.raises(ProtocolError, match=r"inconsistent peer parities for \[0, 1\) of round 0"):
+        engine.run_session_pair(
+            config, config, reference, noisy, scheduling=scheduling, timeout=5.0
+        )
+    assert time.monotonic() - started < 10.0
+    assert set(threading.enumerate()) <= threads_before, "a session thread is still alive"
+
+
+def _round_bound(condition, n):
+    """The most rounds a session of ``n`` bits may run, as the engine states:
+    a position flips at most once, so at most ``n`` flips in all."""
+    if isinstance(condition, FixedRoundsBreak):
+        return condition.total_rounds
+    if isinstance(condition, ThresholdBreak):
+        return n // condition.min_corrected + 1
+    return (n + 1) * condition.quiet_rounds
+
+
+def _random_liar(honest, rng, p):
+    """Invert each answer entry independently with probability ``p``."""
+
+    def lie(message):
+        if not isinstance(message, wire.ParityAnswer):
+            return message
+        entries = tuple(
+            (lo, hi, parity ^ (rng.random() < p)) for lo, hi, parity in message.entries
+        )
+        return wire.ParityAnswer(message.round_index, entries)
+
+    return _lying_initiator(honest, lie)
+
+
+@st.composite
+def _liar_case(draw):
+    breaks = st.one_of(
+        st.builds(FixedRoundsBreak, st.integers(1, 6)),
+        st.builds(QuietRoundsBreak, st.integers(1, 3)),
+        st.builds(ThresholdBreak, st.integers(1, 4)),
+    )
+    template = SessionTemplate(
+        break_condition=draw(breaks),
+        permutation_kind=draw(st.sampled_from(("lcg", "shuffle"))),
+        aggregation=draw(st.booleans()),
+        parity_reuse=draw(st.booleans()),
+    )
+    length = draw(st.integers(64, 512))
+    qber = draw(st.sampled_from((0.02, 0.05, 0.1, 0.2)))
+    p = draw(st.sampled_from((0.01, 0.05, 0.2, 0.5)))
+    scheduling = draw(st.sampled_from(tuple(engine.DRIVERS)))
+    return template, length, qber, p, scheduling, draw(st.integers(0, 2**32))
+
+
+@settings(deadline=None, max_examples=100)
+@given(_liar_case(), st.randoms(use_true_random=False))
+def test_a_random_liar_ends_in_an_error_or_an_honest_verdict_within_the_bound(case, rng):
+    template, length, qber, p, scheduling, seed = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            engine, "initiator_session", _random_liar(engine.initiator_session, rng, p)
+        )
+        try:
+            detail = run_trial_detailed(template, length, Bsc(qber), seed, scheduling=scheduling)
+        except (ProtocolError, DecodeError):
+            return
+    result = detail.result
+    frames_equal = result.initiator.final_frame == result.responder.final_frame
+    for summary in (result.initiator, result.responder):
+        assert (summary.status is wire.SessionStatus.SUCCESS) == frames_equal
+    positions = [event.original_position for event in result.responder.corrections]
+    assert len(positions) == len(set(positions)), "a position was corrected twice"
+    assert result.responder.rounds_executed <= _round_bound(template.break_condition, length)
 
 
 def _verdict_in_place_of_round(honest, fake_round):

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import multiprocessing
+import re
 import threading
 
 import pytest
@@ -273,6 +274,34 @@ def test_baseline_column_round_trips_when_present(tmp_path):
         assert loaded[0].messages_baseline is None
         assert loaded[1].messages_baseline == outcome.unbatched.messages_sent
         assert loaded == records
+
+
+def test_a_file_that_holds_no_records_is_refused(tmp_path):
+    record = run_trial(SessionTemplate(), 64, FixedErrors(1), seed=1)
+    fields = dataclasses.asdict(record)
+    line = json.dumps(fields) + "\n"
+    header = ",".join(fields) + "\n"
+    cells = [str(value) for value in fields.values()]
+    cells[2] = "x"  # the seed
+    cases = {
+        # A JSON-lines file under a CSV name: its line is no record header.
+        "r.csv": (line, r"line 1: not a trial record \(missing: scenario_id, .*; unexpected: \{"),
+        "other.csv": ("a,b\n1,2\n", r"line 1: .*\(missing: scenario_id, .*; unexpected: a, b\)"),
+        "cell.csv": (header + ",".join(cells) + "\n", r"line 2: invalid literal for int\(\)"),
+        "short.csv": (header + "adhoc,0\n", r"line 2: 2 cells for 16 columns"),
+        "empty.jsonl": (line + "{}\n", r"line 2: .*\(missing: scenario_id, .*; unexpected: none\)"),
+        "extra.jsonl": (
+            json.dumps({**fields, "colour": "red"}),
+            r"line 1: not a trial record \(missing: none; unexpected: colour\)",
+        ),
+        "list.jsonl": ("[]\n", r"line 1: not a JSON object"),
+        "broken.jsonl": (line + line[:-2], r"line 2: Expecting ',' delimiter"),
+    }
+    for name, (text, error) in cases.items():
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(ConfigurationError, match=re.escape(f"{path}, ") + error):
+            load_records(str(path))
 
 
 def test_quiet_break_template_runs_until_quiet():
