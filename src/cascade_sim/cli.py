@@ -60,7 +60,12 @@ def _parse_break(text: str):
     return BREAKS[kind](number)
 
 
+def _on_off(value: bool) -> str:
+    return "on" if value else "off"
+
+
 def _add_template_flags(parser: argparse.ArgumentParser) -> None:
+    """The session policy flags; their defaults are ``SessionTemplate``'s."""
     parser.add_argument(
         "--schedule",
         choices=tuple(SCHEDULES),
@@ -70,8 +75,8 @@ def _add_template_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--growth-factor",
         type=int,
-        default=2,
-        help="growth factor for the static schedule (default 2)",
+        default=SessionTemplate.growth_factor,
+        help="growth factor for the static schedule (default %(default)s)",
     )
     parser.add_argument(
         "--qber-estimate",
@@ -94,30 +99,33 @@ def _add_template_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--aggregation",
         choices=("on", "off"),
-        default="off",
+        default=_on_off(SessionTemplate.aggregation),
         help="batch a wave's parity queries into one message per round",
     )
     parser.add_argument(
         "--parity-reuse",
         choices=("on", "off"),
-        default="on",
+        default=_on_off(SessionTemplate.parity_reuse),
         help="serve search steps from already-known parities when possible",
     )
     parser.add_argument("--config", default=None, help="JSON file with defaults for these flags")
 
 
 def _add_length_grid_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--start", type=int, default=512)
-    parser.add_argument("--step", type=int, default=512)
-    parser.add_argument("--stop", type=int, default=20480)
-    parser.add_argument("--errors", type=int, default=10)
+    parser.add_argument("--start", type=int, default=LengthSweep.start)
+    parser.add_argument("--step", type=int, default=LengthSweep.step)
+    parser.add_argument("--stop", type=int, default=LengthSweep.stop)
+    parser.add_argument("--errors", type=int, default=LengthSweep.fixed_errors)
 
 
-def _add_sweep_flags(parser: argparse.ArgumentParser, **out) -> None:
-    """The flags every sweep takes after its grid; ``out`` configures ``--out``."""
-    parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("--base-seed", type=int, default=1)
-    parser.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
+def _add_sweep_flags(parser: argparse.ArgumentParser, run, grid: type, **out) -> None:
+    """The flags every sweep takes after its grid, with the defaults of the
+    sweep function ``run`` and its grid class ``grid``; ``out`` configures
+    ``--out``."""
+    defaults = run.__kwdefaults__
+    parser.add_argument("--repeats", type=int, default=grid.repeats)
+    parser.add_argument("--base-seed", type=int, default=defaults["base_seed"])
+    parser.add_argument("--workers", type=int, default=defaults["workers"], help=_WORKERS_HELP)
     parser.add_argument("--out", **out)
     parser.add_argument("--format", choices=FORMATS, help=_FORMAT_HELP)
     _add_template_flags(parser)
@@ -230,21 +238,31 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_template_flags(run_parser)
 
     qber_parser = sub.add_parser("sweep-qber", help="sweep the channel error rate")
-    qber_parser.add_argument("--length", type=int, default=4096)
-    qber_parser.add_argument("--start", type=float, default=0.005)
-    qber_parser.add_argument("--step", type=float, default=0.005)
-    qber_parser.add_argument("--steps", type=int, default=60)
-    _add_sweep_flags(qber_parser, required=True, help="records file to write")
+    qber_parser.add_argument("--length", type=int, default=QberSweep.length)
+    qber_parser.add_argument("--start", type=float, default=QberSweep.start)
+    qber_parser.add_argument("--step", type=float, default=QberSweep.step)
+    qber_parser.add_argument("--steps", type=int, default=QberSweep.steps)
+    _add_sweep_flags(
+        qber_parser, sweep_qber, QberSweep, required=True, help="records file to write"
+    )
 
     length_parser = sub.add_parser("sweep-length", help="sweep the frame length")
     _add_length_grid_flags(length_parser)
-    _add_sweep_flags(length_parser, required=True, help="records file to write")
+    _add_sweep_flags(
+        length_parser, sweep_length, LengthSweep, required=True, help="records file to write"
+    )
 
     cmp_parser = sub.add_parser(
         "compare-aggregation", help="paired runs with query batching off and on"
     )
     _add_length_grid_flags(cmp_parser)
-    _add_sweep_flags(cmp_parser, default=None, help="write batched-run records here")
+    _add_sweep_flags(
+        cmp_parser,
+        compare_aggregation,
+        LengthSweep,
+        default=None,
+        help="write batched-run records here",
+    )
 
     return parser
 
@@ -281,6 +299,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0 if record.success else 1
 
 
+def _qber_sweep(args: argparse.Namespace) -> QberSweep:
+    return QberSweep(args.start, args.step, args.steps, args.length, args.repeats)
+
+
 def _length_sweep(args: argparse.Namespace) -> LengthSweep:
     return LengthSweep(args.start, args.step, args.stop, args.errors, args.repeats)
 
@@ -295,7 +317,7 @@ def _empty_grid(args: argparse.Namespace, grid: str, bound: str) -> Configuratio
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.command == "sweep-qber":
-        sweep = QberSweep(args.start, args.step, args.steps, args.length, args.repeats)
+        sweep = _qber_sweep(args)
         run, grid, bound = sweep_qber, "error-rate", f"--steps {args.steps}"
     else:
         sweep = _length_sweep(args)

@@ -39,13 +39,13 @@ most once per session, which bounds every break rule: at most n flips,
 ``QuietRoundsBreak(q)`` within (n + 1) * q rounds.
 
 Within a round the responder works in "waves".  Each block search is one
-generator, written in the protocol's order: check the block, probe the
-regions left by earlier corrections, then bisect.  Each wave resumes every
-live search, which runs as far as stored parities allow and yields the one
-interval whose parity must cross the wire; the wave sends those queries,
-sends each answer back to its search, then applies the located corrections.
-Only a block with corrected positions walks its error frontier first.  A
-search step computes its interval's midpoint once and reads the first half
+generator, written in the protocol's order: probe the regions left by
+earlier corrections, then bisect.  Each wave resumes every live search,
+which runs as far as stored parities allow and yields the one interval
+whose parity must cross the wire; the wave sends those queries, sends each
+answer back to its search, then applies the located corrections.  Only a
+block with corrected positions walks its error frontier first.  A search
+step computes its interval's midpoint once and reads the first half
 directly from the parity map, one level below the stored current interval
 (stored, or derived from the interval and a stored second half); otherwise
 the first half becomes the step's query.  After applying a wire answer a
@@ -57,10 +57,12 @@ updates the record's parity map and corrected positions, queues the earlier
 rounds' blocks that hold the bits (the cascade), aborts (closes) each live
 search whose scope a flip touched and XORs the prefix past the flipped
 positions.  A queued block becomes a search only if its parity differs, by
-the comparison used at round entry.  The waves are the same regardless of
-query batching, and each wave's corrections are credited in the order its
-searches were created, so the batched and unbatched modes produce
-bit-identical corrections.
+the comparison used at round entry, and no search of it is live; these two
+places are the only ones where a search starts, so every search is made for
+a block that differs.  The waves are the same regardless of query batching,
+and each wave's corrections are credited in the order its searches were
+created, so the batched and unbatched modes produce bit-identical
+corrections.
 """
 
 from __future__ import annotations
@@ -554,21 +556,21 @@ class _Search:
     """What the wave loop reads of one block search.
 
     ``steps`` is the search itself, a :meth:`_Responder._search` generator
-    over ``block`` of the round record ``rnd``.  ``scope`` is what a flip
-    must touch to abort the search: the block while probing, then the
+    over ``block`` of the round record ``rnd``; a search is made only for a
+    block whose parity differs from the announced one.  ``scope`` is what a
+    flip must touch to abort the search: the block while probing, then the
     working interval (the search state, whose first two fields are its
-    bounds), and ``None`` before the first check and after the end.
+    bounds), and ``None`` once the search has ended, located or aborted.
     ``found`` is the located round position and ``disclosed`` the wire
     parities the search consumed, probing included.
     """
 
-    __slots__ = ("rnd", "block", "scope", "done", "found", "disclosed", "steps")
+    __slots__ = ("rnd", "block", "scope", "found", "disclosed", "steps")
 
     def __init__(self, responder: _Responder, round_index: int, block: Interval):
         self.rnd = responder.rounds[round_index]
         self.block = block
-        self.scope = None
-        self.done = False
+        self.scope = block
         self.found: Optional[int] = None
         self.disclosed = 0
         self.steps = responder._search(self)
@@ -606,23 +608,20 @@ class _Responder:
     # -- block searches ------------------------------------------------------
 
     def _search(self, task: _Search) -> Iterator[Optional[Interval]]:
-        """One block search: check the block, probe the frontier, bisect.
+        """One block search: probe the frontier, then bisect.
 
-        Only a block with corrected positions has a frontier to probe.  Each
-        bisection step reads its first half from the map with
-        ``_first_half`` before asking the wire.  ``run_round`` resumes it
-        once per wave.  It yields each interval whose remote parity must
-        cross the wire and is sent that parity back by the wave loop once
-        ``_Round.learn`` has stored it.  The step after a wire answer waits
-        for the next wave: unless the answer located the error, the search
-        pauses with a bare ``yield``, so it reads on only after the wave's
-        flips.
+        The search is made for a block that differs and takes its first step
+        before any flip, so the block still differs.  Only a block with
+        corrected positions has a frontier to probe.  Each bisection step
+        reads its first half from the map with ``_first_half`` before asking
+        the wire.  ``run_round`` resumes it once per wave.  It yields each
+        interval whose remote parity must cross the wire and is sent that
+        parity back by the wave loop once ``_Round.learn`` has stored it.
+        The step after a wire answer waits for the next wave: unless the
+        answer located the error, the search pauses with a bare ``yield``, so
+        it reads on only after the wave's flips.
         """
         rnd, block = task.rnd, task.block
-        if not rnd.differs(block):
-            task.done = True
-            return
-        task.scope = block
         known = rnd.known
         interval, remote = block, known[block][0]
         answered = False
@@ -630,7 +629,7 @@ class _Responder:
         corrected = rnd.corrected.get(block)
         if reuse and corrected:
             # The first frontier region that disagrees is searched; if none
-            # does, the whole block, whose mismatch was just checked.
+            # does, the whole block, which differs.
             for region in error_frontier(block, corrected, rnd.on_wire):
                 if answered:
                     yield
@@ -666,7 +665,6 @@ class _Responder:
         task.scope = None
         task.found = state.found
         task.disclosed += state.disclosed
-        task.done = True
 
     # -- the round wave loop -----------------------------------------------------
 
@@ -679,15 +677,13 @@ class _Responder:
         ``(round, block)``; each wave advances them in queue order, and
         finished ones leave it before the wave's cascade candidates join.
         On entry one vectorised comparison of the block parities against the
-        announced ones picks the blocks that differ; a block that matches
-        would finish in the first wave without a query or a state change, so
-        only the differing blocks become searches.  The same comparison
-        screens cascade candidates and deferred re-checks, except a
-        candidate whose key is still deferred: its task holds that key back
-        from the next wave's deferred loop, so it is made either way.  A
-        wave's flips are applied round by round: one pass per opened round
-        over the flipped positions updates its map, queues the cascade,
-        aborts the touched searches and XORs its prefix.
+        announced ones picks the blocks that differ, and only these become
+        searches.  The same comparison screens the cascade candidates, which
+        become searches unless their key is still live; round entry and the
+        candidate loop are the only places a search starts.  A wave's flips
+        are applied round by round: one pass per opened round over the
+        flipped positions updates its map, queues the cascade, aborts the
+        touched searches and XORs its prefix.
         """
         if not isinstance(block_msg, wire.BlockParities):
             raise ProtocolError(f"expected BlockParities, got {type(block_msg).__name__}")
@@ -710,33 +706,24 @@ class _Responder:
             (round_index, plan.intervals[i]): _Search(self, round_index, plan.intervals[i])
             for i in differ
         }
-        # Candidate blocks that already had a live search when they were
-        # (re-)queued; they get a fresh parity check once that search ends.
-        deferred: Set[Tuple[int, Interval]] = set()
         corrected_this_round = 0
         # A search lives at most one wave per frontier region (no more than
         # its block's length), one per search step and one more.  Without a
-        # flip only deferred re-checks start, so a round can go at most two
-        # lifetimes without one; and a bit flips at most once per session (a
-        # second flip's leaf conflicts in _Round.learn).  So every round
-        # ends, whatever the peer says; the guard only catches an engine
-        # fault.
+        # flip no search starts, and every search ends located (a flip) or
+        # aborted (by a flip), so a round can go at most one lifetime without
+        # one; and a bit flips at most once per session (a second flip's leaf
+        # conflicts in _Round.learn).  So every round ends, whatever the peer
+        # says; the guard only catches an engine fault.
         longest = max(min(opened.plan.block_size, self.n) for opened in self.rounds)
-        quiet_limit = 2 * (longest + longest.bit_length() + 1) + 1
+        quiet_limit = longest + longest.bit_length() + 1
         quiet = 0
         try:
-            while live or deferred:
+            while live:
                 quiet += 1
                 if quiet > quiet_limit:
                     raise ProtocolError(
                         f"internal: round {round_index} ran {quiet_limit} waves without a flip"
                     )
-
-                for key in sorted(deferred):
-                    if key not in live:
-                        deferred.discard(key)
-                        if self.rounds[key[0]].differs(key[1]):
-                            live[key] = _Search(self, *key)
 
                 needs: List[Tuple[_Search, Interval]] = []
                 for task in live.values():
@@ -815,20 +802,17 @@ class _Responder:
                                 # alive until the cyclic collector runs.
                                 other.steps.close()
                                 other.scope = None
-                                other.done = True
                                 candidates.add(key)
                         opened.flip(positions)
                 corrected_this_round += len(originals)
 
-                live = {key: task for key, task in live.items() if not task.done}
+                live = {key: task for key, task in live.items() if task.scope is not None}
+                # A live candidate is an earlier round's block (a current-round
+                # block is queued only by aborting its search); its search
+                # queues that block again in the wave it ends, located or
+                # aborted, and the block is checked then.
                 for key in sorted(candidates):
-                    if key in live:
-                        # A search is mid-flight on this block; re-check the
-                        # block once that search has finished.
-                        deferred.add(key)
-                    elif key in deferred or self.rounds[key[0]].differs(key[1]):
-                        # A deferred key keeps its task even when it matches now:
-                        # that task holds the key in the next wave's deferred loop.
+                    if key not in live and self.rounds[key[0]].differs(key[1]):
                         live[key] = _Search(self, *key)
         finally:
             # An error can leave searches suspended: close them, as an abort does.

@@ -402,16 +402,33 @@ def compare_aggregation(
 # record export / import
 # ---------------------------------------------------------------------------
 
-# A CSV cell's text back to its value, one parser per annotated field type,
-# so a new TrialRecord field of one of these types needs no edit here.
+
+def _bool_from_text(text: str) -> bool:
+    if text not in ("true", "false"):
+        raise ValueError(f"expected true or false, got {text!r}")
+    return text == "true"
+
+
+# Per annotated field type: the parser of a CSV cell's text, and what a JSON
+# value may be, with the types it may have (compared exactly, so that a bool
+# is not an int).  A new TrialRecord field of one of these types needs no
+# edit here.
 _FROM_TEXT = {
     str: str,
     int: int,
     float: float,
-    bool: lambda text: text == "true",
+    bool: _bool_from_text,
     Optional[int]: lambda text: int(text) if text else None,
 }
-_COLUMNS = {name: _FROM_TEXT[hint] for name, hint in get_type_hints(TrialRecord).items()}
+_JSON_TYPES = {
+    str: ("a string", (str,)),
+    int: ("an integer", (int,)),
+    float: ("a number", (float, int)),
+    bool: ("true or false", (bool,)),
+    Optional[int]: ("an integer or null", (int, type(None))),
+}
+_HINTS = get_type_hints(TrialRecord)
+_COLUMNS = {name: _FROM_TEXT[hint] for name, hint in _HINTS.items()}
 
 
 def _csv_text(value) -> str:
@@ -467,7 +484,10 @@ def load_records(path: str, fmt: Optional[str] = None) -> List[TrialRecord]:
     """Read records back from a file produced by :func:`export_records`.
 
     A file that is not one raises ``ConfigurationError`` naming the path and
-    the line.
+    the line, and the field when a value does not fit its annotation: a CSV
+    cell its parser refuses (a bool is ``true`` or ``false``), or a JSON value
+    of another type (no bool in an int field, ``null`` only where the field
+    is optional).
     """
     records: List[TrialRecord] = []
     if _format(path, fmt) == "csv":
@@ -481,10 +501,12 @@ def load_records(path: str, fmt: Optional[str] = None) -> List[TrialRecord]:
                 where = f"{path}, line {rows.line_num}"
                 if len(row) != len(header):
                     raise ConfigurationError(f"{where}: {len(row)} cells for {len(header)} columns")
-                try:
-                    values = {name: _COLUMNS[name](text) for name, text in zip(header, row)}
-                except ValueError as exc:
-                    raise ConfigurationError(f"{where}: {exc}") from None
+                values = {}
+                for name, text in zip(header, row):
+                    try:
+                        values[name] = _COLUMNS[name](text)
+                    except ValueError as exc:
+                        raise ConfigurationError(f"{where}, field {name}: {exc}") from None
                 records.append(TrialRecord(**values))
     else:
         with open(path) as handle:
@@ -498,5 +520,12 @@ def load_records(path: str, fmt: Optional[str] = None) -> List[TrialRecord]:
                 if not isinstance(values, dict):
                     raise ConfigurationError(f"{path}, line {number}: not a JSON object")
                 _check_names(path, number, values)
+                for name, value in values.items():
+                    expected, types = _JSON_TYPES[_HINTS[name]]
+                    if type(value) not in types:
+                        raise ConfigurationError(
+                            f"{path}, line {number}, field {name}: "
+                            f"expected {expected}, got {json.dumps(value)}"
+                        )
                 records.append(TrialRecord(**values))
     return records

@@ -18,7 +18,15 @@ from cascade_sim.errors import (
     TransportError,
     TreeStructureError,
 )
-from cascade_sim.harness import load_records
+from cascade_sim.harness import (
+    LengthSweep,
+    QberSweep,
+    SessionTemplate,
+    compare_aggregation,
+    load_records,
+    sweep_length,
+    sweep_qber,
+)
 
 
 def run_cli(*argv):
@@ -193,6 +201,20 @@ def test_every_error_shares_one_base_and_keeps_its_builtin_base():
         assert issubclass(error, CascadeError), error
         assert issubclass(error, base), error
     assert not issubclass(CascadeError, (ValueError, RuntimeError))
+
+
+def test_flag_defaults_are_the_policy_and_grid_defaults():
+    parser = cli._build_parser()
+    assert cli._template_from_args(parser.parse_args(["run"])) == SessionTemplate()
+    for command, run, build, grid in (
+        ("sweep-qber", sweep_qber, cli._qber_sweep, QberSweep()),
+        ("sweep-length", sweep_length, cli._length_sweep, LengthSweep()),
+        ("compare-aggregation", compare_aggregation, cli._length_sweep, LengthSweep()),
+    ):
+        args = parser.parse_args([command, "--out", "records.csv"])
+        assert cli._template_from_args(args) == SessionTemplate()
+        assert build(args) == grid
+        assert {"base_seed": args.base_seed, "workers": args.workers} == run.__kwdefaults__
 
 
 def test_sweep_qber_writes_full_grid(tmp_path, capsys):

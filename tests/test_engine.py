@@ -38,6 +38,7 @@ from cascade_sim.engine import (
     SessionConfig,
     _Responder,
     _Round,
+    _Search,
     _first_half,
     _init_from_config,
     _round_prefix,
@@ -494,6 +495,24 @@ def test_random_sessions_agree_across_drivers_and_batching(tmp_path, case):
         path = str(tmp_path / "session.transcript")
         write_transcript(path, result.channel.transcript)
         assert read_transcript(path) == list(result.channel.transcript)
+
+
+@pytest.mark.parametrize("seed", [1011, 1016, 1033, 1034])
+def test_every_search_is_made_for_a_block_that_differs(monkeypatch, seed):
+    # Round entry and the cascade candidates are screened by the same parity
+    # comparison, and those are the only places a search starts; a search of
+    # a block that matches could only end without a find.
+    differs = []
+    make = _Search.__init__
+
+    def checked(task, responder, round_index, block):
+        differs.append(responder.rounds[round_index].differs(block))
+        make(task, responder, round_index, block)
+
+    monkeypatch.setattr(_Search, "__init__", checked)
+    detail = run_trial_detailed(SessionTemplate(), 4096, Bsc(0.02), seed)
+    assert detail.record.corrected_errors > 0
+    assert differs and all(differs)
 
 
 # ---------------------------------------------------------------- mappings

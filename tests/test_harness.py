@@ -283,11 +283,20 @@ def test_a_file_that_holds_no_records_is_refused(tmp_path):
     header = ",".join(fields) + "\n"
     cells = [str(value) for value in fields.values()]
     cells[2] = "x"  # the seed
+    yes = {**fields, "success": "yes"}
+    bool_cells = ["" if value is None else str(value) for value in yes.values()]
     cases = {
         # A JSON-lines file under a CSV name: its line is no record header.
         "r.csv": (line, r"line 1: not a trial record \(missing: scenario_id, .*; unexpected: \{"),
         "other.csv": ("a,b\n1,2\n", r"line 1: .*\(missing: scenario_id, .*; unexpected: a, b\)"),
-        "cell.csv": (header + ",".join(cells) + "\n", r"line 2: invalid literal for int\(\)"),
+        "cell.csv": (
+            header + ",".join(cells) + "\n",
+            r"line 2, field seed: invalid literal for int\(\)",
+        ),
+        "bool.csv": (
+            header + ",".join(bool_cells) + "\n",
+            r"line 2, field success: expected true or false, got 'yes'",
+        ),
         "short.csv": (header + "adhoc,0\n", r"line 2: 2 cells for 16 columns"),
         "empty.jsonl": (line + "{}\n", r"line 2: .*\(missing: scenario_id, .*; unexpected: none\)"),
         "extra.jsonl": (
@@ -295,6 +304,26 @@ def test_a_file_that_holds_no_records_is_refused(tmp_path):
             r"line 1: not a trial record \(missing: none; unexpected: colour\)",
         ),
         "list.jsonl": ("[]\n", r"line 1: not a JSON object"),
+        "seed.jsonl": (
+            line + json.dumps({**fields, "seed": "x"}),
+            r'line 2, field seed: expected an integer, got "x"',
+        ),
+        "success.jsonl": (
+            json.dumps({**fields, "success": "no"}),
+            r'line 1, field success: expected true or false, got "no"',
+        ),
+        "length.jsonl": (
+            json.dumps({**fields, "length": True}),
+            r"line 1, field length: expected an integer, got true",
+        ),
+        "null.jsonl": (
+            json.dumps({**fields, "injected_errors": None}),
+            r"line 1, field injected_errors: expected an integer, got null",
+        ),
+        "float.jsonl": (
+            json.dumps({**fields, "wall_time": "0.5"}),
+            r'line 1, field wall_time: expected a number, got "0.5"',
+        ),
         "broken.jsonl": (line + line[:-2], r"line 2: Expecting ',' delimiter"),
     }
     for name, (text, error) in cases.items():
