@@ -27,22 +27,27 @@ parities, in-range integers, a 64-bit seed, known kinds, tuples where the
 dataclasses say tuples).  So a sender encodes each message once, and the
 receiver gets the sent message itself; nothing decodes in transit.
 
-The channel itself is a pair of FIFO lanes (C-level queues) plus an
-append-only transcript.  Each direction carries its own gapless sequence
-counter; observers ("taps", e.g. the eavesdropper accountant) see every
-message in transit order.  Each transcript entry keeps the bytes its
-message was sent as, and a transcript is framed from those bytes.
+The channel itself is a pair of FIFO lanes plus an append-only record of
+what was sent, from which the transcript is built when it is read.  Each
+direction carries its own gapless sequence counter; observers ("taps",
+e.g. the eavesdropper accountant) see every message's bytes in transit
+order.  Each transcript entry keeps the bytes its message was sent as, and
+a transcript is framed from those bytes.
 """
 
 from __future__ import annotations
 
 import enum
-import queue
+import os
+import select
 import struct
 import threading
+import time
+import weakref
+from collections import deque
 from dataclasses import dataclass, field
 from itertools import starmap
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .bitframe import PERMUTATION_KINDS
 from .errors import ConfigurationError, DecodeError, TransportError
@@ -400,43 +405,64 @@ class TranscriptEntry:
 
 
 class EveTap:
-    """Passive observer that accounts for everything visible in transit."""
+    """Passive observer that accounts for everything visible in transit.
+
+    It reads each message's bytes as they cross the channel, not the
+    message object, so its parity count is independent of the transcript's.
+    """
 
     def __init__(self) -> None:
         self.messages_seen = 0
         self.parity_bits_seen = 0
 
-    def observe(self, entry: TranscriptEntry) -> None:
+    def observe(self, payload: bytes) -> None:
         self.messages_seen += 1
-        self.parity_bits_seen += message_parity_bits(entry.message)
+        # Only block parities (type 2) and parity answers (type 4) disclose
+        # parities, one per counted entry.
+        if payload[0] in (2, 4):
+            self.parity_bits_seen += _COUNTED_HEADER.unpack_from(payload)[2]
 
 
-_CLOSED = object()  # the close marker that ends each lane
+_A_TO_B, _B_TO_A = _DIRECTIONS
 
 
 def _direction_byte(direction: Direction) -> int:
     """The direction's wire byte, which also indexes its lane."""
-    try:
-        return _DIRECTIONS.index(direction)
-    except ValueError:
-        raise TransportError(f"unknown direction: {direction!r}") from None
+    if direction is _A_TO_B:
+        return 0
+    if direction is _B_TO_A:
+        return 1
+    raise TransportError(f"unknown direction: {direction!r}")
 
 
 class Channel:
     """Two one-way FIFO lanes with a shared, ordered transcript.
 
     ``send``/``recv`` are thread-safe; per-direction sequence numbers are
-    gapless and the transcript preserves global send order.  ``close`` puts
-    a marker behind each lane's queued messages: they are still delivered,
-    and every receive after them, blocked or not, raises.
+    gapless and the transcript preserves global send order.  After
+    ``close``, the queued messages are still delivered, and every receive
+    after them, blocked or not, raises.
+
+    Each lane is a deque under the channel's lock.  A receiver that has to
+    wait registers with the lane's wake pipe and blocks in ``poll``;
+    ``send`` writes one byte to that pipe only while a receiver waits, and
+    outside the lock, so the receiver wakes to a free lock and, as
+    ``os.write`` releases it, a free GIL.  A lane makes its pipe on its
+    first wait, so a channel no one waits on opens no file descriptor, and
+    the pipes close when the channel is collected.  ``send`` keeps a plain
+    record per message; ``transcript`` builds each entry once, when it is
+    first read.
     """
 
     def __init__(self, taps: Sequence[EveTap] = ()):
         self._lock = threading.Lock()
         # Indexed by direction byte: a->b, then b->a.
-        self._lanes = (queue.SimpleQueue(), queue.SimpleQueue())
+        self._lanes: Tuple[Deque[Message], Deque[Message]] = (deque(), deque())
+        self._pipes: List[Optional[tuple]] = [None, None]  # (read fd, write fd, poll object)
+        self._waiting = [0, 0]  # receivers blocked on each lane
         self._sequences = [0, 0]
-        self._transcript: List[TranscriptEntry] = []
+        self._records: List[Tuple[Direction, int, Message, bytes]] = []
+        self._entries: Tuple[TranscriptEntry, ...] = ()
         self._taps = list(taps)
         self._closed = False
 
@@ -450,51 +476,104 @@ class Channel:
                 raise TransportError("channel is closed")
             sequence = self._sequences[index]
             self._sequences[index] = sequence + 1
-            entry = TranscriptEntry(direction, sequence, message, payload)
-            self._transcript.append(entry)
+            self._records.append((direction, sequence, message, payload))
             for tap in self._taps:
-                tap.observe(entry)
-            self._lanes[index].put(message)
+                tap.observe(payload)
+            self._lanes[index].append(message)
+            waiting = self._waiting[index]
+        if waiting:
+            _wake(self._pipes[index][1])
 
     def recv(self, direction: Direction, timeout: Optional[float] = None) -> Message:
         """Take the next message; wait up to ``timeout`` seconds if given."""
-        lane = self._lanes[_direction_byte(direction)]
-        try:
-            if timeout is None:
-                message = lane.get_nowait()
-            else:  # a negative timeout waits for nothing, as 0 does
-                message = lane.get(timeout=max(timeout, 0.0))
-        except queue.Empty:
-            raise TransportError(f"no message pending in direction {direction.value}") from None
-        if message is _CLOSED:
-            lane.put(_CLOSED)  # leave it for the next receiver
+        index = _direction_byte(direction)
+        # A deadline of 0 has passed; a negative timeout waits for nothing, as 0 does.
+        deadline = time.monotonic() + timeout if timeout is not None and timeout > 0 else 0.0
+        message = self._wait(index, deadline)
+        if message is None:
+            raise TransportError(f"no message pending in direction {direction.value}")
+        return message
+
+    def _wait(self, index: int, deadline: float) -> Optional[Message]:
+        """Lane ``index``'s next message, blocking until ``deadline`` at most.
+
+        ``None`` once the deadline has passed.  Each pass drains the lane's
+        pipe before it looks at the lane, and a wake byte is written after
+        its message is queued, so no wake-up is lost.  A receiver that may
+        have drained another waiter's byte hands the wake-up on when it
+        leaves a message or the close behind.
+        """
+        lane = self._lanes[index]
+        waiting = 0
+        while True:
+            with self._lock:
+                if lane or self._closed or (remaining := deadline - time.monotonic()) <= 0:
+                    self._waiting[index] -= waiting
+                    message = lane.popleft() if lane else None
+                    closed = self._closed
+                    hand_on = self._waiting[index] and (lane or closed)
+                    break
+                if not waiting:
+                    read, _, poller = self._pipes[index] or self._make_pipe(index)
+                    if self._waiting[index]:  # a poll object serves one thread at a time
+                        poller = select.poll()
+                        poller.register(read, select.POLLIN)
+                    self._waiting[index] += 1
+                    waiting = 1
+            if poller.poll(remaining * 1000.0):
+                try:
+                    os.read(read, 512)
+                except BlockingIOError:
+                    pass
+        if hand_on:
+            _wake(self._pipes[index][1])
+        if message is None and closed:
             raise TransportError("channel is closed")
         return message
 
+    def _make_pipe(self, index: int) -> tuple:
+        """Lane ``index``'s wake pipe, non-blocking at both ends, closed with the channel."""
+        read, write = os.pipe()
+        os.set_blocking(read, False)
+        os.set_blocking(write, False)
+        for fd in (read, write):
+            weakref.finalize(self, os.close, fd)
+        poller = select.poll()
+        poller.register(read, select.POLLIN)
+        self._pipes[index] = read, write, poller
+        return self._pipes[index]
+
     def pending(self, direction: Direction) -> int:
-        """Messages queued in ``direction``; the close marker is not one."""
-        lane = self._lanes[_direction_byte(direction)]
-        with self._lock:
-            # Nothing queues behind the marker, so while a receiver holds it
-            # the lane is empty and the difference is clamped to 0.
-            return max(0, lane.qsize() - self._closed)
+        """Messages queued in ``direction`` and not yet received."""
+        return len(self._lanes[_direction_byte(direction)])
 
     def close(self) -> None:
         with self._lock:
-            if self._closed:
-                return
             self._closed = True
-            for lane in self._lanes:
-                lane.put(_CLOSED)
+            woken = [pipe[1] for pipe, waiting in zip(self._pipes, self._waiting) if waiting]
+        for write in woken:
+            _wake(write)
 
     @property
     def transcript(self) -> Tuple[TranscriptEntry, ...]:
         with self._lock:
-            return tuple(self._transcript)
+            built = len(self._entries)
+            if built < len(self._records):
+                new = starmap(TranscriptEntry, self._records[built:])
+                self._entries += tuple(new)
+            return self._entries
 
     def transcript_bytes(self) -> bytes:
         """The whole conversation as one canonical byte string."""
         return _frame_transcript(self.transcript)
+
+
+def _wake(write: int) -> None:
+    """Write a wake byte; a full pipe already holds an unread one."""
+    try:
+        os.write(write, b"\0")
+    except BlockingIOError:
+        pass
 
 
 @dataclass(frozen=True)

@@ -917,10 +917,12 @@ class PairResult:
     channel: wire.Channel
 
 
-def _step(generator, message, channel_obj: wire.Channel, direction) -> Optional[SessionSummary]:
+def _step(
+    generator, message, channel_obj: wire.Channel, direction
+) -> Tuple[Optional[SessionSummary], int]:
     """Deliver ``message`` to a party (``None`` starts it) and send what it
     yields in ``direction``; returns the party's summary once its generator
-    has finished."""
+    has finished (``None`` before), and how many messages it sent."""
     try:
         outbound = generator.send(message)
         summary = None
@@ -928,7 +930,7 @@ def _step(generator, message, channel_obj: wire.Channel, direction) -> Optional[
         summary, outbound = stop.value
     for out in outbound:
         channel_obj.send(direction, out)
-    return summary
+    return summary, len(outbound)
 
 
 # A driver's parties are (generator, outbound direction, inbound direction)
@@ -939,19 +941,23 @@ def _drive_lockstep(
     parties, channel_obj: wire.Channel, timeout: float
 ) -> List[Optional[SessionSummary]]:
     """Single-step both parties on the calling thread; nothing waits, so
-    ``timeout`` goes unused."""
+    ``timeout`` goes unused.  The driver counts the messages in flight to
+    each party itself, from what the other party sent."""
     summaries: List[Optional[SessionSummary]] = [None, None]
-    for generator, outbound, _ in parties:
-        _step(generator, None, channel_obj, outbound)
+    in_flight = [0, 0]
+    for index, (generator, outbound, _) in enumerate(parties):
+        _, in_flight[1 - index] = _step(generator, None, channel_obj, outbound)
 
     while summaries[0] is None or summaries[1] is None:
         progressed = False
         for index in (1, 0):  # responder first
-            generator, outbound, inbound = parties[index]
-            if summaries[index] is not None or channel_obj.pending(inbound) == 0:
+            if summaries[index] is not None or not in_flight[index]:
                 continue
+            generator, outbound, inbound = parties[index]
+            in_flight[index] -= 1
             message = channel_obj.recv(inbound)
-            summaries[index] = _step(generator, message, channel_obj, outbound)
+            summaries[index], sent = _step(generator, message, channel_obj, outbound)
+            in_flight[1 - index] += sent
             progressed = True
         if not progressed:
             raise ProtocolError("protocol deadlock: no message in flight")
@@ -967,10 +973,10 @@ def _drive_threaded(
     def worker(index: int) -> None:
         generator, outbound, inbound = parties[index]
         try:
-            summary = _step(generator, None, channel_obj, outbound)
+            summary, _ = _step(generator, None, channel_obj, outbound)
             while summary is None:
                 message = channel_obj.recv(inbound, timeout=timeout)
-                summary = _step(generator, message, channel_obj, outbound)
+                summary, _ = _step(generator, message, channel_obj, outbound)
             summaries[index] = summary
         except BaseException as exc:  # noqa: BLE001 - reported to the caller
             failures.append(exc)

@@ -24,7 +24,7 @@ terms of that materialized structure.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .errors import SyndromeConflictError, TreeStructureError
@@ -37,6 +37,10 @@ class NodeColor(enum.Flag):
     SYNDROME_KNOWN = enum.auto()
     ERROR_LEAF = enum.auto()
     COMPROMISED = enum.auto()
+
+
+# _UNION[a._value_][b._value_] is a | b: an enum.Flag union runs Python code.
+_UNION = tuple(tuple(NodeColor(a | b) for b in range(8)) for a in range(8))
 
 
 def split_point(lo: int, hi: int) -> int:
@@ -96,13 +100,15 @@ def _rewrite(node: ParityNode, lo: int, hi: int, update) -> ParityNode:
     mid = split_point(node.lo, node.hi)
     left, right = _materialized_children(node)
     if node.lo <= lo and hi <= mid:
-        return replace(node, left=_rewrite(left, lo, hi, update), right=right)
-    if mid <= lo and hi <= node.hi:
-        return replace(node, left=left, right=_rewrite(right, lo, hi, update))
-    raise TreeStructureError(
-        f"interval [{lo}, {hi}) is not on the split lattice of "
-        f"[{node.lo}, {node.hi}) (midpoint {mid})"
-    )
+        left = _rewrite(left, lo, hi, update)
+    elif mid <= lo and hi <= node.hi:
+        right = _rewrite(right, lo, hi, update)
+    else:
+        raise TreeStructureError(
+            f"interval [{lo}, {hi}) is not on the split lattice of "
+            f"[{node.lo}, {node.hi}) (midpoint {mid})"
+        )
+    return ParityNode(node.lo, node.hi, node.color, node.syndrome, node.syndrome_round, left, right)
 
 
 def _check_contained(tree: ColoredTree, lo: int, hi: int) -> None:
@@ -128,22 +134,29 @@ def set_syndrome(tree: ColoredTree, interval: Interval, value: int, round_index:
         raise TreeStructureError(f"syndrome value must be a bit, got {value!r}")
 
     def update(node: ParityNode) -> ParityNode:
-        color = node.color | NodeColor.SYNDROME_KNOWN
+        color = _UNION[node.color._value_][NodeColor.SYNDROME_KNOWN._value_]
+        syndrome, stamp = value, round_index
         if node.syndrome_round is not None:
             if round_index == node.syndrome_round and node.syndrome != value:
                 raise SyndromeConflictError(
                     f"conflicting syndromes for [{lo}, {hi}) in round {round_index}"
                 )
             if round_index <= node.syndrome_round:
-                return replace(node, color=color)
-        return replace(node, color=color, syndrome=value, syndrome_round=round_index)
+                syndrome, stamp = node.syndrome, node.syndrome_round
+        return ParityNode(lo, hi, color, syndrome, stamp, node.left, node.right)
 
     return ColoredTree(_rewrite(tree.root, lo, hi, update), tree.round_index)
 
 
 def _mark_leaf(tree: ColoredTree, position: int, flag: NodeColor) -> ColoredTree:
     _check_contained(tree, position, position + 1)
-    update = lambda node: replace(node, color=node.color | flag)
+
+    def update(node: ParityNode) -> ParityNode:
+        color = _UNION[node.color._value_][flag._value_]
+        return ParityNode(
+            node.lo, node.hi, color, node.syndrome, node.syndrome_round, node.left, node.right
+        )
+
     return ColoredTree(_rewrite(tree.root, position, position + 1, update), tree.round_index)
 
 
@@ -184,7 +197,8 @@ def _merge_nodes(a: ParityNode, b: ParityNode) -> ParityNode:
     else:
         left = _merge_nodes(a.left, b.left)
         right = _merge_nodes(a.right, b.right)
-    return ParityNode(a.lo, a.hi, a.color | b.color, syndrome, stamp, left, right)
+    color = _UNION[a.color._value_][b.color._value_]
+    return ParityNode(a.lo, a.hi, color, syndrome, stamp, left, right)
 
 
 def merge_trees(a: ColoredTree, b: ColoredTree) -> ColoredTree:

@@ -1,9 +1,12 @@
 """Tests for the wire codec, channel, transcript and leakage accounting."""
 
+import gc
+import os
 import random
 import struct
 import sys
 import threading
+import time
 from fractions import Fraction
 
 import pytest
@@ -441,6 +444,127 @@ def test_concurrent_senders_deliver_in_transcript_order_and_lose_nothing():
         assert chan.pending(direction) == 0
 
 
+def test_a_blocked_receiver_sleeps_until_a_send_wakes_it():
+    chan = Channel()
+    got = {}
+
+    def receive():
+        started = time.thread_time()
+        got["message"] = chan.recv(Direction.A_TO_B, timeout=5.0)
+        got["cpu"] = time.thread_time() - started
+
+    thread = threading.Thread(target=receive)
+    thread.start()
+    time.sleep(0.3)
+    assert thread.is_alive()
+    chan.send(Direction.A_TO_B, Finalize(7))
+    thread.join(timeout=5.0)
+    assert not thread.is_alive()
+    assert got["message"] == Finalize(7)
+    # The wait blocks in the kernel: 0.3 s of waiting costs next to no CPU.
+    assert got["cpu"] < 0.05
+
+
+def test_a_zero_or_negative_timeout_returns_at_once(monkeypatch):
+    pipes = []
+    monkeypatch.setattr(os, "pipe", lambda: pipes.append(1))
+    chan = Channel()
+    for timeout in (0, 0.0, -1.0, -1e9):
+        started = time.monotonic()
+        with pytest.raises(TransportError, match="no message pending"):
+            chan.recv(Direction.B_TO_A, timeout=timeout)
+        assert time.monotonic() - started < 0.05
+    assert pipes == []
+
+
+def test_receivers_that_find_a_message_make_no_wake_pipe(monkeypatch):
+    pipes = []
+    monkeypatch.setattr(os, "pipe", lambda: pipes.append(1))
+    chan = Channel()
+    sent = [RoundDone(0, k) for k in range(100_000)]
+    for message in sent:
+        chan.send(Direction.A_TO_B, message)
+    received = [chan.recv(Direction.A_TO_B) for _ in range(50_000)]
+    received += [chan.recv(Direction.A_TO_B, timeout=5.0) for _ in range(50_000)]
+    assert received == sent
+    assert pipes == []
+
+
+def test_close_wakes_every_receiver_blocked_on_one_lane():
+    chan = Channel()
+    errors = []
+
+    def receive():
+        try:
+            chan.recv(Direction.A_TO_B, timeout=30.0)
+        except TransportError as exc:
+            errors.append(str(exc))
+
+    threads = [threading.Thread(target=receive) for _ in range(3)]
+    for thread in threads:
+        thread.start()
+    time.sleep(0.2)
+    chan.close()
+    for thread in threads:
+        thread.join(timeout=5.0)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == ["channel is closed"] * 3
+
+
+def test_receivers_sharing_a_lane_get_each_message_once():
+    chan = Channel()
+    count = 3000
+    received = []
+    endings = []
+
+    def receive():
+        while True:
+            try:
+                received.append(chan.recv(Direction.A_TO_B, timeout=10.0))
+            except TransportError as exc:
+                endings.append(str(exc))
+                return
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=receive) for _ in range(3)]
+        for thread in threads:
+            thread.start()
+        for k in range(count):
+            chan.send(Direction.A_TO_B, RoundDone(0, k))
+        # Every message is taken before the close, without a receiver timing out.
+        deadline = time.monotonic() + 10.0
+        while chan.pending(Direction.A_TO_B) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        chan.close()
+        for thread in threads:
+            thread.join(timeout=30.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sorted(message.corrected for message in received) == list(range(count))
+    assert endings == ["channel is closed"] * 3
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_threaded_sessions_leave_no_file_descriptor_open():
+    def open_fds():
+        return len(os.listdir("/proc/self/fd"))
+
+    gc.collect()
+    start = open_fds()
+    most = start
+    template = SessionTemplate(aggregation=False)
+    for seed in range(200):
+        detail = run_trial_detailed(template, 256, Bsc(0.05), seed, scheduling="threaded")
+        most = max(most, open_fds())
+        del detail
+    gc.collect()
+    assert most > start  # the sessions did open wake pipes
+    assert open_fds() == start
+
+
 def test_sender_side_validation_rejects_malformed_messages():
     chan = Channel()
     malformed = [
@@ -473,6 +597,22 @@ def test_eve_tap_matches_transcript_report():
     assert report.per_round_parity_bits == ((0, 5),)
     assert tap.parity_bits_seen == report.parity_bits_disclosed
     assert tap.messages_seen == report.messages_total
+
+
+def test_the_tap_counts_the_parity_bits_in_each_payload():
+    rng = random.Random(11)
+    messages = sample_messages() + [BlockParities(0, ()), ParityAnswer(5, ())]
+    messages += [random_message(rng) for _ in range(300)]
+    for message in messages:
+        tap = EveTap()
+        tap.observe(encode_message(message))
+        assert (tap.messages_seen, tap.parity_bits_seen) == (1, message_parity_bits(message))
+    silent = [m for m in messages if not isinstance(m, (BlockParities, ParityAnswer))]
+    assert {type(message) for message in silent} == {Init, ParityQuery, RoundDone, Finalize, Result}
+    tap = EveTap()
+    for message in silent:
+        tap.observe(encode_message(message))
+    assert (tap.messages_seen, tap.parity_bits_seen) == (len(silent), 0)
 
 
 def test_leakage_report_counts_per_round():
