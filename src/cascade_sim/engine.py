@@ -25,11 +25,14 @@ Both parties keep each opened round as prefix parities of its permuted
 view: ``prefix[i]`` is the parity of the round's first ``i`` bits, so any
 interval's parity is two byte reads.  The initiator keeps a list of them.
 The responder keeps one record per opened round, in a list indexed by
-round: the round's plan, its mapping and inverse, its prefix parities, its
-parity map (the initiator's parities it knows, keyed by ``(lo, hi)``) and
-the positions corrected in each block.  When a round opens, the responder
-compares every block's local parity with the announced one in one
-vectorised step, and only the blocks that differ become searches.
+round: the round's plan, its mapping (and, from the round's first find,
+the inverse), its prefix parities, its parity map (the initiator's parities
+it knows, keyed by ``(lo, hi)``) and the positions corrected in each block.
+A round's mapping is built once per session: both parties get the same
+read-only array from ``round_mapping``, whose memo holds it weakly.  When a
+round opens, the responder compares every block's local parity with the
+announced one in one vectorised step, and only the blocks that differ
+become searches.
 
 An honest parity never changes, since it describes the initiator's fixed
 frame; so a wire parity that contradicts a stored wire parity, whichever
@@ -70,6 +73,7 @@ from __future__ import annotations
 import enum
 import math
 import threading
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Set, Tuple
 
@@ -239,19 +243,36 @@ def _init_from_config(config: SessionConfig) -> wire.Init:
     )
 
 
+# Round mappings alive anywhere in the process, keyed by everything they
+# depend on; the memo holds them weakly, so it keeps none alive by itself.
+_MAPPINGS: weakref.WeakValueDictionary[Tuple[str, int, int, int], np.ndarray]
+_MAPPINGS = weakref.WeakValueDictionary()
+
+
 def round_mapping(config: SessionConfig, round_index: int) -> np.ndarray:
     """Original-position -> round-position array for one round.
 
     Round 0 always works on unpermuted data; later rounds draw from the
-    configured permutation family, keyed by the shared seed.  A generator's
-    read-only array is returned as it is.
+    configured permutation family, keyed by the shared seed.  A later
+    round's mapping is the generator's read-only array, shared through
+    ``_MAPPINGS`` with whoever else holds it: the key is the permutation
+    kind, the frame length, the round and the seed, which the handshake
+    checks, so both parties of a session get one array and parties whose
+    configurations differ never share one.  The initiator holds its
+    current round's mapping until the responder has opened that round, so
+    the responder never builds it again; once a session ends nothing holds
+    its mappings and the memo drops them.
     """
     n = config.frame_length
     if round_index == 0:
         return np.arange(n, dtype=np.int64)
-    if config.permutation_kind == "lcg":
-        return gen_lcg_permutation(n, round_index, config.seed)
-    return gen_shuffle_permutation(n, round_index, config.seed)
+    key = (config.permutation_kind, n, round_index, config.seed)
+    mapping = _MAPPINGS.get(key)
+    if mapping is None:
+        lcg = config.permutation_kind == "lcg"
+        generate = gen_lcg_permutation if lcg else gen_shuffle_permutation
+        mapping = _MAPPINGS.setdefault(key, generate(n, round_index, config.seed))
+    return mapping
 
 
 # _BYTE_PREFIX[b] holds in bit j the parity of bits 0..j of byte b.
@@ -332,7 +353,9 @@ def initiator_session(config: SessionConfig, frame: BitFrame):
     history: List[int] = []
     round_index = 0
     while True:
-        _, prefix, array = _round_prefix(config, round_index, frame.bits)
+        # Kept until the next round's, so the responder finds this round's
+        # mapping in round_mapping's memo when it opens the round.
+        mapping, prefix, array = _round_prefix(config, round_index, frame.bits)
         prefixes.append(prefix)
         plan = plan_round(config.schedule, round_index, n, tuple(history))
         parities = tuple(_block_parities(array, plan).tolist())
@@ -440,19 +463,23 @@ def _first_half(
 class _Round:
     """What the responder keeps of one opened round.
 
-    ``mapping`` takes an original position to its round position and the
-    uint32 ``inverse`` takes it back.  ``prefix`` holds the prefix parities
-    of the round's view as a bytearray and ``array`` is a writable numpy
-    view over the same bytes: ``parity`` is two byte reads, and a wave's
-    flips XOR the prefix between pairs of flipped positions.  ``known`` maps
-    an interval ``(lo, hi)`` to ``(value, wire)``: the initiator's parity,
-    and whether it crossed the wire (block announcements, answers, corrected
-    leaves) or was derived here; it starts with the announced block
-    parities.  Every disclosed parity describes the initiator's fixed frame,
-    so an honest one never changes: ``learn`` refuses a wire value that
-    differs from a stored wire value, whichever round stored it, and a wire
-    value replaces a derived one.  A derived value is written only where
-    nothing is stored.  ``corrected`` maps a block to its positions flipped.
+    ``mapping`` takes an original position to its round position; it is
+    read-only and may be the initiator's array (see ``round_mapping``).
+    ``original`` takes a round position back, through a uint32 ``inverse``
+    built on the round's first find (round 0's mapping is the identity and
+    needs none; most later rounds of a long frame find nothing).
+    ``prefix`` holds the prefix parities of the round's view as a bytearray
+    and ``array`` is a writable numpy view over the same bytes: ``parity``
+    is two byte reads, and a wave's flips XOR the prefix between pairs of
+    flipped positions.  ``known`` maps an interval ``(lo, hi)`` to
+    ``(value, wire)``: the initiator's parity, and whether it crossed the
+    wire (block announcements, answers, corrected leaves) or was derived
+    here; it starts with the announced block parities.  Every disclosed
+    parity describes the initiator's fixed frame, so an honest one never
+    changes: ``learn`` refuses a wire value that differs from a stored wire
+    value, whichever round stored it, and a wire value replaces a derived
+    one.  A derived value is written only where nothing is stored.
+    ``corrected`` maps a block to its positions flipped.
     """
 
     __slots__ = ("index", "plan", "mapping", "inverse", "prefix", "array", "known", "corrected")
@@ -463,17 +490,23 @@ class _Round:
         self.index = index = plan.round_index
         self.plan = plan
         self.mapping, self.prefix, self.array = _round_prefix(config, index, bits)
-        # Frames are shorter than 2**32 bits (SessionConfig), so uint32 holds
-        # every original position.  Round 0's mapping is the identity.
-        inverse = sources = np.arange(config.frame_length, dtype=np.uint32)
-        if index:
-            inverse = np.empty_like(sources)
-            inverse[self.mapping] = sources
-        self.inverse = inverse
+        self.inverse: Optional[np.ndarray] = None
         self.known: Dict[Interval, Tuple[int, bool]] = {
             block: (bit, True) for block, bit in zip(plan.intervals, announced)
         }
         self.corrected: Dict[Interval, Set[int]] = {}
+
+    def original(self, pos: int) -> int:
+        """The original position at round position ``pos``."""
+        if not self.index:
+            return pos
+        if self.inverse is None:
+            # Frames are shorter than 2**32 bits (SessionConfig), so uint32
+            # holds every original position.
+            sources = np.arange(self.mapping.size, dtype=np.uint32)
+            self.inverse = np.empty_like(sources)
+            self.inverse[self.mapping] = sources
+        return self.inverse.item(pos)
 
     def parity(self, lo: int, hi: int) -> int:
         return self.prefix[lo] ^ self.prefix[hi]
@@ -579,14 +612,15 @@ class _Search:
 class _Responder:
     """Responder-side state: one :class:`_Round` record per opened round.
 
-    ``rounds[r]`` holds round ``r``'s plan, mapping and inverse, prefix
-    parities, parity map and corrected positions.  A frontier probe looks
-    up or derives its remote parity in one pass down from the block
-    (``_Round.resolve``); a search step reads its first half one level
-    below the current interval (``_first_half``).  Each block search is one
-    generator (``_search``); every wire parity is stored through
-    ``_Round.learn`` and then sent to its search, which reads the local
-    first-half parity from the prefix and stores the implied second half.
+    ``rounds[r]`` holds round ``r``'s plan, mapping (and, once the round
+    has a find, its inverse), prefix parities, parity map and corrected
+    positions.  A frontier probe looks up or derives its remote parity in
+    one pass down from the block (``_Round.resolve``); a search step reads
+    its first half one level below the current interval (``_first_half``).
+    Each block search is one generator (``_search``); every wire parity is
+    stored through ``_Round.learn`` and then sent to its search, which reads
+    the local first-half parity from the prefix and stores the implied
+    second half.
 
     Each wave's flip pass learns every corrected leaf in round 0's record
     first, so a second flip of any position contradicts the stored leaf
@@ -767,7 +801,7 @@ class _Responder:
                 for task in live.values():
                     if task.found is None:
                         continue
-                    original = task.rnd.inverse.item(task.found)
+                    original = task.rnd.original(task.found)
                     if original in seen:
                         continue
                     seen.add(original)

@@ -705,21 +705,21 @@ def test_a_session_encodes_each_message_once_and_decodes_none(monkeypatch, tmp_p
 def test_transcript_file_corruption_detected(tmp_path):
     chan = Channel()
     chan.send(Direction.A_TO_B, Finalize(12))
-    path = str(tmp_path / "t.bin")
-    write_transcript(path, chan.transcript)
-    blob = open(path, "rb").read()
+    path = tmp_path / "t.bin"
+    write_transcript(str(path), chan.transcript)
+    blob = path.read_bytes()
 
-    bad_magic = str(tmp_path / "bad_magic.bin")
-    open(bad_magic, "wb").write(b"XXXX" + blob[4:])
+    bad_magic = tmp_path / "bad_magic.bin"
+    bad_magic.write_bytes(b"XXXX" + blob[4:])
     with pytest.raises(DecodeError, match="magic"):
-        read_transcript(bad_magic)
+        read_transcript(str(bad_magic))
 
-    bad_version = str(tmp_path / "bad_version.bin")
-    open(bad_version, "wb").write(blob[:4] + bytes([99]) + blob[5:])
+    bad_version = tmp_path / "bad_version.bin"
+    bad_version.write_bytes(blob[:4] + bytes([99]) + blob[5:])
     with pytest.raises(DecodeError, match="version"):
-        read_transcript(bad_version)
+        read_transcript(str(bad_version))
 
-    truncated = str(tmp_path / "trunc.bin")
-    open(truncated, "wb").write(blob[:-3])
+    truncated = tmp_path / "trunc.bin"
+    truncated.write_bytes(blob[:-3])
     with pytest.raises(DecodeError, match="truncated"):
-        read_transcript(truncated)
+        read_transcript(str(truncated))

@@ -8,6 +8,7 @@ import os
 import random
 import subprocess
 import sys
+import threading
 import types
 from pathlib import Path
 
@@ -17,6 +18,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from cascade_sim import engine
 from cascade_sim.bitframe import BitFrame, Bsc, apply_noise, FixedErrors, hamming_distance
 from cascade_sim.channel import (
     BlockParities,
@@ -545,6 +547,111 @@ def test_round_prefix_equals_the_running_xor_of_the_round_view(kind):
             assert isinstance(prefix, bytearray)
             assert prefix == expect.tobytes(), (n, rnd)
             assert np.shares_memory(array, np.frombuffer(prefix, dtype=np.uint8))
+
+
+@pytest.mark.parametrize("kind", ["shuffle", "lcg"])
+@pytest.mark.parametrize("scheduling", ["lockstep", "threaded"])
+def test_parties_share_each_round_mapping_within_a_session_only(monkeypatch, kind, scheduling):
+    # The generators are looked up in engine's globals on a memo miss, so
+    # every real build passes through the wrapper.  It keeps no array: a
+    # reference held here would keep the memo entry alive.
+    builds = []
+    for name in ("gen_lcg_permutation", "gen_shuffle_permutation"):
+
+        def counted(*args, _original=getattr(engine, name)):
+            mapping = _original(*args)
+            builds.append((args, mapping.flags.writeable))
+            return mapping
+
+        monkeypatch.setattr(engine, name, counted)
+    template = SessionTemplate(permutation_kind=kind)
+    rounds = []
+    # Back to back with the same seed and no collection in between: the
+    # second session finds nothing of the first in the memo.
+    for _ in range(2):
+        detail = run_trial_detailed(template, 4096, Bsc(0.02), 7, scheduling=scheduling)
+        assert detail.record.corrected_errors > 0
+        rounds.append(detail.result.responder.rounds_executed)
+        assert len(builds) == rounds[-1] - 1
+        assert sorted(args[1] for args, _ in builds) == list(range(1, rounds[-1]))
+        assert not any(writeable for _, writeable in builds)
+        builds.clear()
+    assert rounds[0] == rounds[1] > 1
+    gc.collect()
+    assert not engine._MAPPINGS
+
+    config = basic_config(4096, 0.02, 4, seed=7, permutation_kind=kind)
+    mapping = round_mapping(config, 1)
+    assert round_mapping(config, 1) is mapping
+    assert len(builds) == 1
+    with pytest.raises(ValueError):
+        mapping[0] = 0
+    del mapping
+    gc.collect()
+    assert not engine._MAPPINGS
+
+
+def test_concurrent_sessions_with_one_seed_match_a_serial_run():
+    # Three threaded sessions at once look up the same memo keys.
+    template = SessionTemplate(aggregation=True)
+    expected = run_trial_detailed(template, 4096, Bsc(0.03), 11).result.channel.transcript_bytes()
+    threads_before = set(threading.enumerate())
+    start = threading.Barrier(3)
+    transcripts = []
+    failures = []
+
+    def session():
+        try:
+            start.wait()
+            detail = run_trial_detailed(template, 4096, Bsc(0.03), 11, scheduling="threaded")
+            transcripts.append(detail.result.channel.transcript_bytes())
+        except BaseException as exc:  # noqa: BLE001 - reported below
+            failures.append(exc)
+
+    runners = [threading.Thread(target=session) for _ in range(3)]
+    for runner in runners:
+        runner.start()
+    for runner in runners:
+        runner.join(timeout=60)
+    assert not failures
+    assert transcripts == [expected] * 3
+    assert set(threading.enumerate()) <= threads_before, "a session thread is still alive"
+
+
+@pytest.mark.parametrize("kind", ["shuffle", "lcg"])
+def test_lazy_inverse_matches_the_scatter_inverse(kind):
+    for n in (1, 17, 4097, (1 << 18) + 3):
+        config = basic_config(n, 0.1, 4, seed=13, permutation_kind=kind)
+        bits = BitFrame.random(n, seed=2).bits
+        for round_index in range(4):
+            plan = plan_round(config.schedule, round_index, n, (0,) * round_index)
+            rnd = _Round(config, plan, bits, (0,) * len(plan.intervals))
+            assert rnd.inverse is None
+            eager = np.empty(n, dtype=np.int64)
+            eager[rnd.mapping] = np.arange(n)
+            assert [rnd.original(pos) for pos in range(n)] == eager.tolist(), (n, round_index)
+            assert (rnd.inverse is None) == (round_index == 0)
+
+
+def test_a_round_without_a_find_builds_no_inverse(monkeypatch):
+    responders = []
+    original_run_round = _Responder.run_round
+
+    def recorded_run_round(self, round_index, block_msg):
+        responders.append(self)
+        return (yield from original_run_round(self, round_index, block_msg))
+
+    monkeypatch.setattr(_Responder, "run_round", recorded_run_round)
+    config = basic_config(4096, 0.001, 6, seed=21)
+    frame_a = BitFrame.random(4096, seed=22)
+    frame_b, _ = apply_noise(frame_a, FixedErrors(4), seed=23)
+    pair = run_pair(config, frame_a, frame_b)
+    assert pair.responder.status is SessionStatus.SUCCESS
+    (core,) = set(responders)
+    found_in = {event.block_round for event in pair.responder.corrections}
+    assert found_in and len(found_in) < len(core.rounds) - 1
+    for rnd in core.rounds:
+        assert (rnd.inverse is not None) == (rnd.index in found_in and rnd.index > 0), rnd.index
 
 
 def test_round_zero_prefix_leaves_the_frame_unmodified():
