@@ -26,8 +26,8 @@ view: ``prefix[i]`` is the parity of the round's first ``i`` bits, so any
 interval's parity is two byte reads.  The initiator keeps a list of them.
 The responder keeps one record per opened round, in a list indexed by
 round: the round's plan, its mapping (and, from the round's first find,
-the inverse), its prefix parities, its parity map (the initiator's parities
-it knows, keyed by ``(lo, hi)``) and the positions corrected in each block.
+the inverse), its prefix parities and its parity map (the initiator's
+parities it knows, keyed by ``(lo, hi)``).
 A round's mapping is built once per session: both parties get the same
 read-only array from ``round_mapping``, whose memo holds it weakly.  When a
 round opens, the responder compares every block's local parity with the
@@ -42,22 +42,22 @@ most once per session, which bounds every break rule: at most n flips,
 ``QuietRoundsBreak(q)`` within (n + 1) * q rounds.
 
 Within a round the responder works in "waves".  Each block search is one
-generator, written in the protocol's order: probe the regions left by
-earlier corrections, then bisect.  Each wave resumes every live search,
+generator that bisects the block.  Each wave resumes every live search,
 which runs as far as stored parities allow and yields the one interval
 whose parity must cross the wire; the wave sends those queries, sends each
-answer back to its search, then applies the located corrections.  Only a
-block with corrected positions walks its error frontier first.  A search
+answer back to its search, then applies the located corrections.  A search
 step computes its interval's midpoint once and reads the first half
 directly from the parity map, one level below the stored current interval
 (stored, or derived from the interval and a stored second half); otherwise
-the first half becomes the step's query.  After applying a wire answer a
+the first half becomes the step's query.  So a block searched again after
+earlier corrections re-reads every parity it already knows for free, and
+discloses only what the map cannot supply.  After applying a wire answer a
 search pauses until the next wave unless it has located its error, so each
 search makes at most one exchange per wave and reads on only after that
 wave's flips; the transcript depends on both.  A wave's corrected bits flip
 in the frame at once; then one pass per round record over their positions
-updates the record's parity map and corrected positions, queues the earlier
-rounds' blocks that hold the bits (the cascade), aborts (closes) each live
+updates the record's parity map, queues every block that holds a flipped
+bit (the cascade, current round included), aborts (closes) each live
 search whose scope a flip touched and XORs the prefix past the flipped
 positions.  A queued block becomes a search only if its parity differs, by
 the comparison used at round entry, and no search of it is live; these two
@@ -75,7 +75,7 @@ import math
 import threading
 import weakref
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Set, Tuple
 
 import numpy as np
 
@@ -163,8 +163,7 @@ class CorrectionEvent(NamedTuple):
     ``block_round`` identifies the round whose block was searched (older
     than ``corrected_round`` for cascaded corrections).  ``block_position``
     is the located singleton in that round's permuted coordinates, and
-    ``disclosed_bits`` counts the channel parities the search consumed,
-    probing included.
+    ``disclosed_bits`` counts the channel parities the search consumed.
     """
 
     corrected_round: int
@@ -411,37 +410,6 @@ def initiator_session(config: SessionConfig, frame: BitFrame):
 # ---------------------------------------------------------------------------
 
 
-def error_frontier(
-    block: Interval, corrected: Iterable[int], on_wire: Callable[[Interval], bool]
-) -> Tuple[Interval, ...]:
-    """Where follow-up searches of ``block`` start after corrections.
-
-    For each corrected position, takes the deepest sibling on the split
-    lattice path from ``block`` to the position whose parity did not cross
-    the wire (``on_wire`` is false), then keeps the minimal intervals,
-    sorted: ``multi_error_frontier`` on the equivalent tree.
-    """
-    regions: Set[Interval] = set()
-    for position in set(corrected):
-        lo, hi = block
-        deepest = None
-        while hi - lo > 1:
-            mid = split_point(lo, hi)
-            if position < mid:
-                sibling, hi = (mid, hi), mid
-            else:
-                sibling, lo = (lo, mid), mid
-            if not on_wire(sibling):
-                deepest = sibling
-        if deepest is not None:
-            regions.add(deepest)
-    # Intervals on one split lattice are nested or disjoint; keep the deep ones.
-    minimal = (
-        r for r in regions if not any(o != r and r[0] <= o[0] and o[1] <= r[1] for o in regions)
-    )
-    return tuple(sorted(minimal))
-
-
 def _first_half(
     known: Dict[Interval, Tuple[int, bool]], lo: int, mid: int, hi: int
 ) -> Optional[int]:
@@ -479,10 +447,9 @@ class _Round:
     changes: ``learn`` refuses a wire value that differs from a stored wire
     value, whichever round stored it, and a wire value replaces a derived
     one.  A derived value is written only where nothing is stored.
-    ``corrected`` maps a block to its positions flipped.
     """
 
-    __slots__ = ("index", "plan", "mapping", "inverse", "prefix", "array", "known", "corrected")
+    __slots__ = ("index", "plan", "mapping", "inverse", "prefix", "array", "known")
 
     def __init__(
         self, config: SessionConfig, plan: RoundPlan, bits: np.ndarray, announced: Iterable[int]
@@ -494,7 +461,6 @@ class _Round:
         self.known: Dict[Interval, Tuple[int, bool]] = {
             block: (bit, True) for block, bit in zip(plan.intervals, announced)
         }
-        self.corrected: Dict[Interval, Set[int]] = {}
 
     def original(self, pos: int) -> int:
         """The original position at round position ``pos``."""
@@ -515,9 +481,6 @@ class _Round:
         """Whether a block's local parity differs from the announced one."""
         return self.parity(*block) != self.known[block][0]
 
-    def on_wire(self, interval: Interval) -> bool:
-        return self.known.get(interval, (0, False))[1]
-
     def learn(self, interval: Interval, value: int) -> None:
         """Store a parity that crossed the wire, or refuse one that
         contradicts a stored wire parity."""
@@ -528,49 +491,6 @@ class _Round:
                 f"of round {self.index}"
             )
         self.known[interval] = (value, True)
-
-    def resolve(self, top: Interval, interval: Interval) -> Optional[int]:
-        """Look up or derive the initiator's parity of ``interval``.
-
-        ``top`` is a lattice ancestor of ``interval`` (or the interval itself)
-        whose value is stored.  One pass walks the split path from ``top``
-        down to ``interval`` and starts from the deepest stored node on it;
-        each level below XORs in its stored sibling and is memoized.
-        Returns ``None`` at the first sibling that is not stored, or when
-        ``interval`` is not on ``top``'s lattice.
-        """
-        known = self.known
-        entry = known.get(interval)
-        if entry is not None:
-            return entry[0]
-        value = known[top][0]
-        # (node, sibling) for each level below the deepest stored node.
-        below: List[Tuple[Interval, Interval]] = []
-        lo, hi = top
-        while (lo, hi) != interval:
-            if hi - lo <= 1:
-                return None
-            mid = split_point(lo, hi)
-            if interval[1] <= mid:
-                node, sibling = (lo, mid), (mid, hi)
-            elif interval[0] >= mid:
-                node, sibling = (mid, hi), (lo, mid)
-            else:
-                return None  # interval straddles the split: off-lattice
-            lo, hi = node
-            entry = known.get(node)
-            if entry is None:
-                below.append((node, sibling))
-            else:
-                value = entry[0]
-                below.clear()
-        for node, sibling in below:
-            entry = known.get(sibling)
-            if entry is None:
-                return None
-            value ^= entry[0]
-            known[node] = (value, False)
-        return value
 
     def flip(self, positions: List[int]) -> None:
         """XOR the prefix past each flipped position.
@@ -591,11 +511,11 @@ class _Search:
     ``steps`` is the search itself, a :meth:`_Responder._search` generator
     over ``block`` of the round record ``rnd``; a search is made only for a
     block whose parity differs from the announced one.  ``scope`` is what a
-    flip must touch to abort the search: the block while probing, then the
-    working interval (the search state, whose first two fields are its
-    bounds), and ``None`` once the search has ended, located or aborted.
+    flip must touch to abort the search: the block until its first step,
+    then the working interval (the search state, whose first two fields are
+    its bounds), and ``None`` once the search has ended, located or aborted.
     ``found`` is the located round position and ``disclosed`` the wire
-    parities the search consumed, probing included.
+    parities the search consumed.
     """
 
     __slots__ = ("rnd", "block", "scope", "found", "disclosed", "steps")
@@ -613,14 +533,13 @@ class _Responder:
     """Responder-side state: one :class:`_Round` record per opened round.
 
     ``rounds[r]`` holds round ``r``'s plan, mapping (and, once the round
-    has a find, its inverse), prefix parities, parity map and corrected
-    positions.  A frontier probe looks up or derives its remote parity in
-    one pass down from the block (``_Round.resolve``); a search step reads
-    its first half one level below the current interval (``_first_half``).
-    Each block search is one generator (``_search``); every wire parity is
-    stored through ``_Round.learn`` and then sent to its search, which reads
-    the local first-half parity from the prefix and stores the implied
-    second half.
+    has a find, its inverse), prefix parities and parity map.  Each block
+    search is one generator (``_search``) that bisects from the block; a
+    step reads its first half one level below the current interval
+    (``_first_half``) before it asks the wire.  Every wire parity is stored
+    through ``_Round.learn`` and then sent to its search, which reads the
+    local first-half parity from the prefix and stores the implied second
+    half.
 
     Each wave's flip pass learns every corrected leaf in round 0's record
     first, so a second flip of any position contradicts the stored leaf
@@ -642,13 +561,14 @@ class _Responder:
     # -- block searches ------------------------------------------------------
 
     def _search(self, task: _Search) -> Iterator[Optional[Interval]]:
-        """One block search: probe the frontier, then bisect.
+        """One block search: bisect the block.
 
         The search is made for a block that differs and takes its first step
-        before any flip, so the block still differs.  Only a block with
-        corrected positions has a frontier to probe.  Each bisection step
-        reads its first half from the map with ``_first_half`` before asking
-        the wire.  ``run_round`` resumes it once per wave.  It yields each
+        before any flip, so the block still differs.  Each step reads its
+        first half from the map with ``_first_half`` before asking the wire,
+        so every parity known from earlier searches is reused and an
+        interval crosses the wire only when the map cannot supply it.
+        ``run_round`` resumes the search once per wave.  It yields each
         interval whose remote parity must cross the wire and is sent that
         parity back by the wave loop once ``_Round.learn`` has stored it.
         The step after a wire answer waits for the next wave: unless the
@@ -657,27 +577,12 @@ class _Responder:
         """
         rnd, block = task.rnd, task.block
         known = rnd.known
-        interval, remote = block, known[block][0]
+        remote = known[block][0]
         answered = False
         reuse = self.config.parity_reuse
-        corrected = rnd.corrected.get(block)
-        if reuse and corrected:
-            # The first frontier region that disagrees is searched; if none
-            # does, the whole block, which differs.
-            for region in error_frontier(block, corrected, rnd.on_wire):
-                if answered:
-                    yield
-                value = rnd.resolve(block, region)
-                answered = value is None
-                if answered:
-                    value = yield region
-                    task.disclosed += 1
-                if rnd.parity(*region) != value:
-                    interval, remote = region, value
-                    break
         # One midpoint per step: the first half is both the map read and the
         # wire query.
-        state = bisect_search.start(interval[0], interval[1], rnd.index)
+        state = bisect_search.start(block[0], block[1], rnd.index)
         prefix = rnd.prefix
         while state.found is None:
             task.scope = state
@@ -698,7 +603,7 @@ class _Responder:
             remote = value if state.hi == mid else second
         task.scope = None
         task.found = state.found
-        task.disclosed += state.disclosed
+        task.disclosed = state.disclosed
 
     # -- the round wave loop -----------------------------------------------------
 
@@ -716,8 +621,8 @@ class _Responder:
         become searches unless their key is still live; round entry and the
         candidate loop are the only places a search starts.  A wave's flips
         are applied round by round: one pass per opened round over the
-        flipped positions updates its map, queues the cascade, aborts the
-        touched searches and XORs its prefix.
+        flipped positions updates its map, queues every block that holds a
+        flipped bit, aborts the touched searches and XORs its prefix.
         """
         if not isinstance(block_msg, wire.BlockParities):
             raise ProtocolError(f"expected BlockParities, got {type(block_msg).__name__}")
@@ -741,15 +646,16 @@ class _Responder:
             for i in differ
         }
         corrected_this_round = 0
-        # A search lives at most one wave per frontier region (no more than
-        # its block's length), one per search step and one more.  Without a
-        # flip no search starts, and every search ends located (a flip) or
-        # aborted (by a flip), so a round can go at most one lifetime without
-        # one; and a bit flips at most once per session (a second flip's leaf
-        # conflicts in _Round.learn).  So every round ends, whatever the peer
-        # says; the guard only catches an engine fault.
+        # A search makes at most one wire step per wave and at most
+        # bit_length steps, so it lives at most one bisection lifetime of
+        # bit_length waves.  Without a flip no search starts, and every search
+        # ends located (a flip) or aborted (by a flip), so a round can go at
+        # most one lifetime without one; and a bit flips at most once per
+        # session (a second flip's leaf conflicts in _Round.learn).  So every
+        # round ends, whatever the peer says; the guard only catches an
+        # engine fault.
         longest = max(min(opened.plan.block_size, self.n) for opened in self.rounds)
-        quiet_limit = longest + longest.bit_length() + 1
+        quiet_limit = longest.bit_length() + 1
         quiet = 0
         try:
             while live:
@@ -791,8 +697,9 @@ class _Responder:
                 # modes, and a bit located twice is credited to the older
                 # search.  The wave's bits flip at once; then one pass per
                 # opened round over their positions updates the map, queues
-                # earlier rounds' blocks (the cascade), aborts the live search
-                # on a block whose scope a flip touched, and XORs the prefix.
+                # every block that holds a flipped bit (the cascade, the
+                # current round included), aborts the live search on a block
+                # whose scope a flip touched, and XORs the prefix.
                 # A round's iteration reads and writes only that round's record
                 # and searches, and a flip advances no search, so each test sees
                 # what a separate scan after all flips would see.
@@ -819,15 +726,11 @@ class _Responder:
                     for opened in self.rounds:
                         positions = opened.mapping[originals].tolist()
                         plan = opened.plan
-                        corrected = opened.corrected
-                        cascade = opened.index < round_index
                         for pos, value in zip(positions, values):
                             block = plan.intervals[pos // plan.block_size]
-                            corrected.setdefault(block, set()).add(pos)
                             opened.learn((pos, pos + 1), value)
                             key = (opened.index, block)
-                            if cascade:
-                                candidates.add(key)
+                            candidates.add(key)
                             other = live.get(key)
                             scope = None if other is None else other.scope
                             if scope is not None and scope[0] <= pos < scope[1]:
@@ -836,14 +739,13 @@ class _Responder:
                                 # alive until the cyclic collector runs.
                                 other.steps.close()
                                 other.scope = None
-                                candidates.add(key)
                         opened.flip(positions)
                 corrected_this_round += len(originals)
 
                 live = {key: task for key, task in live.items() if task.scope is not None}
-                # A live candidate is an earlier round's block (a current-round
-                # block is queued only by aborting its search); its search
-                # queues that block again in the wave it ends, located or
+                # A live candidate is a block whose search no flip touched
+                # (every flip fell outside its working interval); that search
+                # queues the block again in the wave it ends, located or
                 # aborted, and the block is checked then.
                 for key in sorted(candidates):
                     if key not in live and self.rounds[key[0]].differs(key[1]):

@@ -6,9 +6,11 @@ from pathlib import Path
 import pytest
 
 import cascade_sim
-from cascade_sim import bitframe, channel, rng
+from cascade_sim import bitframe, channel, engine, rng
 
-# Deleted because nothing in the package or its tools called them.
+# Deleted because nothing in the package or its tools called them, or because
+# the behaviour they served is gone (the responder no longer probes an error
+# frontier before it bisects).
 REMOVED = [
     (cascade_sim, "Permutation"),
     (cascade_sim, "apply_permutation"),
@@ -19,6 +21,7 @@ REMOVED = [
     (bitframe.BitFrame, "to01"),
     (rng, "bit_stream"),
     (channel.Direction, "wire_byte"),
+    (engine, "error_frontier"),
 ]
 
 
