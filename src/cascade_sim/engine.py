@@ -41,31 +41,33 @@ most once per session, which bounds every break rule: at most n flips,
 ``ThresholdBreak(m)`` ends within n // m + 1 rounds and
 ``QuietRoundsBreak(q)`` within (n + 1) * q rounds.
 
-Within a round the responder works in "waves".  Each block search is one
-generator that bisects the block.  Each wave resumes every live search,
-which runs as far as stored parities allow and yields the one interval
-whose parity must cross the wire; the wave sends those queries, sends each
-answer back to its search, then applies the located corrections.  A search
-step computes its interval's midpoint once and reads the first half
-directly from the parity map, one level below the stored current interval
-(stored, or derived from the interval and a stored second half); otherwise
-the first half becomes the step's query.  So a block searched again after
-earlier corrections re-reads every parity it already knows for free, and
-discloses only what the map cannot supply.  After applying a wire answer a
-search pauses until the next wave unless it has located its error, so each
-search makes at most one exchange per wave and reads on only after that
-wave's flips; the transcript depends on both.  A wave's corrected bits flip
-in the frame at once; then one pass per round record over their positions
-updates the record's parity map, queues every block that holds a flipped
-bit (the cascade, current round included), aborts (closes) each live
-search whose scope a flip touched and XORs the prefix past the flipped
-positions.  A queued block becomes a search only if its parity differs, by
-the comparison used at round entry, and no search of it is live; these two
-places are the only ones where a search starts, so every search is made for
-a block that differs.  The waves are the same regardless of query batching,
-and each wave's corrections are credited in the order its searches were
-created, so the batched and unbatched modes produce bit-identical
-corrections.
+Within a round the responder works in "waves".  Each block search is a
+record of its round and its ``binary_search`` state, whose working interval
+starts as the block.  Each wave advances every live search once: it steps
+as far as stored parities allow and returns the one interval whose parity
+must cross the wire; the wave sends those queries, applies each answer to
+its search, then applies the located corrections.  A search step computes
+its interval's midpoint once and reads the first half directly from the
+parity map, one level below the working interval (stored, or derived from
+the interval and a stored second half); otherwise the first half becomes
+the step's query.  The working interval's own parity is read from the map
+as well, so the map is the one copy of every parity the responder knows,
+and a block searched again after earlier corrections re-reads every parity
+it already knows for free and discloses only what the map cannot supply.
+A wire answer takes its search one step; the search steps on only in the
+next wave, after that wave's flips, so each search makes at most one
+exchange per wave; the transcript depends on both.  A wave's corrected
+bits flip in the frame at once; then one pass per round record over their
+positions updates the record's parity map, queues every block that holds a
+flipped bit (the cascade, current round included), drops each live search
+whose working interval a flip touched (an abort) and XORs the prefix past
+the flipped positions.  A queued block becomes a search only if its parity
+differs, by the comparison used at round entry, and no search of it is
+live; these two places are the only ones where a search starts, so every
+search is made for a block that differs.  The waves are the same
+regardless of query batching, and each wave's corrections are credited in
+the order its searches were created, so the batched and unbatched modes
+produce bit-identical corrections.
 """
 
 from __future__ import annotations
@@ -506,27 +508,51 @@ class _Round:
 
 
 class _Search:
-    """What the wave loop reads of one block search.
+    """One block search: the round record ``rnd`` and the ``binary_search``
+    ``state`` over the working interval, which starts as the block.
 
-    ``steps`` is the search itself, a :meth:`_Responder._search` generator
-    over ``block`` of the round record ``rnd``; a search is made only for a
-    block whose parity differs from the announced one.  ``scope`` is what a
-    flip must touch to abort the search: the block until its first step,
-    then the working interval (the search state, whose first two fields are
-    its bounds), and ``None`` once the search has ended, located or aborted.
-    ``found`` is the located round position and ``disclosed`` the wire
+    A search is made only for a block whose parity differs from the
+    announced one.  The working interval's parity is always stored in
+    ``rnd.known`` (the block's was announced, and each step stores both
+    halves), so the search keeps no copy of it.  ``state.found`` is the
+    located round position and ``state.disclosed`` counts the wire
     parities the search consumed.
     """
 
-    __slots__ = ("rnd", "block", "scope", "found", "disclosed", "steps")
+    __slots__ = ("rnd", "state")
 
-    def __init__(self, responder: _Responder, round_index: int, block: Interval):
-        self.rnd = responder.rounds[round_index]
-        self.block = block
-        self.scope = block
-        self.found: Optional[int] = None
-        self.disclosed = 0
-        self.steps = responder._search(self)
+    def __init__(self, rnd: _Round, block: Interval):
+        self.rnd = rnd
+        self.state = bisect_search.start(block[0], block[1], rnd.index)
+
+    def advance(self, reuse: bool) -> Optional[Interval]:
+        """Step on the first halves the map supplies (``_first_half``, when
+        ``reuse`` allows it); return the first half that must cross the
+        wire, or ``None`` once the error is located."""
+        known = self.rnd.known
+        while self.state.found is None:
+            lo, hi = self.state.lo, self.state.hi
+            # One midpoint per step: the first half is both the map read and
+            # the wire query.
+            mid = split_point(lo, hi)
+            value = _first_half(known, lo, mid, hi) if reuse else None
+            if value is None:
+                return (lo, mid)
+            self._step(lo, mid, hi, value, True)
+        return None
+
+    def answer(self, parity: int) -> None:
+        """Take one step on the wire parity of the first half that
+        ``advance`` returned, once ``_Round.learn`` has stored it."""
+        lo, hi = self.state.lo, self.state.hi
+        self._step(lo, split_point(lo, hi), hi, parity, False)
+
+    def _step(self, lo: int, mid: int, hi: int, value: int, from_reuse: bool) -> None:
+        known, prefix = self.rnd.known, self.rnd.prefix
+        # The second half's value is implied, and never replaces a stored one.
+        known.setdefault((mid, hi), (known[(lo, hi)][0] ^ value, False))
+        local = prefix[lo] ^ prefix[mid]
+        self.state = bisect_search.step(self.state, local, value, from_reuse=from_reuse)
 
 
 class _Responder:
@@ -534,12 +560,12 @@ class _Responder:
 
     ``rounds[r]`` holds round ``r``'s plan, mapping (and, once the round
     has a find, its inverse), prefix parities and parity map.  Each block
-    search is one generator (``_search``) that bisects from the block; a
-    step reads its first half one level below the current interval
+    search is a :class:`_Search` record that bisects from the block; a
+    step reads its first half one level below the working interval
     (``_first_half``) before it asks the wire.  Every wire parity is stored
-    through ``_Round.learn`` and then sent to its search, which reads the
-    local first-half parity from the prefix and stores the implied second
-    half.
+    through ``_Round.learn`` and then applied to its search, which reads
+    the local first-half parity from the prefix and stores the implied
+    second half.
 
     Each wave's flip pass learns every corrected leaf in round 0's record
     first, so a second flip of any position contradicts the stored leaf
@@ -558,53 +584,6 @@ class _Responder:
         self.corrections: List[CorrectionEvent] = []
         self.parity_bits = 0
 
-    # -- block searches ------------------------------------------------------
-
-    def _search(self, task: _Search) -> Iterator[Optional[Interval]]:
-        """One block search: bisect the block.
-
-        The search is made for a block that differs and takes its first step
-        before any flip, so the block still differs.  Each step reads its
-        first half from the map with ``_first_half`` before asking the wire,
-        so every parity known from earlier searches is reused and an
-        interval crosses the wire only when the map cannot supply it.
-        ``run_round`` resumes the search once per wave.  It yields each
-        interval whose remote parity must cross the wire and is sent that
-        parity back by the wave loop once ``_Round.learn`` has stored it.
-        The step after a wire answer waits for the next wave: unless the
-        answer located the error, the search pauses with a bare ``yield``, so
-        it reads on only after the wave's flips.
-        """
-        rnd, block = task.rnd, task.block
-        known = rnd.known
-        remote = known[block][0]
-        answered = False
-        reuse = self.config.parity_reuse
-        # One midpoint per step: the first half is both the map read and the
-        # wire query.
-        state = bisect_search.start(block[0], block[1], rnd.index)
-        prefix = rnd.prefix
-        while state.found is None:
-            task.scope = state
-            if answered:
-                yield
-            lo, hi = state.lo, state.hi
-            mid = split_point(lo, hi)
-            value = _first_half(known, lo, mid, hi) if reuse else None
-            answered = value is None
-            if answered:
-                value = yield (lo, mid)
-            local = prefix[lo] ^ prefix[mid]
-            state = bisect_search.step(state, local, value, from_reuse=not answered)
-            # The second half's value is implied, and never replaces a value
-            # learned on the wire.
-            second = remote ^ value
-            known.setdefault((mid, hi), (second, False))
-            remote = value if state.hi == mid else second
-        task.scope = None
-        task.found = state.found
-        task.disclosed = state.disclosed
-
     # -- the round wave loop -----------------------------------------------------
 
     def run_round(self, round_index: int, block_msg) -> Iterator:
@@ -613,16 +592,17 @@ class _Responder:
         Yields single-message lists (queries, then the round closure) and
         finally returns the message that arrived after RoundDone.  The
         unfinished searches live in one insertion-ordered map keyed by
-        ``(round, block)``; each wave advances them in queue order, and
-        finished ones leave it before the wave's cascade candidates join.
-        On entry one vectorised comparison of the block parities against the
-        announced ones picks the blocks that differ, and only these become
-        searches.  The same comparison screens the cascade candidates, which
-        become searches unless their key is still live; round entry and the
-        candidate loop are the only places a search starts.  A wave's flips
-        are applied round by round: one pass per opened round over the
-        flipped positions updates its map, queues every block that holds a
-        flipped bit, aborts the touched searches and XORs its prefix.
+        ``(round, block)``; each wave advances every one of them once, in
+        queue order, and located or aborted ones leave it before the wave's
+        cascade candidates join.  On entry one vectorised comparison of the
+        block parities against the announced ones picks the blocks that
+        differ, and only these become searches.  The same comparison screens
+        the cascade candidates, which become searches unless their key is
+        still live; round entry and the candidate loop are the only places a
+        search starts.  A wave's flips are applied round by round: one pass
+        per opened round over the flipped positions updates its map, queues
+        every block that holds a flipped bit, drops the touched searches and
+        XORs its prefix.
         """
         if not isinstance(block_msg, wire.BlockParities):
             raise ProtocolError(f"expected BlockParities, got {type(block_msg).__name__}")
@@ -642,9 +622,9 @@ class _Responder:
         local = _block_parities(rnd.array, plan)
         differ = np.flatnonzero(local != np.asarray(block_msg.parities)).tolist()
         live: Dict[Tuple[int, Interval], _Search] = {
-            (round_index, plan.intervals[i]): _Search(self, round_index, plan.intervals[i])
-            for i in differ
+            (round_index, plan.intervals[i]): _Search(rnd, plan.intervals[i]) for i in differ
         }
+        reuse = self.config.parity_reuse
         corrected_this_round = 0
         # A search makes at most one wire step per wave and at most
         # bit_length steps, so it lives at most one bisection lifetime of
@@ -657,103 +637,91 @@ class _Responder:
         longest = max(min(opened.plan.block_size, self.n) for opened in self.rounds)
         quiet_limit = longest.bit_length() + 1
         quiet = 0
-        try:
-            while live:
-                quiet += 1
-                if quiet > quiet_limit:
-                    raise ProtocolError(
-                        f"internal: round {round_index} ran {quiet_limit} waves without a flip"
-                    )
+        while live:
+            quiet += 1
+            if quiet > quiet_limit:
+                raise ProtocolError(
+                    f"internal: round {round_index} ran {quiet_limit} waves without a flip"
+                )
 
-                needs: List[Tuple[_Search, Interval]] = []
-                for task in live.values():
-                    need = next(task.steps, None)
-                    if need is not None:
-                        needs.append((task, need))
-
-                # Aggregation only chooses the groups: one query per referenced
-                # round in round order, or one per need in need order.
-                if self.config.aggregation:
-                    by_round: Dict[int, List[Tuple[_Search, Interval]]] = {}
-                    for need in needs:
-                        by_round.setdefault(need[0].rnd.index, []).append(need)
-                    groups = [by_round[r_key] for r_key in sorted(by_round)]
-                else:
-                    groups = [[need] for need in needs]
-                for group in groups:
-                    tasks, intervals = zip(*group)
-                    r_key = tasks[0].rnd.index
-                    reply = yield [wire.ParityQuery(r_key, intervals)]
-                    entries = self._checked_entries(reply, r_key, intervals)
-                    self.parity_bits += len(entries)
-                    for task, interval, (_, _, parity) in zip(tasks, intervals, entries):
-                        task.rnd.learn(interval, parity)
-                        try:
-                            task.steps.send(parity)
-                        except StopIteration:  # the answer located the error
-                            pass
-
-                # Finds apply in live (creation) order in both aggregation
-                # modes, and a bit located twice is credited to the older
-                # search.  The wave's bits flip at once; then one pass per
-                # opened round over their positions updates the map, queues
-                # every block that holds a flipped bit (the cascade, the
-                # current round included), aborts the live search on a block
-                # whose scope a flip touched, and XORs the prefix.
-                # A round's iteration reads and writes only that round's record
-                # and searches, and a flip advances no search, so each test sees
-                # what a separate scan after all flips would see.
-                originals: List[int] = []
-                seen: Set[int] = set()
-                for task in live.values():
-                    if task.found is None:
-                        continue
-                    original = task.rnd.original(task.found)
-                    if original in seen:
-                        continue
-                    seen.add(original)
-                    originals.append(original)
-                    self.corrections.append(
-                        CorrectionEvent(
-                            round_index, task.rnd.index, original, task.found, task.disclosed
-                        )
-                    )
-                candidates: Set[Tuple[int, Interval]] = set()
-                if originals:
-                    quiet = 0
-                    self.bits[originals] ^= 1
-                    values = self.bits[originals].tolist()
-                    for opened in self.rounds:
-                        positions = opened.mapping[originals].tolist()
-                        plan = opened.plan
-                        for pos, value in zip(positions, values):
-                            block = plan.intervals[pos // plan.block_size]
-                            opened.learn((pos, pos + 1), value)
-                            key = (opened.index, block)
-                            candidates.add(key)
-                            other = live.get(key)
-                            scope = None if other is None else other.scope
-                            if scope is not None and scope[0] <= pos < scope[1]:
-                                # A suspended search's frame holds its record:
-                                # left open, that cycle keeps this responder
-                                # alive until the cyclic collector runs.
-                                other.steps.close()
-                                other.scope = None
-                        opened.flip(positions)
-                corrected_this_round += len(originals)
-
-                live = {key: task for key, task in live.items() if task.scope is not None}
-                # A live candidate is a block whose search no flip touched
-                # (every flip fell outside its working interval); that search
-                # queues the block again in the wave it ends, located or
-                # aborted, and the block is checked then.
-                for key in sorted(candidates):
-                    if key not in live and self.rounds[key[0]].differs(key[1]):
-                        live[key] = _Search(self, *key)
-        finally:
-            # An error can leave searches suspended: close them, as an abort does.
+            needs: List[Tuple[_Search, Interval]] = []
             for task in live.values():
-                task.steps.close()
+                need = task.advance(reuse)
+                if need is not None:
+                    needs.append((task, need))
+
+            # Aggregation only chooses the groups: one query per referenced
+            # round in round order, or one per need in need order.
+            if self.config.aggregation:
+                by_round: Dict[int, List[Tuple[_Search, Interval]]] = {}
+                for need in needs:
+                    by_round.setdefault(need[0].rnd.index, []).append(need)
+                groups = [by_round[r_key] for r_key in sorted(by_round)]
+            else:
+                groups = [[need] for need in needs]
+            for group in groups:
+                tasks, intervals = zip(*group)
+                r_key = tasks[0].rnd.index
+                reply = yield [wire.ParityQuery(r_key, intervals)]
+                entries = self._checked_entries(reply, r_key, intervals)
+                self.parity_bits += len(entries)
+                for task, interval, (_, _, parity) in zip(tasks, intervals, entries):
+                    task.rnd.learn(interval, parity)
+                    task.answer(parity)
+
+            # Finds apply in live (creation) order in both aggregation
+            # modes, and a bit located twice is credited to the older
+            # search.  The wave's bits flip at once; then one pass per
+            # opened round over their positions updates the map, queues
+            # every block that holds a flipped bit (the cascade, the
+            # current round included), drops the live search on a block
+            # whose working interval a flip touched, and XORs the prefix.
+            # A round's iteration reads and writes only that round's record
+            # and searches, and a flip advances no search, so each test sees
+            # what a separate scan after all flips would see.
+            originals: List[int] = []
+            seen: Set[int] = set()
+            for task in live.values():
+                found = task.state.found
+                if found is None:
+                    continue
+                original = task.rnd.original(found)
+                if original in seen:
+                    continue
+                seen.add(original)
+                originals.append(original)
+                self.corrections.append(
+                    CorrectionEvent(
+                        round_index, task.rnd.index, original, found, task.state.disclosed
+                    )
+                )
+            live = {key: task for key, task in live.items() if task.state.found is None}
+            candidates: Set[Tuple[int, Interval]] = set()
+            if originals:
+                quiet = 0
+                self.bits[originals] ^= 1
+                values = self.bits[originals].tolist()
+                for opened in self.rounds:
+                    positions = opened.mapping[originals].tolist()
+                    plan = opened.plan
+                    for pos, value in zip(positions, values):
+                        block = plan.intervals[pos // plan.block_size]
+                        opened.learn((pos, pos + 1), value)
+                        key = (opened.index, block)
+                        candidates.add(key)
+                        other = live.get(key)
+                        if other is not None and other.state.lo <= pos < other.state.hi:
+                            del live[key]
+                    opened.flip(positions)
+            corrected_this_round += len(originals)
+
+            # A live candidate is a block whose search no flip touched
+            # (every flip fell outside its working interval); that search
+            # queues the block again in the wave it ends, located or
+            # aborted, and the block is checked then.
+            for key in sorted(candidates):
+                if key not in live and self.rounds[key[0]].differs(key[1]):
+                    live[key] = _Search(self.rounds[key[0]], key[1])
 
         self.history.append(corrected_this_round)
         reply = yield [wire.RoundDone(round_index, corrected_this_round)]

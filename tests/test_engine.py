@@ -386,8 +386,8 @@ def test_lockstep_and_threaded_transcripts_are_identical():
 @pytest.mark.parametrize("scheduling", ["lockstep", "threaded"])
 @pytest.mark.parametrize("aggregation", [False, True])
 def test_no_search_outlives_its_session(scheduling, aggregation):
-    # At 10% errors flips abort live searches.  A search left suspended keeps
-    # its responder alive through its generator frame until the cyclic
+    # At 10% errors flips abort live searches.  Any reference cycle through a
+    # search or round record would keep its responder alive until the cyclic
     # collector runs, so with the collector off none may remain.
     gc.collect()
     gc.disable()
@@ -536,9 +536,9 @@ def test_every_search_is_made_for_a_block_that_differs(monkeypatch, seed):
     differs = []
     make = _Search.__init__
 
-    def checked(task, responder, round_index, block):
-        differs.append(responder.rounds[round_index].differs(block))
-        make(task, responder, round_index, block)
+    def checked(task, rnd, block):
+        differs.append(rnd.differs(block))
+        make(task, rnd, block)
 
     monkeypatch.setattr(_Search, "__init__", checked)
     detail = run_trial_detailed(SessionTemplate(), 4096, Bsc(0.02), seed)
@@ -780,6 +780,93 @@ def test_learned_syndromes_follow_one_write_rule():
     rnd.known[(2, 4)] = (1, False)
     rnd.learn((2, 4), 0)
     assert rnd.known[(2, 4)] == (0, True)
+
+
+# ---------------------------------------------------------------- searches
+
+
+def _round_of_16():
+    """A round record over 16 zero bits whose map holds only the block
+    ``(0, 16)``, announced as odd: the initiator's frame differs at 11."""
+    config = basic_config(16, 0.25, 2)
+    plan = plan_round(config.schedule, 0, 16, ())
+    rnd = _Round(config, plan, BitFrame.zeros(16).bits, (0,) * len(plan.intervals))
+    rnd.known = {(0, 16): (1, True)}
+    return rnd
+
+
+def _remote(interval):
+    return int(interval[0] <= 11 < interval[1])
+
+
+def test_a_one_position_search_is_found_at_creation():
+    task = _Search(_round_of_16(), (5, 6))
+    assert (task.state.found, task.state.disclosed) == (5, 0)
+    assert task.advance(True) is None
+
+
+def test_a_search_over_a_stored_lattice_needs_no_wire_step():
+    rnd = _round_of_16()
+    for node in _lattice_nodes((0, 16)):
+        rnd.known[node] = (_remote(node), True)
+    task = _Search(rnd, (0, 16))
+    assert task.advance(True) is None
+    assert (task.state.found, task.state.disclosed) == (11, 0)
+
+
+def test_an_answer_stores_the_second_half_as_derived_only_where_nothing_is_stored():
+    rnd = _round_of_16()
+    task = _Search(rnd, (0, 16))
+    assert task.advance(True) == (0, 8)
+    rnd.learn((0, 8), 0)
+    task.answer(0)
+    assert rnd.known[(8, 16)] == (1, False)
+    assert task.advance(True) == (8, 12)
+    # The answer implies 0 for (12, 16); a stored wire entry stays as it is,
+    # even one the answer contradicts.
+    rnd.known[(12, 16)] = (1, True)
+    rnd.learn((8, 12), 1)
+    task.answer(1)
+    assert rnd.known[(12, 16)] == (1, True)
+    assert (task.state.lo, task.state.hi, task.state.disclosed) == (8, 12, 2)
+
+
+def test_without_reuse_every_first_half_crosses_the_wire():
+    rnd = _round_of_16()
+    for node in _lattice_nodes((0, 16)):
+        rnd.known[node] = (_remote(node), True)
+    task = _Search(rnd, (0, 16))
+    asked = []
+    while (need := task.advance(False)) is not None:
+        asked.append(need)
+        rnd.learn(need, _remote(need))
+        task.answer(_remote(need))
+    assert asked == [(0, 8), (8, 12), (8, 10), (10, 11)]
+    assert (task.state.found, task.state.disclosed) == (11, 4)
+
+
+def test_a_round_whose_searches_never_advance_hits_the_quiet_wave_guard(monkeypatch):
+    # Searches that ask their block's first half forever never flip a bit,
+    # so the round must end in the guard's error after quiet_limit waves.
+    def stalled(task, reuse):
+        lo, hi = task.state.lo, task.state.hi
+        return (lo, split_point(lo, hi))
+
+    monkeypatch.setattr(_Search, "advance", stalled)
+    monkeypatch.setattr(_Search, "answer", lambda task, parity: None)
+    n = 1024
+    config = basic_config(n, 0.02, 3, seed=51, aggregation=True)
+    frame_a = BitFrame.random(n, seed=52)
+    frame_b, _ = apply_noise(frame_a, FixedErrors(5), seed=53)
+    quiet_limit = min(plan_round(config.schedule, 0, n, ()).block_size, n).bit_length() + 1
+    channel = Channel()
+    message = rf"internal: round 0 ran {quiet_limit} waves without a flip"
+    with pytest.raises(ProtocolError, match=message):
+        run_pair(config, frame_a, frame_b, channel_obj=channel)
+    sent = [entry.message for entry in channel.transcript]
+    queries = [message for message in sent if isinstance(message, ParityQuery)]
+    assert 0 < len(queries) <= quiet_limit
+    assert {query.round_index for query in queries} == {0}
 
 
 # ---------------------------------------------------------------- initiator

@@ -475,8 +475,9 @@ def test_injected_message_faults_end_in_a_clean_error_or_an_honest_verdict(monke
 
 
 def test_no_search_outlives_a_session_that_ends_in_an_error(lying_initiator):
-    # A round that ends in ProtocolError leaves searches suspended; they are
-    # closed, so with the collector off no responder remains.
+    # A round that ends in ProtocolError leaves searches live.  Any reference
+    # cycle through them would keep their responder alive until the cyclic
+    # collector runs, so with the collector off no responder may remain.
     gc.collect()
     gc.disable()
     try:
