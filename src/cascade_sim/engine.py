@@ -34,11 +34,12 @@ round opens, the responder compares every block's local parity with the
 announced one in one vectorised step, and only the blocks that differ
 become searches.
 
-An honest parity never changes, since it describes the initiator's fixed
-frame; so a wire parity that contradicts a stored wire parity, whichever
-round stored it, is a ``ProtocolError``.  Each position therefore flips at
-most once per session, which bounds every break rule: at most n flips,
-``ThresholdBreak(m)`` ends within n // m + 1 rounds and
+Every stored parity is a fact about the initiator's fixed frame, whether
+it crossed the wire or was derived from others, and any two that disagree
+are a ``ProtocolError``; the parity map has one write rule for this
+(``_Round.learn``).  Each corrected leaf is stored too, so each position
+flips at most once per session, which bounds every break rule: at most n
+flips, ``ThresholdBreak(m)`` ends within n // m + 1 rounds and
 ``QuietRoundsBreak(q)`` within (n + 1) * q rounds.
 
 Within a round the responder works in "waves".  Each block search is a
@@ -47,13 +48,15 @@ starts as the block.  Each wave advances every live search once: it steps
 as far as stored parities allow and returns the one interval whose parity
 must cross the wire; the wave sends those queries, applies each answer to
 its search, then applies the located corrections.  A search step computes
-its interval's midpoint once and reads the first half directly from the
-parity map, one level below the working interval (stored, or derived from
-the interval and a stored second half); otherwise the first half becomes
-the step's query.  The working interval's own parity is read from the map
-as well, so the map is the one copy of every parity the responder knows,
-and a block searched again after earlier corrections re-reads every parity
-it already knows for free and discloses only what the map cannot supply.
+its interval's midpoint once and reads the first half from the parity
+map, one level below the working interval (stored, or derived from the
+interval and a stored second half); otherwise the first half becomes the
+step's query.  Either way the step learns both halves, the first half's
+value and the implied second half, so the working interval's own parity is
+always stored: the map is the one copy of every parity the responder
+knows, and a block searched again after earlier corrections re-reads every
+parity it already knows for free and discloses only what the map cannot
+supply.
 A wire answer takes its search one step; the search steps on only in the
 next wave, after that wave's flips, so each search makes at most one
 exchange per wave; the transcript depends on both.  A wave's corrected
@@ -177,25 +180,39 @@ class CorrectionEvent(NamedTuple):
 
 @dataclass(frozen=True)
 class SessionSummary:
-    """One party's account of a finished session."""
+    """One party's account of a finished session.
+
+    ``corrected_history`` holds each executed round's correction count;
+    ``corrections`` is the responder's own record (the initiator's is
+    empty).  The other counts are derived from these two.
+    """
 
     role: Role
     status: wire.SessionStatus
     final_frame: BitFrame
-    rounds_executed: int
-    corrected_total: int
     corrected_history: Tuple[int, ...]
-    corrections: Tuple[CorrectionEvent, ...]
-    compromised_positions: frozenset
     parity_bits_disclosed: int
     fingerprint: Optional[int]
+    corrections: Tuple[CorrectionEvent, ...] = ()
+
+    @property
+    def rounds_executed(self) -> int:
+        return len(self.corrected_history)
+
+    @property
+    def corrected_total(self) -> int:
+        return sum(self.corrected_history)
+
+    @property
+    def compromised_positions(self) -> frozenset:
+        return frozenset(event.original_position for event in self.corrections)
 
 
 def _unreconciled(
     role: Role, status: wire.SessionStatus, frame: BitFrame, parity_bits: int
 ) -> SessionSummary:
     """Summary of a session that ended before any round was reconciled."""
-    return SessionSummary(role, status, frame, 0, 0, (), (), frozenset(), parity_bits, None)
+    return SessionSummary(role, status, frame, (), parity_bits, None)
 
 
 def frame_fingerprint(frame: BitFrame, seed: int) -> int:
@@ -393,16 +410,7 @@ def initiator_session(config: SessionConfig, frame: BitFrame):
     else:
         status = wire.SessionStatus.FAILURE
     summary = SessionSummary(
-        Role.INITIATOR,
-        status,
-        frame,
-        len(history),
-        sum(history),
-        tuple(history),
-        (),
-        frozenset(),
-        parity_bits,
-        own_fingerprint,
+        Role.INITIATOR, status, frame, tuple(history), parity_bits, own_fingerprint
     )
     return summary, [wire.Result(status)]
 
@@ -412,22 +420,16 @@ def initiator_session(config: SessionConfig, frame: BitFrame):
 # ---------------------------------------------------------------------------
 
 
-def _first_half(
-    known: Dict[Interval, Tuple[int, bool]], lo: int, mid: int, hi: int
-) -> Optional[int]:
+def _first_half(known: Dict[Interval, int], lo: int, mid: int, hi: int) -> Optional[int]:
     """The initiator's parity of ``(lo, mid)``, the first half of the stored
     interval ``(lo, hi)``: stored, or derived from ``(lo, hi)`` and a stored
-    second half ``(mid, hi)`` and memoized; ``None`` (nothing written) if
-    neither half is stored."""
-    entry = known.get((lo, mid))
-    if entry is not None:
-        return entry[0]
-    entry = known.get((mid, hi))
-    if entry is None:
-        return None
-    value = known[(lo, hi)][0] ^ entry[0]
-    known[(lo, mid)] = (value, False)
-    return value
+    second half ``(mid, hi)``; ``None`` if neither half is stored.  A pure
+    read: it writes nothing."""
+    value = known.get((lo, mid))
+    if value is not None:
+        return value
+    second = known.get((mid, hi))
+    return None if second is None else known[(lo, hi)] ^ second
 
 
 class _Round:
@@ -441,14 +443,12 @@ class _Round:
     ``prefix`` holds the prefix parities of the round's view as a bytearray
     and ``array`` is a writable numpy view over the same bytes: ``parity``
     is two byte reads, and a wave's flips XOR the prefix between pairs of
-    flipped positions.  ``known`` maps an interval ``(lo, hi)`` to
-    ``(value, wire)``: the initiator's parity, and whether it crossed the
-    wire (block announcements, answers, corrected leaves) or was derived
-    here; it starts with the announced block parities.  Every disclosed
-    parity describes the initiator's fixed frame, so an honest one never
-    changes: ``learn`` refuses a wire value that differs from a stored wire
-    value, whichever round stored it, and a wire value replaces a derived
-    one.  A derived value is written only where nothing is stored.
+    flipped positions.  ``known`` maps an interval ``(lo, hi)`` to the
+    initiator's parity of it; it starts with the announced block parities,
+    and after that only ``learn`` writes it.  Every stored parity is a fact
+    about the initiator's frame, whether it crossed the wire (an answer, a
+    corrected leaf) or was derived here (a search step's implied second
+    half), and any two that disagree are a ``ProtocolError``.
     """
 
     __slots__ = ("index", "plan", "mapping", "inverse", "prefix", "array", "known")
@@ -460,9 +460,7 @@ class _Round:
         self.plan = plan
         self.mapping, self.prefix, self.array = _round_prefix(config, index, bits)
         self.inverse: Optional[np.ndarray] = None
-        self.known: Dict[Interval, Tuple[int, bool]] = {
-            block: (bit, True) for block, bit in zip(plan.intervals, announced)
-        }
+        self.known: Dict[Interval, int] = dict(zip(plan.intervals, announced))
 
     def original(self, pos: int) -> int:
         """The original position at round position ``pos``."""
@@ -481,18 +479,15 @@ class _Round:
 
     def differs(self, block: Interval) -> bool:
         """Whether a block's local parity differs from the announced one."""
-        return self.parity(*block) != self.known[block][0]
+        return self.parity(*block) != self.known[block]
 
     def learn(self, interval: Interval, value: int) -> None:
-        """Store a parity that crossed the wire, or refuse one that
-        contradicts a stored wire parity."""
-        entry = self.known.get(interval)
-        if entry is not None and entry[1] and entry[0] != value:
+        """Store a parity, or refuse one that contradicts a stored one."""
+        if self.known.setdefault(interval, value) != value:
             raise ProtocolError(
                 f"inconsistent peer parities for [{interval[0]}, {interval[1]}) "
                 f"of round {self.index}"
             )
-        self.known[interval] = (value, True)
 
     def flip(self, positions: List[int]) -> None:
         """XOR the prefix past each flipped position.
@@ -513,10 +508,10 @@ class _Search:
 
     A search is made only for a block whose parity differs from the
     announced one.  The working interval's parity is always stored in
-    ``rnd.known`` (the block's was announced, and each step stores both
-    halves), so the search keeps no copy of it.  ``state.found`` is the
-    located round position and ``state.disclosed`` counts the wire
-    parities the search consumed.
+    ``rnd.known`` (the block's was announced, and each step learns both
+    halves through ``_Round.learn``), so the search keeps no copy of it.
+    ``state.found`` is the located round position and ``state.disclosed``
+    counts the wire parities the search consumed.
     """
 
     __slots__ = ("rnd", "state")
@@ -543,15 +538,15 @@ class _Search:
 
     def answer(self, parity: int) -> None:
         """Take one step on the wire parity of the first half that
-        ``advance`` returned, once ``_Round.learn`` has stored it."""
+        ``advance`` returned."""
         lo, hi = self.state.lo, self.state.hi
         self._step(lo, split_point(lo, hi), hi, parity, False)
 
     def _step(self, lo: int, mid: int, hi: int, value: int, from_reuse: bool) -> None:
-        known, prefix = self.rnd.known, self.rnd.prefix
-        # The second half's value is implied, and never replaces a stored one.
-        known.setdefault((mid, hi), (known[(lo, hi)][0] ^ value, False))
-        local = prefix[lo] ^ prefix[mid]
+        rnd = self.rnd
+        rnd.learn((lo, mid), value)
+        rnd.learn((mid, hi), rnd.known[(lo, hi)] ^ value)
+        local = rnd.prefix[lo] ^ rnd.prefix[mid]
         self.state = bisect_search.step(self.state, local, value, from_reuse=from_reuse)
 
 
@@ -562,10 +557,11 @@ class _Responder:
     has a find, its inverse), prefix parities and parity map.  Each block
     search is a :class:`_Search` record that bisects from the block; a
     step reads its first half one level below the working interval
-    (``_first_half``) before it asks the wire.  Every wire parity is stored
-    through ``_Round.learn`` and then applied to its search, which reads
-    the local first-half parity from the prefix and stores the implied
-    second half.
+    (``_first_half``) before it asks the wire.  A step, on a wire answer or
+    a stored parity, learns the first half and the implied second half
+    through ``_Round.learn`` and reads the local first-half parity from the
+    prefix.  Every stored parity is a fact about the initiator's frame, and
+    any two that disagree are a ``ProtocolError``.
 
     Each wave's flip pass learns every corrected leaf in round 0's record
     first, so a second flip of any position contradicts the stored leaf
@@ -665,8 +661,7 @@ class _Responder:
                 reply = yield [wire.ParityQuery(r_key, intervals)]
                 entries = self._checked_entries(reply, r_key, intervals)
                 self.parity_bits += len(entries)
-                for task, interval, (_, _, parity) in zip(tasks, intervals, entries):
-                    task.rnd.learn(interval, parity)
+                for task, (_, _, parity) in zip(tasks, entries):
                     task.answer(parity)
 
             # Finds apply in live (creation) order in both aggregation
@@ -796,13 +791,10 @@ def responder_session(config: SessionConfig, frame: BitFrame):
         Role.RESPONDER,
         inbound.status,
         final_frame,
-        len(core.history),
-        sum(core.history),
         tuple(core.history),
-        tuple(core.corrections),
-        frozenset(event.original_position for event in core.corrections),
         core.parity_bits,
         own_fingerprint,
+        tuple(core.corrections),
     )
     return summary, []
 

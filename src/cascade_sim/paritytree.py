@@ -287,26 +287,3 @@ def color_map(tree: ColoredTree) -> dict[Interval, tuple[NodeColor, Optional[int
         for _, node in iter_nodes(tree)
     }
 
-
-_FLAG_LETTERS = (
-    (NodeColor.SYNDROME_KNOWN, "S"),
-    (NodeColor.ERROR_LEAF, "E"),
-    (NodeColor.COMPROMISED, "C"),
-)
-
-
-def format_tree(tree: ColoredTree) -> str:
-    """Stable multi-line dump, one materialized node per line.
-
-    Layout: two spaces of indent per depth, then ``[lo, hi)``, then the
-    flag letters ``S``/``E``/``C`` in that fixed order (``-`` when
-    neutral), then ``syndrome=<bit>@r<round>`` if one is recorded.
-    """
-    lines = [f"tree round={tree.round_index}"]
-    for depth, node in iter_nodes(tree):
-        flags = "".join(letter for flag, letter in _FLAG_LETTERS if flag in node.color)
-        entry = f"{'  ' * depth}[{node.lo}, {node.hi}) {flags or '-'}"
-        if node.syndrome_round is not None:
-            entry += f" syndrome={node.syndrome}@r{node.syndrome_round}"
-        lines.append(entry)
-    return "\n".join(lines)

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import cascade_sim
-from cascade_sim import bitframe, channel, engine, rng
+from cascade_sim import bitframe, channel, engine, paritytree, rng
 
 # Deleted because nothing in the package or its tools called them, or because
 # the behaviour they served is gone (the responder no longer probes an error
@@ -22,6 +22,7 @@ REMOVED = [
     (rng, "bit_stream"),
     (channel.Direction, "wire_byte"),
     (engine, "error_frontier"),
+    (paritytree, "format_tree"),
 ]
 
 
@@ -114,3 +115,58 @@ def test_modules_import_nothing_they_never_use():
     source = Path(cascade_sim.__file__).parent
     unused = set().union(*(_unused_imports(path) for path in sorted(source.glob("*.py"))))
     assert unused == UNUSED_ON_PURPOSE
+
+
+# Public names that nothing in the package, its tools or the gates names,
+# kept on purpose.
+UNCALLED_ON_PURPOSE = {
+    # The lane-state observer of tests/test_channel.py.
+    "channel.Channel.pending",
+    # The reader of what write_transcript writes, kept for a transcript tool.
+    "channel.read_transcript",
+}
+
+
+def _public_definitions(path):
+    """``module.name`` of each public top-level function or class, and
+    ``module.Class.name`` of each public method; a property is data, like a
+    dataclass field, and is not listed."""
+    module = path.stem
+    for node in ast.parse(path.read_text()).body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+            continue
+        yield f"{module}.{node.name}", node.name
+        if isinstance(node, ast.ClassDef):
+            for method in node.body:
+                if (
+                    isinstance(method, ast.FunctionDef)
+                    and not method.name.startswith("_")
+                    and not any(ast.unparse(d) == "property" for d in method.decorator_list)
+                ):
+                    yield f"{module}.{node.name}.{method.name}", method.name
+
+
+def _referenced_names(path):
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update(node.name.split("."))
+    return names
+
+
+def test_every_public_name_has_a_caller():
+    # A definition is not a reference, so a name counts only where it is
+    # used: anywhere in the package, in perfbench or in the gates.
+    root = Path(__file__).resolve().parents[1]
+    source = root / "src" / "cascade_sim"
+    callers = [*source.glob("*.py"), *(root / "perfbench").glob("*.py")]
+    callers.append(root / "tests" / "test_acceptance.py")
+    referenced = set().union(*(_referenced_names(path) for path in callers))
+    defined = [entry for path in sorted(source.glob("*.py")) for entry in _public_definitions(path)]
+    uncalled = {qualified for qualified, name in defined if name not in referenced}
+    # Equality, so an allow-listed name that gains a caller fails too.
+    assert uncalled == UNCALLED_ON_PURPOSE

@@ -731,8 +731,7 @@ def _stored_lattice(draw):
     for node in nodes:
         # The block root is always stored: the initiator announces it.
         if node == block or draw(st.booleans()):
-            value = sum(view[node[0] - lo : node[1] - lo]) % 2
-            known[node] = (value, draw(st.booleans()))
+            known[node] = sum(view[node[0] - lo : node[1] - lo]) % 2
     top = draw(st.sampled_from([node for node in nodes if node in known]))
     return block, view, known, top
 
@@ -745,18 +744,17 @@ def test_first_half_read_matches_the_one_level_walk(case):
     assume(hi - lo >= 2)
     mid = split_point(lo, hi)
     # One level below the stored top: the first half if stored, else the top
-    # XOR a stored second half, memoized as derived; else nothing is known.
-    expected_known = dict(known)
+    # XOR a stored second half; else nothing is known.  The read writes
+    # nothing.
     if (lo, mid) in known:
-        expected = known[(lo, mid)][0]
+        expected = known[(lo, mid)]
     elif (mid, hi) in known:
-        expected = known[(lo, hi)][0] ^ known[(mid, hi)][0]
-        expected_known[(lo, mid)] = (expected, False)
+        expected = known[(lo, hi)] ^ known[(mid, hi)]
     else:
         expected = None
     read = dict(known)
     assert _first_half(read, lo, mid, hi) == expected
-    assert read == expected_known
+    assert read == known
     if expected is not None:
         assert expected == sum(view[lo - block[0] : mid - block[0]]) % 2
 
@@ -767,19 +765,21 @@ def test_learned_syndromes_follow_one_write_rule():
     plan = plan_round(config.schedule, 0, 16, ())
     rnd = _Round(config, plan, responder.bits, (0,) * len(plan.intervals))
     rnd.learn((0, 2), 1)
-    assert rnd.known[(0, 2)] == (1, True)
-    # A differing wire value raises, whichever round it arrives in (the map
-    # keeps no round), and leaves the entry as it was.
+    assert rnd.known[(0, 2)] == 1
+    # A differing value raises, whichever round it arrives in (the map keeps
+    # no round), and leaves the entry as it was.
     with pytest.raises(ProtocolError, match=r"inconsistent peer parities for \[0, 2\) of round 0"):
         rnd.learn((0, 2), 0)
-    assert rnd.known[(0, 2)] == (1, True)
-    # An equal wire value leaves the entry as it was.
+    assert rnd.known[(0, 2)] == 1
+    # An equal value leaves the entry as it was.
     rnd.learn((0, 2), 1)
-    assert rnd.known[(0, 2)] == (1, True)
-    # A wire value replaces a derived entry.
-    rnd.known[(2, 4)] = (1, False)
-    rnd.learn((2, 4), 0)
-    assert rnd.known[(2, 4)] == (0, True)
+    assert rnd.known[(0, 2)] == 1
+    # Whatever stored the first value: an announced block parity is refused
+    # in the same way.
+    block = plan.intervals[0]
+    with pytest.raises(ProtocolError, match="inconsistent peer parities"):
+        rnd.learn(block, 1)
+    assert rnd.known[block] == 0
 
 
 # ---------------------------------------------------------------- searches
@@ -791,7 +791,7 @@ def _round_of_16():
     config = basic_config(16, 0.25, 2)
     plan = plan_round(config.schedule, 0, 16, ())
     rnd = _Round(config, plan, BitFrame.zeros(16).bits, (0,) * len(plan.intervals))
-    rnd.known = {(0, 16): (1, True)}
+    rnd.known = {(0, 16): 1}
     return rnd
 
 
@@ -808,41 +808,45 @@ def test_a_one_position_search_is_found_at_creation():
 def test_a_search_over_a_stored_lattice_needs_no_wire_step():
     rnd = _round_of_16()
     for node in _lattice_nodes((0, 16)):
-        rnd.known[node] = (_remote(node), True)
+        rnd.known[node] = _remote(node)
     task = _Search(rnd, (0, 16))
     assert task.advance(True) is None
     assert (task.state.found, task.state.disclosed) == (11, 0)
 
 
-def test_an_answer_stores_the_second_half_as_derived_only_where_nothing_is_stored():
+def test_an_answer_learns_both_halves_and_refuses_a_contradiction():
     rnd = _round_of_16()
     task = _Search(rnd, (0, 16))
     assert task.advance(True) == (0, 8)
-    rnd.learn((0, 8), 0)
     task.answer(0)
-    assert rnd.known[(8, 16)] == (1, False)
+    assert (rnd.known[(0, 8)], rnd.known[(8, 16)]) == (0, 1)
+    # A wire value that differs from the derived second half is refused.
+    with pytest.raises(ProtocolError, match=r"inconsistent peer parities for \[8, 16\)"):
+        rnd.learn((8, 16), 0)
+    assert rnd.known[(8, 16)] == 1
     assert task.advance(True) == (8, 12)
-    # The answer implies 0 for (12, 16); a stored wire entry stays as it is,
-    # even one the answer contradicts.
-    rnd.known[(12, 16)] = (1, True)
-    rnd.learn((8, 12), 1)
-    task.answer(1)
-    assert rnd.known[(12, 16)] == (1, True)
-    assert (task.state.lo, task.state.hi, task.state.disclosed) == (8, 12, 2)
+    # An answer of 1 implies 0 for (12, 16), which contradicts a stored 1:
+    # refused, with the entry as it was and the search not stepped.
+    rnd.learn((12, 16), 1)
+    with pytest.raises(ProtocolError, match=r"inconsistent peer parities for \[12, 16\)"):
+        task.answer(1)
+    assert rnd.known[(12, 16)] == 1
+    assert (task.state.lo, task.state.hi, task.state.disclosed) == (8, 16, 1)
 
 
 def test_without_reuse_every_first_half_crosses_the_wire():
     rnd = _round_of_16()
     for node in _lattice_nodes((0, 16)):
-        rnd.known[node] = (_remote(node), True)
+        rnd.known[node] = _remote(node)
+    known = dict(rnd.known)
     task = _Search(rnd, (0, 16))
     asked = []
     while (need := task.advance(False)) is not None:
         asked.append(need)
-        rnd.learn(need, _remote(need))
         task.answer(_remote(need))
     assert asked == [(0, 8), (8, 12), (8, 10), (10, 11)]
     assert (task.state.found, task.state.disclosed) == (11, 4)
+    assert rnd.known == known
 
 
 def test_a_round_whose_searches_never_advance_hits_the_quiet_wave_guard(monkeypatch):
@@ -1038,19 +1042,19 @@ def _check_round_records(responder, reference, corrections):
 
     Each parity-map entry, from the wire or derived, is the reference
     parity of its interval in the round's view; every block is stored; and
-    each corrected bit's leaf is stored as a wire parity in every round
-    opened by the time it was corrected.
+    each corrected bit's leaf is stored in every round opened by the time
+    it was corrected.
     """
     for rnd in responder.rounds:
         view = _round_view(responder.config, rnd.index, reference.bits)
         prefix = np.concatenate(([0], np.bitwise_xor.accumulate(view))).tolist()
-        for (lo, hi), (value, _) in rnd.known.items():
+        for (lo, hi), value in rnd.known.items():
             assert value == prefix[lo] ^ prefix[hi], (rnd.index, lo, hi)
         assert set(rnd.plan.intervals) <= rnd.known.keys()
         for event in corrections:
             if event.corrected_round >= rnd.index:
                 pos = int(rnd.mapping[event.original_position])
-                assert rnd.known[(pos, pos + 1)][1], (rnd.index, pos)
+                assert (pos, pos + 1) in rnd.known, (rnd.index, pos)
 
 
 @pytest.mark.parametrize("length", [257, 1024])

@@ -343,6 +343,28 @@ def test_a_verdict_in_place_of_the_handshake_is_a_protocol_error(monkeypatch, sc
         )
 
 
+def _forged_fingerprint(message):
+    """Send ``Finalize`` with its fingerprint one bit off; pass anything else on."""
+    if isinstance(message, wire.Finalize):
+        return wire.Finalize(message.fingerprint ^ 1)
+    return message
+
+
+@pytest.mark.parametrize("scheduling", ["lockstep", "threaded"])
+def test_a_verdict_that_contradicts_the_fingerprints_is_a_protocol_error(
+    monkeypatch, scheduling
+):
+    # The initiator still compares the responder's honest fingerprint with
+    # its own, so a reconciled session ends with Result(SUCCESS) while the
+    # responder's comparison of the forged one says FAILURE.  Accepting that
+    # verdict would report SUCCESS with no evidence that the frames agree.
+    monkeypatch.setattr(
+        engine, "initiator_session", _lying_initiator(engine.initiator_session, _forged_fingerprint)
+    )
+    with pytest.raises(ProtocolError, match="verdict success contradicts fingerprint comparison"):
+        run_trial_detailed(SessionTemplate(), 1024, Bsc(0.05), 3, scheduling=scheduling)
+
+
 # ---------------------------------------------------------------------------
 # message-level fault injection
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from cascade_sim.paritytree import (
     build_tree,
     color_map,
     find_unvisited_sibling,
-    format_tree,
     iter_nodes,
     mark_compromised,
     mark_error_leaf,
@@ -270,19 +269,3 @@ def test_iter_nodes_is_depth_first_preorder():
     assert order == [(0, 8), (0, 4), (0, 2), (2, 4), (4, 8), (4, 6), (6, 8)]
     depths = [depth for depth, _ in iter_nodes(tree)]
     assert depths == [0, 1, 2, 2, 1, 2, 2]
-
-
-def test_format_tree_golden():
-    tree = mark_error_leaf(set_syndrome(build_tree(0, 4), (0, 2), 1, 0), 3)
-    tree = mark_compromised(tree, 3)
-    expected = "\n".join(
-        [
-            "tree round=0",
-            "[0, 4) -",
-            "  [0, 2) S syndrome=1@r0",
-            "  [2, 4) -",
-            "    [2, 3) -",
-            "    [3, 4) EC",
-        ]
-    )
-    assert format_tree(tree) == expected
