@@ -1,31 +1,43 @@
 """Authenticated classical channel: messages, wire codec, transcript, taps.
 
 Everything both parties exchange travels as one of the dataclasses below.
-The codec is a fixed big-endian binary layout (schema version 1) so that a
-transcript is byte-reproducible across runs and platforms:
+The codec is a fixed binary layout (schema version 2) so that a transcript
+is byte-reproducible across runs and platforms:
 
     Init          0x01  frame_length u32, permutation u8, schedule u8 + params,
                         break u8 + param u32, seed u64
-    BlockParities 0x02  round u32, count u32, parity bytes (one per block)
-    ParityQuery   0x03  round u32, count u32, (lo u32, hi u32) per interval
-    ParityAnswer  0x04  round u32, count u32, (lo u32, hi u32, parity u8)
-    RoundDone     0x05  round u32, corrected u32
+    BlockParities 0x02  round var, count var, parities packed
+    ParityQuery   0x03  round var, count var, (lo var, hi var) per interval
+    ParityAnswer  0x04  round var, count var, (lo var, hi var) per entry,
+                        then the entries' parities packed
+    RoundDone     0x05  round var, corrected var
     Finalize      0x06  fingerprint u64
     Result        0x07  status u8
+
+``u8``/``u32``/``u64``/``f64`` are big-endian fixed-width fields.  ``var``
+is a minimal unsigned LEB128 varint of a value below 2^32: seven bits a
+byte, low group first, the high bit set on every byte but the last, so a
+value below 2^7 takes one byte, below 2^14 two and below 2^21 three.
+``packed`` is ceil(count / 8) bytes holding the parities in order, the
+first in the low bit of the first byte, with the unused high bits of the
+last byte zero.
 
 Schedule parameters ride as f64 (estimated error rate) plus u32 (growth
 factor) for the geometric variant, or f64 alone for the adaptive variant.
 
-Each layout is one ``struct.Struct`` and each byte-coded value (permutation
-kind, schedule and break variant, status, direction) one tuple indexed by
-its byte; the encoder, the decoder and the transcript reader and writer all
-use the same ones, so the format is stated once for both directions.
+Each fixed layout is one ``struct.Struct`` and each byte-coded value
+(permutation kind, schedule and break variant, status, direction) one tuple
+indexed by its byte; the encoder, the decoder and the transcript reader and
+writer all use the same ones, so the format is stated once for both
+directions.
 
 Each field has exactly one encoding, and the encoder is the validity
 check: it accepts exactly the messages that decode back equal (bit
 parities, in-range integers, a 64-bit seed, known kinds, tuples where the
 dataclasses say tuples).  So a sender encodes each message once, and the
-receiver gets the sent message itself; nothing decodes in transit.
+receiver gets the sent message itself; nothing decodes in transit.  The
+decoder accepts only those canonical bytes: it refuses an overlong
+varint, a value of 2^32 or more, a set padding bit and trailing bytes.
 
 The channel itself is a pair of FIFO lanes plus an append-only record of
 what was sent, from which the transcript is built when it is read.  Each
@@ -38,6 +50,7 @@ a transcript is framed from those bytes.
 from __future__ import annotations
 
 import enum
+import operator
 import os
 import select
 import struct
@@ -46,14 +59,14 @@ import time
 import weakref
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import starmap
-from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from itertools import chain, product, repeat, starmap
+from typing import Callable, Deque, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .bitframe import PERMUTATION_KINDS
 from .errors import ConfigurationError, DecodeError, TransportError
 from .schedule import BREAKS, SCHEDULES, BreakCondition, ScheduleConfig
 
-WIRE_VERSION = 1
+WIRE_VERSION = 2
 TRANSCRIPT_MAGIC = b"CSCT"
 _RECORD_HEADER = struct.Struct(">BII")  # direction, sequence, payload length
 
@@ -184,37 +197,92 @@ def _layout(*fields: str) -> struct.Struct:
     return layout
 
 
-# One layout per message shape; a leading B is the type byte.  The encoders
-# pack these, and the decoder checks a payload's length against them and
-# unpacks them.
+# The fixed layouts; a leading B is the type byte.  The encoders pack these,
+# and the decoder checks a payload's length against them and unpacks them.
 _INIT_HEAD = _layout("type:B", "frame_length:I", "permutation_kind:B", "schedule:B")
 _INIT_TAIL = ("break_condition:B", "break_condition.parameter:I", "seed:Q")
 _INIT_LAYOUTS = (  # indexed by schedule byte
     _layout(*_LAYOUT_FIELDS[_INIT_HEAD], "schedule.qber_estimate:d", "schedule.k:I", *_INIT_TAIL),
     _layout(*_LAYOUT_FIELDS[_INIT_HEAD], "schedule.qber_estimate:d", *_INIT_TAIL),
 )
-_COUNTED_HEADER = _layout("type:B", "round_index:I", "count:I")
-_INTERVAL = _layout("lo:I", "hi:I")
-_ANSWER_ENTRY = _layout("lo:I", "hi:I", "parity:B")
-_ROUND_DONE = _layout("type:B", "round_index:I", "corrected:I")
 _FINALIZE = _layout("type:B", "fingerprint:Q")
 _RESULT = _layout("type:B", "status:B")
-_ANSWER_PARITIES = slice(_INTERVAL.size, None, _ANSWER_ENTRY.size)  # each entry's parity byte
+
+# Varints: the encoder looks up each value below 2^14 (one or two bytes) in
+# a table, inside one comprehension per message, so it makes no Python call
+# per value.  A value below 2^21 (three bytes, as most bounds of a 2^18-bit
+# frame) is its low seven bits with the continuation bit, then the table's
+# entry for the rest; only wider values go through _varint.
+# Below 2^7 a value is its own byte; below 2^14 it is its low seven bits
+# with the continuation bit, then the high seven: the little-endian u16
+# ``high << 8 | 0x80 | low``.
+_TABLED = 1 << 14
+_VARINTS = tuple(map(bytes, zip(range(0x80)))) + tuple(
+    map(
+        int.to_bytes,
+        chain.from_iterable(range(high << 8 | 0x80, high + 1 << 8) for high in range(1, 0x80)),
+        repeat(2),
+        repeat("little"),
+    )
+)
+_CONTINUED = tuple(bytes((low | 0x80,)) for low in range(0x80))  # seven low bits, more to come
+_VARINT_BYTES = 5  # at most, for a value below 2^32
+# Packed parities: up to eight parities, one per byte, map to their packed
+# byte; a longer run goes through an int.  Only bit runs are keys, so a
+# lookup that misses a short run has found a parity that is not a bit.
+# ``product`` counts in binary with the high bit first, so each run it
+# yields is reversed to put the first parity in the low bit.
+_PACKED_BYTES = {
+    bytes(bits[::-1]): bytes((packed,))
+    for length in range(1, 9)
+    for packed, bits in enumerate(product((0, 1), repeat=length))
+}
+_BIT_DIGITS = bytes.maketrans(b"\0\1", b"01")  # a parity byte to its binary digit
 _NOT_BITS = bytes(range(2))  # translate() deletes these; anything left is not a bit
 _ONLY_TUPLES = frozenset((tuple,))
+_PARITY_OF = operator.itemgetter(2)  # an answer entry's parity
+
+
+def _varint(value: int) -> bytes:
+    """The minimal unsigned LEB128 bytes of a value below 2^32."""
+    value = operator.index(value)
+    if not 0 <= value < 1 << 32:
+        raise DecodeError(f"{value} does not fit in 32 bits")
+    out = bytearray()
+    while value >= 0x80:
+        out.append(value & 0x7F | 0x80)
+        value >>= 7
+    out.append(value)
+    return bytes(out)
+
+
+def _counted_header(type_byte: int, round_index: int, count: int) -> bytes:
+    """A type byte, then ``round_index`` and ``count`` as varints."""
+    if round_index < 0x80 and count < 0x80:  # one byte each; bytes() refuses a negative
+        return bytes((type_byte, round_index, count))
+    return bytes((type_byte,)) + _varint(round_index) + _varint(count)
+
+
+def _packed_bits(name: str, bits: bytes) -> bytes:
+    """Parities, one per byte of ``bits``, packed eight to a byte.
+
+    The first parity takes the low bit of the first byte, and the last
+    byte's unused high bits are zero.  ``name.format(i)`` names the i-th
+    parity if it is not a bit.  The encoders look a short run up in
+    ``_PACKED_BYTES`` first.
+    """
+    if bits.translate(None, _NOT_BITS):
+        i = next(i for i, bit in enumerate(bits) if bit > 1)
+        raise DecodeError(f"{name.format(i)} is not a bit: {bits[i]}")
+    if not bits:
+        return b""
+    return int(bits[::-1].translate(_BIT_DIGITS), 2).to_bytes((len(bits) + 7) >> 3, "little")
 
 
 def _require_tuples(name: str, value, nested: bool) -> None:
     """Containers must be tuples (of tuples), or they would not decode back equal."""
     if type(value) is not tuple or (nested and not set(map(type, value)) <= _ONLY_TUPLES):
         raise DecodeError(f"{name} must be a tuple{' of tuples' if nested else ''}")
-
-
-def _require_bits(name: str, bits: bytes) -> None:
-    """Each byte of ``bits`` is one parity; ``name.format(i)`` names the i-th."""
-    if bits.translate(None, _NOT_BITS):
-        i = next(i for i, bit in enumerate(bits) if bit > 1)
-        raise DecodeError(f"{name.format(i)} is not a bit: {bits[i]}")
 
 
 def _encode_init(message: Init) -> bytes:
@@ -236,25 +304,62 @@ def _encode_init(message: Init) -> bytes:
 
 
 def _encode_block_parities(message: BlockParities) -> bytes:
-    _require_tuples("block_parities.parities", message.parities, nested=False)
-    bits = bytes(message.parities)
-    _require_bits("block_parities.parities[{}]", bits)
-    return _COUNTED_HEADER.pack(2, message.round_index, len(bits)) + bits
+    parities = message.parities
+    _require_tuples("block_parities.parities", parities, nested=False)
+    bits = bytes(parities)
+    packed = _PACKED_BYTES.get(bits) or _packed_bits("block_parities.parities[{}]", bits)
+    return _counted_header(2, message.round_index, len(parities)) + packed
 
 
 def _encode_parity_query(message: ParityQuery) -> bytes:
     intervals = message.intervals
     _require_tuples("parity_query.intervals", intervals, nested=True)
-    body = b"".join(starmap(_INTERVAL.pack, intervals))
-    return _COUNTED_HEADER.pack(3, message.round_index, len(intervals)) + body
+    bounds = b"".join(
+        [
+            (
+                _VARINTS[lo] if 0 <= lo < _TABLED
+                else _CONTINUED[lo & 0x7F] + _VARINTS[lo >> 7] if _TABLED <= lo < _TABLED << 7
+                else _varint(lo)
+            )
+            + (
+                _VARINTS[hi] if 0 <= hi < _TABLED
+                else _CONTINUED[hi & 0x7F] + _VARINTS[hi >> 7] if _TABLED <= hi < _TABLED << 7
+                else _varint(hi)
+            )
+            for lo, hi in intervals
+        ]
+    )
+    round_index, count = message.round_index, len(intervals)
+    if round_index < 0x80 and count < 0x80:  # the header's common case, without a call
+        return bytes((3, round_index, count)) + bounds
+    return _counted_header(3, round_index, count) + bounds
 
 
 def _encode_parity_answer(message: ParityAnswer) -> bytes:
     entries = message.entries
     _require_tuples("parity_answer.entries", entries, nested=True)
-    body = b"".join(starmap(_ANSWER_ENTRY.pack, entries))
-    _require_bits("parity_answer.entries[{}] parity", body[_ANSWER_PARITIES])
-    return _COUNTED_HEADER.pack(4, message.round_index, len(entries)) + body
+    # The bounds as a query encodes them; unpacking checks that each entry is a triple.
+    bounds = b"".join(
+        [
+            (
+                _VARINTS[lo] if 0 <= lo < _TABLED
+                else _CONTINUED[lo & 0x7F] + _VARINTS[lo >> 7] if _TABLED <= lo < _TABLED << 7
+                else _varint(lo)
+            )
+            + (
+                _VARINTS[hi] if 0 <= hi < _TABLED
+                else _CONTINUED[hi & 0x7F] + _VARINTS[hi >> 7] if _TABLED <= hi < _TABLED << 7
+                else _varint(hi)
+            )
+            for lo, hi, _ in entries
+        ]
+    )
+    bits = bytes(map(_PARITY_OF, entries))
+    packed = _PACKED_BYTES.get(bits) or _packed_bits("parity_answer.entries[{}].parity", bits)
+    round_index, count = message.round_index, len(entries)
+    if round_index < 0x80 and count < 0x80:  # the header's common case, without a call
+        return bytes((4, round_index, count)) + bounds + packed
+    return _counted_header(4, round_index, count) + bounds + packed
 
 
 _ENCODERS = {
@@ -262,14 +367,14 @@ _ENCODERS = {
     BlockParities: _encode_block_parities,
     ParityQuery: _encode_parity_query,
     ParityAnswer: _encode_parity_answer,
-    RoundDone: lambda message: _ROUND_DONE.pack(5, message.round_index, message.corrected),
+    RoundDone: lambda message: _counted_header(5, message.round_index, message.corrected),
     Finalize: lambda message: _FINALIZE.pack(6, message.fingerprint),
     Result: lambda message: _RESULT.pack(7, _wire_byte(_STATUSES, message.status, "status")),
 }
 
 
 def encode_message(message: Message) -> bytes:
-    """Serialize one message to its schema-1 byte string.
+    """Serialize one message to its schema-2 byte string.
 
     The encoder is the validity check: it accepts exactly the messages that
     decode back equal.  Anything else (a field that does not fit its wire
@@ -314,18 +419,69 @@ def _unpack(layout: struct.Struct, payload: bytes, message: str) -> tuple:
     return fields
 
 
-def _counted(payload: bytes, message: str, entries: str, entry_size: int) -> Tuple[int, bytes]:
-    """Round index and body of a counted message, the body ``count`` entries long."""
-    _, round_index, count = _unpack_from(_COUNTED_HEADER, payload, message)
-    body = payload[_COUNTED_HEADER.size :]
-    if len(body) < count * entry_size:
-        raise _truncated(f"{message}.{entries}[{len(body) // entry_size}]")
-    _require_end(body, count * entry_size)
-    return round_index, body
+def _read_varints(
+    payload: bytes, offset: int, count: int, name: Callable[[int], str]
+) -> Tuple[List[int], int]:
+    """``count`` canonical varints from ``offset``, and the offset after them.
+
+    ``name(i)`` names the i-th value in an error: one that runs past the
+    payload, has a redundant high zero group or does not fit in 32 bits.
+    """
+    values = []
+    end = len(payload)
+    for i in range(count):
+        value = 0
+        for shift in range(0, 7 * _VARINT_BYTES, 7):
+            if offset >= end:
+                raise _truncated(name(i))
+            byte = payload[offset]
+            offset += 1
+            value |= (byte & 0x7F) << shift
+            if byte < 0x80:
+                break
+        else:
+            raise DecodeError(f"{name(i)} does not fit in 32 bits")
+        if byte == 0 and shift:
+            raise DecodeError(f"overlong varint for {name(i)}")
+        if value >> 32:
+            raise DecodeError(f"{name(i)} does not fit in 32 bits")
+        values.append(value)
+    return values, offset
+
+
+def _read_header(payload: bytes, message: str, second: str = "count") -> Tuple[int, int, int]:
+    """The round index and the ``second`` varint after the type byte, and the offset after them."""
+    names = (f"{message}.round_index", f"{message}.{second}")
+    (round_index, value), offset = _read_varints(payload, 1, 2, names.__getitem__)
+    return round_index, value, offset
+
+
+def _read_bounds(payload: bytes, offset: int, count: int, name: str) -> Tuple[list, list, int]:
+    """The ``lo`` and ``hi`` of ``count`` pairs, and the offset after them."""
+    bounds, offset = _read_varints(
+        payload, offset, 2 * count, lambda i: f"{name}[{i >> 1}].{('lo', 'hi')[i & 1]}"
+    )
+    return bounds[0::2], bounds[1::2], offset
+
+
+def _read_bits(payload: bytes, offset: int, count: int, name: Callable[[int], str]) -> tuple:
+    """The ``count`` packed parities that end ``payload`` at ``offset``.
+
+    ``name(i)`` names the i-th parity.  Padding bits must be zero.
+    """
+    size = (count + 7) >> 3
+    packed = payload[offset : offset + size]
+    if len(packed) < size:
+        raise _truncated(name(8 * len(packed)))
+    _require_end(payload, offset + size)
+    value = int.from_bytes(packed, "little")
+    if value >> count:
+        raise DecodeError(f"nonzero padding bits after {name(count - 1)}")
+    return tuple(map(int, format(value, f"0{count}b")[::-1])) if count else ()
 
 
 def decode_message(payload: bytes) -> Message:
-    """Parse one schema-1 byte string back into a message."""
+    """Parse one schema-2 byte string back into a message."""
     if not payload:
         raise _truncated("type")
     type_byte = payload[0]
@@ -348,18 +504,22 @@ def decode_message(payload: bytes) -> Message:
             raise DecodeError(f"invalid break.parameter: {exc}") from exc
         return Init(frame_length, kind, schedule, condition, seed)
     if type_byte == 2:
-        round_index, bits = _counted(payload, "block_parities", "parities", 1)
-        _require_bits("block_parities.parities[{}]", bits)
-        return BlockParities(round_index, tuple(bits))
+        round_index, count, offset = _read_header(payload, "block_parities")
+        bits = _read_bits(payload, offset, count, "block_parities.parities[{}]".format)
+        return BlockParities(round_index, bits)
     if type_byte == 3:
-        round_index, body = _counted(payload, "parity_query", "intervals", _INTERVAL.size)
-        return ParityQuery(round_index, tuple(_INTERVAL.iter_unpack(body)))
+        round_index, count, offset = _read_header(payload, "parity_query")
+        los, his, offset = _read_bounds(payload, offset, count, "parity_query.intervals")
+        _require_end(payload, offset)
+        return ParityQuery(round_index, tuple(zip(los, his)))
     if type_byte == 4:
-        round_index, body = _counted(payload, "parity_answer", "entries", _ANSWER_ENTRY.size)
-        _require_bits("parity_answer.entries[{}] parity", body[_ANSWER_PARITIES])
-        return ParityAnswer(round_index, tuple(_ANSWER_ENTRY.iter_unpack(body)))
+        round_index, count, offset = _read_header(payload, "parity_answer")
+        los, his, offset = _read_bounds(payload, offset, count, "parity_answer.entries")
+        bits = _read_bits(payload, offset, count, "parity_answer.entries[{}].parity".format)
+        return ParityAnswer(round_index, tuple(zip(los, his, bits)))
     if type_byte == 5:
-        _, round_index, corrected = _unpack(_ROUND_DONE, payload, "round_done")
+        round_index, corrected, offset = _read_header(payload, "round_done", "corrected")
+        _require_end(payload, offset)
         return RoundDone(round_index, corrected)
     if type_byte == 6:
         _, fingerprint = _unpack(_FINALIZE, payload, "finalize")
@@ -418,9 +578,22 @@ class EveTap:
     def observe(self, payload: bytes) -> None:
         self.messages_seen += 1
         # Only block parities (type 2) and parity answers (type 4) disclose
-        # parities, one per counted entry.
+        # parities, one per counted entry.  The count is the varint after
+        # the round's.
         if payload[0] in (2, 4):
-            self.parity_bits_seen += _COUNTED_HEADER.unpack_from(payload)[2]
+            if payload[1] < 0x80 and payload[2] < 0x80:  # one byte each
+                self.parity_bits_seen += payload[2]
+                return
+            offset = 1
+            while payload[offset] & 0x80:
+                offset += 1
+            count = shift = 0
+            for byte in payload[offset + 1 : offset + 1 + _VARINT_BYTES]:
+                count |= (byte & 0x7F) << shift
+                shift += 7
+                if byte < 0x80:
+                    break
+            self.parity_bits_seen += count
 
 
 _A_TO_B, _B_TO_A = _DIRECTIONS

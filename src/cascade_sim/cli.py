@@ -279,13 +279,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
         scheduling=args.scheduling,
     )
     record = detail.record
+    transcript = detail.result.channel.transcript
     if args.transcript:
-        write_transcript(args.transcript, detail.result.channel.transcript)
+        write_transcript(args.transcript, transcript)
     if args.out:
         export_records([record], args.out, args.format)
     print(
         "status={} rounds={} corrected={} residual={} parity_bits={} "
-        "parity_fraction={:.4f} messages={} wall={:.3f}s".format(
+        "parity_fraction={:.4f} messages={} wire_bytes={} wall={:.3f}s".format(
             "success" if record.success else "failure",
             record.rounds_executed,
             record.corrected_errors,
@@ -293,6 +294,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             record.parity_bits_disclosed,
             record.parity_fraction,
             record.messages_sent,
+            sum(len(entry.payload) for entry in transcript),
             record.wall_time,
         )
     )

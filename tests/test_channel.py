@@ -66,6 +66,12 @@ def sample_messages():
     ]
 
 
+def wide(rng):
+    """A u32 drawn from each varint width in turn: 1, 2, 3 and 4-5 bytes."""
+    low, high = rng.choice([(0, 2**7), (2**7, 2**14), (2**14, 2**21), (2**21, 2**32)])
+    return rng.randrange(low, high)
+
+
 def random_message(rng):
     pick = rng.randrange(7)
     if pick == 0:
@@ -80,20 +86,18 @@ def random_message(rng):
         )
         kind = rng.choice(["shuffle", "lcg"])
         return Init(rng.randrange(1, 1 << 20), kind, schedule, brk, rng.getrandbits(64))
+    # Counts of 128 or more take a two-byte varint.
+    count = rng.choice([rng.randrange(20), rng.randrange(128, 300)])
     if pick == 1:
-        return BlockParities(rng.randrange(16), tuple(rng.randint(0, 1) for _ in range(rng.randrange(20))))
+        return BlockParities(wide(rng), tuple(rng.randint(0, 1) for _ in range(count)))
     if pick == 2:
-        return ParityQuery(
-            rng.randrange(16),
-            tuple((lo, lo + rng.randrange(1, 50)) for lo in rng.sample(range(1000), rng.randrange(8))),
-        )
+        return ParityQuery(wide(rng), tuple((wide(rng), wide(rng)) for _ in range(count)))
     if pick == 3:
         return ParityAnswer(
-            rng.randrange(16),
-            tuple((lo, lo + 3, rng.randint(0, 1)) for lo in rng.sample(range(1000), rng.randrange(8))),
+            wide(rng), tuple((wide(rng), wide(rng), rng.randint(0, 1)) for _ in range(count))
         )
     if pick == 4:
-        return RoundDone(rng.randrange(16), rng.randrange(4096))
+        return RoundDone(wide(rng), wide(rng))
     if pick == 5:
         return Finalize(rng.getrandbits(64))
     return Result(rng.choice(list(SessionStatus)))
@@ -115,14 +119,24 @@ def test_round_trip_fuzz():
         assert decode_message(encode_message(message)) == message
 
 
-_U32 = st.integers(0, 2**32 - 1)
+# Each varint width (1, 2, 3 and 4-5 bytes) is drawn on its own, so every
+# width and each edge between two of them turns up.
+_U32 = st.one_of(
+    st.integers(0, 2**7 - 1),
+    st.integers(2**7, 2**14 - 1),
+    st.integers(2**14, 2**21 - 1),
+    st.integers(2**21, 2**32 - 1),
+)
 _U64 = st.integers(0, 2**64 - 1)
 _BIT = st.integers(0, 1)
 _ESTIMATE = st.floats(min_value=0.0, max_value=0.5, exclude_min=True)
 
 
 def _tuples_of(element):
-    return st.lists(element, max_size=8).map(tuple)
+    """Tuples of up to 8 elements, or of 128 to 140, whose count takes two varint bytes."""
+    return st.one_of(
+        st.lists(element, max_size=8), st.lists(element, min_size=128, max_size=140)
+    ).map(tuple)
 
 
 def _init(sizes, kinds, estimates, seeds, odd=st.nothing()):
@@ -154,7 +168,13 @@ WELL_FORMED = st.one_of(
 # Field values the wire cannot carry: negative or oversized integers, floats
 # where integers belong, non-bit parities, unknown kinds and statuses, and
 # lists or wrong-arity tuples where the dataclasses say tuples.
-_WIDE = st.one_of(_U32, st.integers(-(2**66), 2**66), st.booleans(), st.sampled_from([1.0, -0.5]))
+_WIDE = st.one_of(
+    _U32,
+    st.integers(-(2**66), 2**66),
+    st.integers(-(2**14), -1),  # would index the varint table from its end
+    st.booleans(),
+    st.sampled_from([1.0, -0.5]),
+)
 _PARITY = st.one_of(_BIT, st.booleans(), st.integers(-2, 300))
 
 
@@ -210,15 +230,31 @@ def test_truncation_names_the_missing_field():
     blob = encode_message(Finalize(7))
     with pytest.raises(DecodeError, match="finalize.fingerprint"):
         decode_message(blob[:-2])
-    blob = encode_message(BlockParities(1, (1, 0)))
-    with pytest.raises(DecodeError, match=r"parities\[1\]"):
+    # Nine parities take two packed bytes; without the second, the ninth is missing.
+    blob = encode_message(BlockParities(1, (1, 0, 1, 1, 0, 0, 1, 0, 1)))
+    assert blob == bytes([2, 1, 9, 0b01001101, 0b1])
+    with pytest.raises(DecodeError, match=r"parities\[8\]"):
         decode_message(blob[:-1])
-    blob = encode_message(ParityQuery(1, ((0, 4), (8, 16))))
-    with pytest.raises(DecodeError, match=r"parity_query.intervals\[1\]"):
+    blob = encode_message(ParityQuery(1, ((0, 4), (8, 200))))
+    assert blob == bytes([3, 1, 2, 0, 4, 8, 0xC8, 0x01])
+    with pytest.raises(DecodeError, match=r"parity_query.intervals\[1\].hi"):
+        decode_message(blob[:-1])  # the second byte of a two-byte varint
+    with pytest.raises(DecodeError, match=r"parity_query.intervals\[1\].lo"):
         decode_message(blob[:-3])
     blob = encode_message(ParityAnswer(1, ((0, 4, 1), (8, 16, 0), (20, 24, 1))))
-    with pytest.raises(DecodeError, match=r"parity_answer.entries\[2\]"):
+    assert blob == bytes([4, 1, 3, 0, 4, 8, 16, 20, 24, 0b101])
+    with pytest.raises(DecodeError, match=r"parity_answer.entries\[0\].parity"):
         decode_message(blob[:-1])
+    with pytest.raises(DecodeError, match=r"parity_answer.entries\[2\].hi"):
+        decode_message(blob[:-2])
+    blob = encode_message(RoundDone(200, 3))
+    assert blob == bytes([5, 0xC8, 0x01, 3])
+    with pytest.raises(DecodeError, match="round_done.round_index"):
+        decode_message(blob[:2])
+    with pytest.raises(DecodeError, match="round_done.corrected"):
+        decode_message(blob[:3])
+    with pytest.raises(DecodeError, match="parity_query.count"):
+        decode_message(bytes([3, 1]))
     with pytest.raises(DecodeError, match="type"):
         decode_message(b"")
 
@@ -232,11 +268,35 @@ def test_unknown_bytes_rejected():
         decode_message(bytes(blob))
 
 
-def test_non_bit_parity_rejected():
+def test_nonzero_padding_bits_rejected():
+    # A packed byte's bits past the count are padding; a set one would be a
+    # second encoding of the same parities.
     blob = bytearray(encode_message(BlockParities(0, (1,))))
-    blob[-1] = 2
-    with pytest.raises(DecodeError, match="not a bit"):
+    blob[-1] = 0b11
+    with pytest.raises(DecodeError, match=r"padding bits after block_parities.parities\[0\]"):
         decode_message(bytes(blob))
+    blob = bytearray(encode_message(ParityAnswer(0, ((0, 2, 1),) * 9)))
+    blob[-1] = 0b10000001
+    with pytest.raises(DecodeError, match=r"padding bits after parity_answer.entries\[8\]"):
+        decode_message(bytes(blob))
+
+
+def test_non_canonical_varints_rejected():
+    # Zero as two bytes, and 5 with a redundant zero group.
+    for overlong in (b"\x80\x00", b"\x85\x80\x00"):
+        with pytest.raises(DecodeError, match="overlong varint for round_done.round_index"):
+            decode_message(b"\x05" + overlong + b"\x00")
+    # 2^32 - 1 is the widest value; 2^32, and any fifth byte with its
+    # continuation bit, do not fit in 32 bits.
+    assert encode_message(RoundDone(0, 2**32 - 1)) == b"\x05\x00\xff\xff\xff\xff\x0f"
+    for too_wide in (b"\x80\x80\x80\x80\x10", b"\xff\xff\xff\xff\x8f\x00"):
+        with pytest.raises(DecodeError, match="round_done.corrected does not fit in 32 bits"):
+            decode_message(b"\x05\x00" + too_wide)
+        with pytest.raises(DecodeError, match="parity_query.count does not fit in 32 bits"):
+            decode_message(b"\x03\x00" + too_wide)
+    for value in (2**32, -1):
+        with pytest.raises(DecodeError):
+            encode_message(RoundDone(0, value))
 
 
 def test_trailing_garbage_rejected():
@@ -571,7 +631,18 @@ def test_sender_side_validation_rejects_malformed_messages():
         BlockParities(0, (2,)),
         BlockParities(0, (300,)),
         ParityQuery(0, ((-1, 2),)),
+        ParityQuery(0, ((0, -(2**14)),)),
+        ParityQuery(-1, ((0, 2),)),
+        ParityQuery(0, ((2**32, 2**32 + 1),)),
         RoundDone(-1, 0),
+        RoundDone(0, -1),
+        RoundDone(2**32, 0),
+        BlockParities(-1, (1,)),
+        ParityAnswer(0, ((-1, 2, 0),)),
+        ParityAnswer(0, ((0, 2, 1), (4, -1, 0))),
+        ParityAnswer(0, ((0, 2),)),
+        ParityAnswer(0, ((0, 2, 1, 0),)),
+        ParityQuery(0, ((0, 2, 4),)),
         ParityAnswer(0, ((0, 1, 2),)),
         ParityQuery(0, ([0, 2],)),
         Init(16, "lcg", StaticSchedule(0.5, 2), FixedRoundsBreak(1), 2**64),
@@ -718,6 +789,13 @@ def test_transcript_file_corruption_detected(tmp_path):
     bad_version.write_bytes(blob[:4] + bytes([99]) + blob[5:])
     with pytest.raises(DecodeError, match="version"):
         read_transcript(str(bad_version))
+
+    # A file of the fixed-width schema before this one is refused, not misread.
+    assert blob[4] == WIRE_VERSION == 2
+    version_1 = tmp_path / "version_1.bin"
+    version_1.write_bytes(blob[:4] + bytes([1]) + blob[5:])
+    with pytest.raises(DecodeError, match="unsupported version 1"):
+        read_transcript(str(version_1))
 
     truncated = tmp_path / "trunc.bin"
     truncated.write_bytes(blob[:-3])

@@ -95,12 +95,15 @@ def test_run_writes_readable_transcript(tmp_path, capsys):
         "--out", str(out_file),
         "--format", "jsonl",
     )
-    capsys.readouterr()
+    out = capsys.readouterr().out
     assert code == 0
     replay = read_transcript(str(transcript_file))
     (record,) = load_records(str(out_file))
     assert len(replay) == record.messages_sent
     assert len({entry.direction for entry in replay}) == 2  # both parties spoke
+    # The summary's wire_bytes counts the message payloads, not the file's framing.
+    fields = dict(field.split("=") for field in out.split())
+    assert int(fields["wire_bytes"]) == sum(len(entry.payload) for entry in replay) > 0
 
 
 def test_config_file_sets_defaults_and_flags_win(tmp_path, capsys):

@@ -930,7 +930,11 @@ def test_initiator_rejects_malformed_queries(query):
 # SHA-256 over transcript bytes and the responder's final frame for the
 # configurations below.  It pins the wire behaviour: a change that alters
 # transcripts on purpose updates this value and says why.
-TRANSCRIPT_PIN = "c1bb91cc1204b5e414d2a855ca1ac203e2106a0fa2bfcd6748f9b20f437fa848"
+TRANSCRIPT_PIN = "90f8d535add931687e7292a6cb8b4a33642ef61da93e7d24970c796b3ea9c60e"
+# SHA-256 over each transcript's messages, as (direction, sequence, message)
+# reprs, for the same configurations.  It pins what the parties say apart
+# from how the wire encodes it, so a change of byte layout alone leaves it.
+MESSAGE_PIN = "c27f689003b15bf1a5974e4773c4a563380807fad7b57659136b0b09cd2fc678"
 # SHA-256 over the responder's correction events, per-round corrections and
 # compromised positions for the same configurations.  Each wave's finds are
 # credited in live-search (creation) order, the same with and without
@@ -940,6 +944,7 @@ CORRECTION_PIN = "0a6237d5a76ffc7285f4fd258df9284a7027fa552137ed18974ba909f04462
 
 def test_transcripts_match_the_pinned_hash():
     digest = hashlib.sha256()
+    messages = hashlib.sha256()
     corrections = hashlib.sha256()
     for schedule, aggregation, reuse, kind, qber in itertools.product(
         ("static", "dynamic"), (False, True), (False, True), ("lcg", "shuffle"), (0.02, 0.15)
@@ -953,18 +958,23 @@ def test_transcripts_match_the_pinned_hash():
         result = run_trial_detailed(template, 1024, Bsc(qber), 1).result
         digest.update(result.channel.transcript_bytes())
         digest.update(result.responder.final_frame.bits.tobytes())
+        transcript = result.channel.transcript
+        messages.update(
+            repr([(e.direction.value, e.sequence, e.message) for e in transcript]).encode()
+        )
         r = result.responder
         corrections.update(
             repr((r.corrections, r.corrected_history, sorted(r.compromised_positions))).encode()
         )
     assert digest.hexdigest() == TRANSCRIPT_PIN
+    assert messages.hexdigest() == MESSAGE_PIN
     assert corrections.hexdigest() == CORRECTION_PIN
 
 
 # SHA-256 over the transcript bytes and the responder's final frame of one
 # 262,144-bit session: it covers the whole-frame kernels (permutations and
 # fingerprint) at the size where they dominate a session.
-LONG_FRAME_PIN = "1a557a974d2dfbb1ee605c176610a62a5da95fdab37c8138882c742df455e6b0"
+LONG_FRAME_PIN = "792eba86c01aa0392d8b92dca30519626cd955bb90b1bb9ae270a5e95a06058a"
 
 
 def test_long_frame_transcript_matches_the_pinned_hash():
@@ -981,7 +991,7 @@ def test_long_frame_transcript_matches_the_pinned_hash():
 # SHA-256 over the transcript bytes and the responder's final frame at odd
 # and tiny lengths.  High error rates give blocks of one to three bits and a
 # short last block, the edges of the vectorised block check on round entry.
-ODD_LENGTH_PIN = "d08d34d3a2fe5a803aaf4720138187e60463fc4c15a70934b08b5d70db688272"
+ODD_LENGTH_PIN = "830bbb167c9180703ce58fc046a38d6f2321775fa50e51e6576a20edba9b3ffc"
 
 
 def test_odd_length_transcripts_match_the_pinned_hash():
@@ -999,10 +1009,10 @@ def test_odd_length_transcripts_match_the_pinned_hash():
 # perfbench/digest.py's SHA-256 over each benchmark workload's transcripts,
 # so the workloads the benchmark times are tied to a pinned wire behaviour.
 WORKLOAD_DIGESTS = {
-    "chatty-threaded-4k": "f8c69dac8baf32d3dfae38ae0359d75123e5cf6ebf51dc796594fd3d119bcf01",
-    "dense-batched-4k": "74c2c9e1774131acb402ba28d23f8543306282b151e68f4eccf7192388473fc4",
-    "long-sparse-256k": "4157f2c19c1da93d33b314fc06b34644db7146eec3ccb9af8a2b2f46ebddaf59",
-    "qber-sweep-2w": "1d3d8ae2dbe5b2e052d46c177820c6075d0ee4e3b9bec557e765f1605ebeda44",
+    "chatty-threaded-4k": "af78bd7d76f4a85cc4e03c6df1c0f9e631cd15ae8ac9b3b444b988912108290d",
+    "dense-batched-4k": "46a48d2065ed97d1c36566d30b33952a26a4d3f8ab3328ca903cf203a7cbbcf1",
+    "long-sparse-256k": "8b4375ab78d52e9c08dd5a99c102595c5ecc60628063db8738549e59046923de",
+    "qber-sweep-2w": "8f14601cda65a7c2bf42fda9f0fa56cc35991234258ef65dd1c729e786449116",
 }
 
 
