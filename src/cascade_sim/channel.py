@@ -29,7 +29,10 @@ Each fixed layout is one ``struct.Struct`` and each byte-coded value
 (permutation kind, schedule and break variant, status, direction) one tuple
 indexed by its byte; the encoder, the decoder and the transcript reader and
 writer all use the same ones, so the format is stated once for both
-directions.
+directions.  The four counted messages (block parities, queries, answers
+and round ends) have one writer, which holds the varint encoding, and one
+header reader, which the eavesdropper's tap also calls when a round or a
+count takes more than one byte.
 
 Each field has exactly one encoding, and the encoder is the validity
 check: it accepts exactly the messages that decode back equal (bit
@@ -208,14 +211,14 @@ _INIT_LAYOUTS = (  # indexed by schedule byte
 _FINALIZE = _layout("type:B", "fingerprint:Q")
 _RESULT = _layout("type:B", "status:B")
 
-# Varints: the encoder looks up each value below 2^14 (one or two bytes) in
-# a table, inside one comprehension per message, so it makes no Python call
-# per value.  A value below 2^21 (three bytes, as most bounds of a 2^18-bit
-# frame) is its low seven bits with the continuation bit, then the table's
-# entry for the rest; only wider values go through _varint.
-# Below 2^7 a value is its own byte; below 2^14 it is its low seven bits
-# with the continuation bit, then the high seven: the little-endian u16
-# ``high << 8 | 0x80 | low``.
+# Varints.  Below 2^7 a value is its own byte; below 2^14 it is its low
+# seven bits with the continuation bit, then the high seven: the
+# little-endian u16 ``high << 8 | 0x80 | low``.  _counted looks each bound
+# below 2^14 up in this table inside one comprehension per message, so it
+# makes no Python call per value.  A bound below 2^21 (three bytes, as most
+# bounds of a 2^18-bit frame) is its low seven bits with the continuation
+# bit, then the table's entry for the rest; only wider values go through
+# _varint.
 _TABLED = 1 << 14
 _VARINTS = tuple(map(bytes, zip(range(0x80)))) + tuple(
     map(
@@ -256,11 +259,29 @@ def _varint(value: int) -> bytes:
     return bytes(out)
 
 
-def _counted_header(type_byte: int, round_index: int, count: int) -> bytes:
-    """A type byte, then ``round_index`` and ``count`` as varints."""
+def _counted(
+    type_byte: int, round_index: int, count: int, pairs: Iterable[Interval] = (), packed: bytes = b""
+) -> bytes:
+    """The bytes of a counted message, the only writer of its varints.
+
+    ``type_byte``, then ``round_index``, ``count`` and each pair's ``lo``
+    and ``hi`` as varints, then the ``packed`` parities.  Unpacking refuses
+    a member of ``pairs`` that is not a pair.
+    """
     if round_index < 0x80 and count < 0x80:  # one byte each; bytes() refuses a negative
-        return bytes((type_byte, round_index, count))
-    return bytes((type_byte,)) + _varint(round_index) + _varint(count)
+        head = bytes((type_byte, round_index, count))
+    else:
+        head = bytes((type_byte,)) + _varint(round_index) + _varint(count)
+    bounds = b"".join(
+        [
+            _VARINTS[bound] if 0 <= bound < _TABLED
+            else _CONTINUED[bound & 0x7F] + _VARINTS[bound >> 7] if _TABLED <= bound < _TABLED << 7
+            else _varint(bound)
+            for lo, hi in pairs
+            for bound in (lo, hi)
+        ]
+    )
+    return head + bounds + packed
 
 
 def _packed_bits(name: str, bits: bytes) -> bytes:
@@ -308,58 +329,24 @@ def _encode_block_parities(message: BlockParities) -> bytes:
     _require_tuples("block_parities.parities", parities, nested=False)
     bits = bytes(parities)
     packed = _PACKED_BYTES.get(bits) or _packed_bits("block_parities.parities[{}]", bits)
-    return _counted_header(2, message.round_index, len(parities)) + packed
+    return _counted(2, message.round_index, len(parities), packed=packed)
 
 
 def _encode_parity_query(message: ParityQuery) -> bytes:
     intervals = message.intervals
     _require_tuples("parity_query.intervals", intervals, nested=True)
-    bounds = b"".join(
-        [
-            (
-                _VARINTS[lo] if 0 <= lo < _TABLED
-                else _CONTINUED[lo & 0x7F] + _VARINTS[lo >> 7] if _TABLED <= lo < _TABLED << 7
-                else _varint(lo)
-            )
-            + (
-                _VARINTS[hi] if 0 <= hi < _TABLED
-                else _CONTINUED[hi & 0x7F] + _VARINTS[hi >> 7] if _TABLED <= hi < _TABLED << 7
-                else _varint(hi)
-            )
-            for lo, hi in intervals
-        ]
-    )
-    round_index, count = message.round_index, len(intervals)
-    if round_index < 0x80 and count < 0x80:  # the header's common case, without a call
-        return bytes((3, round_index, count)) + bounds
-    return _counted_header(3, round_index, count) + bounds
+    return _counted(3, message.round_index, len(intervals), intervals)
 
 
 def _encode_parity_answer(message: ParityAnswer) -> bytes:
     entries = message.entries
     _require_tuples("parity_answer.entries", entries, nested=True)
-    # The bounds as a query encodes them; unpacking checks that each entry is a triple.
-    bounds = b"".join(
-        [
-            (
-                _VARINTS[lo] if 0 <= lo < _TABLED
-                else _CONTINUED[lo & 0x7F] + _VARINTS[lo >> 7] if _TABLED <= lo < _TABLED << 7
-                else _varint(lo)
-            )
-            + (
-                _VARINTS[hi] if 0 <= hi < _TABLED
-                else _CONTINUED[hi & 0x7F] + _VARINTS[hi >> 7] if _TABLED <= hi < _TABLED << 7
-                else _varint(hi)
-            )
-            for lo, hi, _ in entries
-        ]
-    )
+    # Unpacking checks that each entry is a triple before _PARITY_OF reads it,
+    # which would raise IndexError on a pair.
+    pairs = [(lo, hi) for lo, hi, _ in entries]
     bits = bytes(map(_PARITY_OF, entries))
     packed = _PACKED_BYTES.get(bits) or _packed_bits("parity_answer.entries[{}].parity", bits)
-    round_index, count = message.round_index, len(entries)
-    if round_index < 0x80 and count < 0x80:  # the header's common case, without a call
-        return bytes((4, round_index, count)) + bounds + packed
-    return _counted_header(4, round_index, count) + bounds + packed
+    return _counted(4, message.round_index, len(entries), pairs, packed)
 
 
 _ENCODERS = {
@@ -367,7 +354,7 @@ _ENCODERS = {
     BlockParities: _encode_block_parities,
     ParityQuery: _encode_parity_query,
     ParityAnswer: _encode_parity_answer,
-    RoundDone: lambda message: _counted_header(5, message.round_index, message.corrected),
+    RoundDone: lambda message: _counted(5, message.round_index, message.corrected),
     Finalize: lambda message: _FINALIZE.pack(6, message.fingerprint),
     Result: lambda message: _RESULT.pack(7, _wire_byte(_STATUSES, message.status, "status")),
 }
@@ -579,21 +566,13 @@ class EveTap:
         self.messages_seen += 1
         # Only block parities (type 2) and parity answers (type 4) disclose
         # parities, one per counted entry.  The count is the varint after
-        # the round's.
+        # the round's; when either takes more than one byte, the decoder's
+        # header reader reads it.
         if payload[0] in (2, 4):
-            if payload[1] < 0x80 and payload[2] < 0x80:  # one byte each
+            if payload[1] < 0x80 and payload[2] < 0x80:
                 self.parity_bits_seen += payload[2]
-                return
-            offset = 1
-            while payload[offset] & 0x80:
-                offset += 1
-            count = shift = 0
-            for byte in payload[offset + 1 : offset + 1 + _VARINT_BYTES]:
-                count |= (byte & 0x7F) << shift
-                shift += 7
-                if byte < 0x80:
-                    break
-            self.parity_bits_seen += count
+            else:
+                self.parity_bits_seen += _read_header(payload, "disclosure")[1]
 
 
 _A_TO_B, _B_TO_A = _DIRECTIONS

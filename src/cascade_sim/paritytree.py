@@ -245,21 +245,17 @@ def find_unvisited_sibling(tree: ColoredTree, position: int) -> Optional[Interva
 def multi_error_frontier(tree: ColoredTree, positions: Iterable[int]) -> tuple[Interval, ...]:
     """Minimal disjoint set of follow-up search intervals for many errors.
 
-    Computes the unvisited sibling for every corrected position in one
-    pass over the union of their root-to-leaf paths, then drops duplicates
-    and any interval that contains another, so the result is pairwise
-    disjoint with no ancestor pairs.  A single position gives exactly the
-    ``find_unvisited_sibling`` answer; an empty set gives an empty tuple.
+    Takes ``find_unvisited_sibling`` of every corrected position, then
+    drops duplicates and any interval that contains another, so the result
+    is pairwise disjoint with no ancestor pairs.  A single position gives
+    exactly the ``find_unvisited_sibling`` answer; an empty set gives an
+    empty tuple.
     """
     regions: list[Interval] = []
     for position in sorted(set(positions)):
-        path = _materialized_path(tree, position)
-        for depth in range(len(path) - 1, 0, -1):
-            sibling = _sibling_on_path(path[depth - 1], path[depth])
-            if NodeColor.SYNDROME_KNOWN not in sibling.color:
-                if sibling.interval not in regions:
-                    regions.append(sibling.interval)
-                break
+        region = find_unvisited_sibling(tree, position)
+        if region is not None and region not in regions:
+            regions.append(region)
     # Intervals on one split lattice are nested or disjoint; keep the deep ones.
     minimal = [
         r

@@ -8,6 +8,7 @@ import sys
 import threading
 import time
 from fractions import Fraction
+from itertools import cycle, islice, product
 
 import pytest
 from hypothesis import given
@@ -297,6 +298,54 @@ def test_non_canonical_varints_rejected():
     for value in (2**32, -1):
         with pytest.raises(DecodeError):
             encode_message(RoundDone(0, value))
+
+
+# The first and last value of each varint width: 1, 2, 3 and 4-5 bytes.
+_WIDTH_EDGES = (0, 127, 128, 2**14 - 1, 2**14, 2**21 - 1, 2**21, 2**32 - 1)
+
+
+def reference_varint(value):
+    """``value`` in seven-bit groups, low group first, the high bit set on all but the last."""
+    groups = max(1, -(-value.bit_length() // 7))
+    return bytes(
+        (value >> 7 * i) & 0x7F | (0x80 if i < groups - 1 else 0) for i in range(groups)
+    )
+
+
+def reference_packed(parities):
+    """Parity i in bit i % 8 of byte i // 8."""
+    value = sum(parity << i for i, parity in enumerate(parities))
+    return value.to_bytes((len(parities) + 7) // 8, "little")
+
+
+def test_counted_messages_match_a_reference_encoder_at_each_width_edge():
+    # Round trips cannot see a fault the encoder and the decoder share, so
+    # each counted message is compared with bytes built by the reference
+    # above.  Every width edge is a round, a lo and a hi; the counts of the
+    # three messages with entries go up to 2^14 entries, and RoundDone's
+    # second varint, which sits where their count does, takes every edge.
+    assert [len(reference_varint(value)) for value in _WIDTH_EDGES] == [1, 1, 2, 2, 3, 3, 4, 5]
+    edge_pairs = list(product(_WIDTH_EDGES, repeat=2))
+    for count in (0, 1, 127, 128, 2**14 - 1, 2**14):
+        intervals = tuple(islice(cycle(edge_pairs), count))
+        parities = tuple(islice(cycle((1, 0, 0, 1, 1, 0, 1)), count))
+        bounds = b"".join(reference_varint(lo) + reference_varint(hi) for lo, hi in intervals)
+        packed = reference_packed(parities)
+        entries = tuple((lo, hi, parity) for (lo, hi), parity in zip(intervals, parities))
+        for round_index in _WIDTH_EDGES:
+            head = reference_varint(round_index) + reference_varint(count)
+            for message, expected in (
+                (BlockParities(round_index, parities), b"\x02" + head + packed),
+                (ParityQuery(round_index, intervals), b"\x03" + head + bounds),
+                (ParityAnswer(round_index, entries), b"\x04" + head + bounds + packed),
+            ):
+                assert encode_message(message) == expected
+                tap = EveTap()
+                tap.observe(expected)
+                assert tap.parity_bits_seen == message_parity_bits(message)
+    for round_index, corrected in edge_pairs:
+        expected = b"\x05" + reference_varint(round_index) + reference_varint(corrected)
+        assert encode_message(RoundDone(round_index, corrected)) == expected
 
 
 def test_trailing_garbage_rejected():
