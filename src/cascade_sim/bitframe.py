@@ -109,26 +109,12 @@ class BitFrame:
         return f"BitFrame({shown}{tail}, length={len(self)})"
 
     @classmethod
-    def zeros(cls, length: int) -> "BitFrame":
-        if length < 0:
-            raise ConfigurationError("length must be nonnegative")
-        return cls(np.zeros(length, dtype=np.uint8))
-
-    @classmethod
     def random(cls, length: int, seed: int) -> "BitFrame":
         """Uniform random frame from the dedicated per-seed stream."""
         if length < 0:
             raise ConfigurationError("length must be nonnegative")
         child = SeededRng(seed).derive(_FRAME_LABEL)
         return cls((u64_stream(child.seed, length) & np.uint64(1)).astype(np.uint8))
-
-
-def parity(bits: BitsLike) -> int:
-    """XOR fold of a bit sequence; an empty sequence has parity 0."""
-    arr = _as_bit_array(bits)
-    if arr.size == 0:
-        return 0
-    return int(np.bitwise_xor.reduce(arr))
 
 
 def hamming_distance(a: BitsLike, b: BitsLike) -> int:

@@ -587,6 +587,11 @@ def _direction_byte(direction: Direction) -> int:
     raise TransportError(f"unknown direction: {direction!r}")
 
 
+# The longest wait one poll call takes, in ms; a longer one waits in turns,
+# as the loop re-checks the deadline after each.
+_POLL_MAX_MS = 2**31 - 1
+
+
 class Channel:
     """Two one-way FIFO lanes with a shared, ordered transcript.
 
@@ -672,7 +677,7 @@ class Channel:
                         poller.register(read, select.POLLIN)
                     self._waiting[index] += 1
                     waiting = 1
-            if poller.poll(remaining * 1000.0):
+            if poller.poll(min(remaining * 1000.0, _POLL_MAX_MS)):
                 try:
                     os.read(read, 512)
                 except BlockingIOError:
@@ -696,7 +701,8 @@ class Channel:
         return self._pipes[index]
 
     def pending(self, direction: Direction) -> int:
-        """Messages queued in ``direction`` and not yet received."""
+        """Messages queued in ``direction`` and not yet received; the
+        lockstep driver in ``engine`` reads it to pick the party to step."""
         return len(self._lanes[_direction_byte(direction)])
 
     def close(self) -> None:

@@ -813,12 +813,10 @@ class PairResult:
     channel: wire.Channel
 
 
-def _step(
-    generator, message, channel_obj: wire.Channel, direction
-) -> Tuple[Optional[SessionSummary], int]:
+def _step(generator, message, channel_obj: wire.Channel, direction) -> Optional[SessionSummary]:
     """Deliver ``message`` to a party (``None`` starts it) and send what it
     yields in ``direction``; returns the party's summary once its generator
-    has finished (``None`` before), and how many messages it sent."""
+    has finished (``None`` before)."""
     try:
         outbound = generator.send(message)
         summary = None
@@ -826,7 +824,7 @@ def _step(
         summary, outbound = stop.value
     for out in outbound:
         channel_obj.send(direction, out)
-    return summary, len(outbound)
+    return summary
 
 
 # A driver's parties are (generator, outbound direction, inbound direction)
@@ -837,26 +835,20 @@ def _drive_lockstep(
     parties, channel_obj: wire.Channel, timeout: float
 ) -> List[Optional[SessionSummary]]:
     """Single-step both parties on the calling thread; nothing waits, so
-    ``timeout`` goes unused.  The driver counts the messages in flight to
-    each party itself, from what the other party sent."""
+    ``timeout`` goes unused.  Each step hands one message to the first
+    party, responder first, that is unfinished and has one pending on its
+    inbound lane: the channel is the one record of what is in flight."""
     summaries: List[Optional[SessionSummary]] = [None, None]
-    in_flight = [0, 0]
-    for index, (generator, outbound, _) in enumerate(parties):
-        _, in_flight[1 - index] = _step(generator, None, channel_obj, outbound)
-
+    for generator, outbound, _ in parties:
+        _step(generator, None, channel_obj, outbound)
     while summaries[0] is None or summaries[1] is None:
-        progressed = False
         for index in (1, 0):  # responder first
-            if summaries[index] is not None or not in_flight[index]:
-                continue
             generator, outbound, inbound = parties[index]
-            in_flight[index] -= 1
-            message = channel_obj.recv(inbound)
-            summaries[index], sent = _step(generator, message, channel_obj, outbound)
-            in_flight[1 - index] += sent
-            progressed = True
-        if not progressed:
+            if summaries[index] is None and channel_obj.pending(inbound):
+                break
+        else:
             raise ProtocolError("protocol deadlock: no message in flight")
+        summaries[index] = _step(generator, channel_obj.recv(inbound), channel_obj, outbound)
     return summaries
 
 
@@ -869,10 +861,10 @@ def _drive_threaded(
     def worker(index: int) -> None:
         generator, outbound, inbound = parties[index]
         try:
-            summary, _ = _step(generator, None, channel_obj, outbound)
+            summary = _step(generator, None, channel_obj, outbound)
             while summary is None:
                 message = channel_obj.recv(inbound, timeout=timeout)
-                summary, _ = _step(generator, message, channel_obj, outbound)
+                summary = _step(generator, message, channel_obj, outbound)
             summaries[index] = summary
         except BaseException as exc:  # noqa: BLE001 - reported to the caller
             failures.append(exc)
@@ -883,7 +875,7 @@ def _drive_threaded(
     for thread in threads:
         thread.start()
     for thread in threads:
-        thread.join(timeout=timeout * 4)
+        thread.join(timeout=min(timeout * 4, threading.TIMEOUT_MAX))
         if thread.is_alive():
             raise TransportError("session thread failed to finish in time")
     if failures:

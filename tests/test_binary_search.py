@@ -12,11 +12,14 @@ from cascade_sim.binary_search import (
     start,
     step,
 )
-from cascade_sim.bitframe import parity
 from cascade_sim.errors import ConfigurationError, ProtocolError
 from cascade_sim.paritytree import split_point
 
 # ---------------------------------------------------------------- oracles
+
+
+def parity(bits):
+    return sum(bits) & 1  # the XOR of a list of 0/1 bits
 
 
 def bisect_oracle(local, remote, lo, hi):

@@ -13,7 +13,6 @@ from cascade_sim.bitframe import (
     gen_shuffle_permutation,
     hamming_distance,
     out_shuffle_mapping,
-    parity,
     _lcg_packed,
 )
 from cascade_sim.errors import ConfigurationError
@@ -87,8 +86,7 @@ def test_frame_rejects_non_bits():
         BitFrame(np.zeros((2, 2), dtype=np.uint8))
 
 
-def test_zeros_and_random():
-    assert BitFrame.zeros(6).bits.tolist() == [0] * 6
+def test_random_frames_follow_their_seed():
     r1 = BitFrame.random(5000, seed=1)
     r2 = BitFrame.random(5000, seed=1)
     r3 = BitFrame.random(5000, seed=2)
@@ -96,14 +94,6 @@ def test_zeros_and_random():
     assert r1 != r3
     # fair coin: 5000 draws, sd ~ 35, five sigma band
     assert abs(sum(r1) - 2500) < 180
-
-
-def test_parity_handcrafted_cases():
-    assert parity([]) == 0
-    assert parity([0, 0]) == 0
-    assert parity([1]) == 1
-    assert parity([1, 0, 1, 1]) == 1
-    assert parity(BitFrame([1, 1])) == 0
 
 
 def test_hamming_distance():
@@ -231,7 +221,7 @@ def test_permutation_generators_reject_bad_arguments():
 
 
 def test_bsc_flip_count_is_binomial_and_reported():
-    frame = BitFrame.zeros(20000)
+    frame = BitFrame([0] * 20000)
     noisy, count = apply_noise(frame, Bsc(0.1), seed=5)
     assert count == hamming_distance(frame, noisy)
     # binomial(20000, 0.1): mean 2000, sd ~ 42.4; five sigma
@@ -255,7 +245,7 @@ def test_bsc_validates_rate():
 
 
 def test_fixed_errors_exact_distinct_count():
-    frame = BitFrame.zeros(100)
+    frame = BitFrame([0] * 100)
     for count in (0, 1, 7, 100):
         noisy, reported = apply_noise(frame, FixedErrors(count), seed=2)
         assert reported == count
@@ -267,7 +257,7 @@ def test_fixed_errors_exact_distinct_count():
 
 
 def test_fixed_errors_positions_vary_with_seed():
-    frame = BitFrame.zeros(64)
+    frame = BitFrame([0] * 64)
     a, _ = apply_noise(frame, FixedErrors(6), seed=1)
     b, _ = apply_noise(frame, FixedErrors(6), seed=2)
     assert a != b

@@ -586,6 +586,20 @@ def test_a_zero_or_negative_timeout_returns_at_once(monkeypatch):
     assert pipes == []
 
 
+@pytest.mark.parametrize("timeout", [float("inf"), 1e300, 3e6])
+def test_a_timeout_longer_than_one_poll_still_waits_for_the_message(timeout):
+    # poll takes at most 2^31 - 1 ms (about 2.1e6 s); a longer timeout waits
+    # in turns instead of overflowing.
+    chan = Channel()
+    sender = threading.Timer(0.2, chan.send, (Direction.A_TO_B, Finalize(7)))
+    sender.start()
+    try:
+        assert chan.recv(Direction.A_TO_B, timeout=timeout) == Finalize(7)
+    finally:
+        sender.cancel()
+        sender.join()
+
+
 def test_receivers_that_find_a_message_make_no_wake_pipe(monkeypatch):
     pipes = []
     monkeypatch.setattr(os, "pipe", lambda: pipes.append(1))

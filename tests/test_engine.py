@@ -125,7 +125,7 @@ def fingerprint_oracle(frame, seed):
 @pytest.mark.parametrize("length", [0, 1, 31, 32, 33, 257, 4096, 4097, 1 << 18])
 def test_fingerprint_matches_the_per_limb_oracle(length):
     frames = [BitFrame.random(length, seed=s) for s in range(3)]
-    frames += [BitFrame.zeros(length), BitFrame(np.ones(length, dtype=np.uint8))]
+    frames += [BitFrame([0] * length), BitFrame(np.ones(length, dtype=np.uint8))]
     for frame in frames:
         for seed in (0, 5, (1 << 64) - 1):
             assert frame_fingerprint(frame, seed) == fingerprint_oracle(frame, seed)
@@ -381,6 +381,17 @@ def test_lockstep_and_threaded_transcripts_are_identical():
     threaded = run_pair(config, frame_a, frame_b, scheduling="threaded")
     assert lockstep.channel.transcript_bytes() == threaded.channel.transcript_bytes()
     assert lockstep.responder.final_frame == threaded.responder.final_frame
+
+
+def test_a_threaded_session_with_an_endless_timeout_succeeds():
+    # No wait or join may overflow on a timeout past what poll or
+    # threading take in one call.
+    frame_a = BitFrame.random(256, seed=31)
+    frame_b, _ = apply_noise(frame_a, FixedErrors(4), seed=32)
+    config = basic_config(256, 0.03, 3, seed=33)
+    result = run_pair(config, frame_a, frame_b, scheduling="threaded", timeout=float("inf"))
+    assert result.initiator.status is SessionStatus.SUCCESS
+    assert result.responder.final_frame == frame_a
 
 
 @pytest.mark.parametrize("scheduling", ["lockstep", "threaded"])
@@ -761,7 +772,7 @@ def test_first_half_read_matches_the_one_level_walk(case):
 
 def test_learned_syndromes_follow_one_write_rule():
     config = basic_config(16, 0.25, 2)
-    responder = _Responder(config, BitFrame.zeros(16))
+    responder = _Responder(config, BitFrame([0] * 16))
     plan = plan_round(config.schedule, 0, 16, ())
     rnd = _Round(config, plan, responder.bits, (0,) * len(plan.intervals))
     rnd.learn((0, 2), 1)
@@ -790,7 +801,7 @@ def _round_of_16():
     ``(0, 16)``, announced as odd: the initiator's frame differs at 11."""
     config = basic_config(16, 0.25, 2)
     plan = plan_round(config.schedule, 0, 16, ())
-    rnd = _Round(config, plan, BitFrame.zeros(16).bits, (0,) * len(plan.intervals))
+    rnd = _Round(config, plan, BitFrame([0] * 16).bits, (0,) * len(plan.intervals))
     rnd.known = {(0, 16): 1}
     return rnd
 
@@ -856,13 +867,25 @@ def test_a_round_whose_searches_never_advance_hits_the_quiet_wave_guard(monkeypa
         lo, hi = task.state.lo, task.state.hi
         return (lo, split_point(lo, hi))
 
-    monkeypatch.setattr(_Search, "advance", stalled)
-    monkeypatch.setattr(_Search, "answer", lambda task, parity: None)
     n = 1024
     config = basic_config(n, 0.02, 3, seed=51, aggregation=True)
+    plan = plan_round(config.schedule, 0, n, ())
+    quiet_limit = min(plan.block_size, n).bit_length() + 1
+    # A wave answers each live search at most once, and round 0 has one
+    # search per block at most; past that many answers the guard has failed,
+    # so the test fails too instead of looping forever.
+    most_answers = quiet_limit * len(plan.intervals)
+    answered = []
+
+    def counted(task, parity):
+        answered.append(parity)
+        if len(answered) > most_answers:
+            raise AssertionError(f"{len(answered)} answers: the quiet-wave guard never fired")
+
+    monkeypatch.setattr(_Search, "advance", stalled)
+    monkeypatch.setattr(_Search, "answer", counted)
     frame_a = BitFrame.random(n, seed=52)
     frame_b, _ = apply_noise(frame_a, FixedErrors(5), seed=53)
-    quiet_limit = min(plan_round(config.schedule, 0, n, ()).block_size, n).bit_length() + 1
     channel = Channel()
     message = rf"internal: round 0 ran {quiet_limit} waves without a flip"
     with pytest.raises(ProtocolError, match=message):

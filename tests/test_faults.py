@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from cascade_sim import channel as wire
 from cascade_sim import engine
 from cascade_sim.bitframe import BitFrame, Bsc, apply_noise
-from cascade_sim.errors import DecodeError, ProtocolError
+from cascade_sim.errors import DecodeError, ProtocolError, TransportError
 from cascade_sim.harness import SessionTemplate, run_trial_detailed
 from cascade_sim.schedule import FixedRoundsBreak, QuietRoundsBreak, StaticSchedule, ThresholdBreak
 
@@ -157,7 +157,7 @@ def test_a_parity_that_changes_in_a_later_round_is_a_protocol_error(
     monkeypatch.setattr(
         engine, "initiator_session", _twin_in_round(engine.initiator_session, 1, 0)
     )
-    reference = BitFrame.zeros(8)
+    reference = BitFrame([0] * 8)
     noisy = BitFrame([1, 0, 0, 0, 0, 0, 0, 0])
     config = engine.SessionConfig(
         8, StaticSchedule(0.25), break_condition, permutation_kind=kind, seed=5
@@ -341,6 +341,78 @@ def test_a_verdict_in_place_of_the_handshake_is_a_protocol_error(monkeypatch, sc
         engine.run_session_pair(
             config, config, reference, noisy, scheduling=scheduling, timeout=5.0
         )
+
+
+def _silent_responder(received):
+    """A responder that takes the initiator's ``Init`` and then never sends."""
+
+    def session(config, frame):
+        while True:
+            received.append((yield []))
+
+    return session
+
+
+def test_a_silent_responder_is_a_deadlock_under_lockstep(monkeypatch):
+    received = []
+    monkeypatch.setattr(engine, "responder_session", _silent_responder(received))
+    frame = BitFrame.random(256, seed=3)
+    config = SessionTemplate().config_for(256, 0.05, 5)
+    with pytest.raises(ProtocolError, match="protocol deadlock: no message in flight"):
+        engine.run_session_pair(config, config, frame, frame, scheduling="lockstep")
+    assert [type(message) for message in received] == [wire.Init]
+
+
+def test_a_silent_responder_times_out_under_threaded(monkeypatch):
+    received = []
+    monkeypatch.setattr(engine, "responder_session", _silent_responder(received))
+    frame = BitFrame.random(256, seed=3)
+    config = SessionTemplate().config_for(256, 0.05, 5)
+    threads_before = set(threading.enumerate())
+    started = time.monotonic()
+    with pytest.raises(TransportError):
+        engine.run_session_pair(
+            config, config, frame, frame, scheduling="threaded", timeout=0.5
+        )
+    assert time.monotonic() - started < 5.0
+    assert set(threading.enumerate()) <= threads_before, "a session thread is still alive"
+    assert [type(message) for message in received] == [wire.Init]
+
+
+def _talking_past_the_verdict(honest):
+    """An initiator that sends one more message after its ``Result`` and
+    then waits, unfinished, for a reply that cannot come."""
+
+    def session(config, frame):
+        inner = honest(config, frame)
+        outbound = next(inner)
+        while True:
+            inbound = yield outbound
+            try:
+                outbound = inner.send(inbound)
+            except StopIteration as stop:
+                _, finals = stop.value
+                break
+        yield [*finals, wire.RoundDone(0, 0)]
+        while True:
+            yield []
+
+    return session
+
+
+def test_a_message_to_a_finished_party_is_left_unread(monkeypatch):
+    # The responder finishes on the Result with a message still queued to
+    # it; lockstep must not step its finished generator, and ends in the
+    # deadlock of the initiator that waits on.
+    monkeypatch.setattr(
+        engine, "initiator_session", _talking_past_the_verdict(engine.initiator_session)
+    )
+    frame = BitFrame.random(256, seed=3)
+    config = SessionTemplate().config_for(256, 0.05, 5)
+    channel = wire.Channel()
+    with pytest.raises(ProtocolError, match="protocol deadlock: no message in flight"):
+        engine.run_session_pair(config, config, frame, frame, channel_obj=channel)
+    assert channel.pending(wire.Direction.A_TO_B) == 1
 
 
 def _forged_fingerprint(message):
