@@ -1,14 +1,14 @@
 """Authenticated classical channel: messages, wire codec, transcript, taps.
 
 Everything both parties exchange travels as one of the dataclasses below.
-The codec is a fixed binary layout (schema version 2) so that a transcript
+The codec is a fixed binary layout (schema version 3) so that a transcript
 is byte-reproducible across runs and platforms:
 
     Init          0x01  frame_length u32, permutation u8, schedule u8 + params,
                         break u8 + param u32, seed u64
     BlockParities 0x02  round var, count var, parities packed
-    ParityQuery   0x03  round var, count var, (lo var, hi var) per interval
-    ParityAnswer  0x04  round var, count var, (lo var, hi var) per entry,
+    ParityQuery   0x03  round var, count var, (lo var, length var) per interval
+    ParityAnswer  0x04  round var, count var, (lo var, length var) per entry,
                         then the entries' parities packed
     RoundDone     0x05  round var, corrected var
     Finalize      0x06  fingerprint u64
@@ -18,9 +18,14 @@ is byte-reproducible across runs and platforms:
 is a minimal unsigned LEB128 varint of a value below 2^32: seven bits a
 byte, low group first, the high bit set on every byte but the last, so a
 value below 2^7 takes one byte, below 2^14 two and below 2^21 three.
-``packed`` is ceil(count / 8) bytes holding the parities in order, the
-first in the low bit of the first byte, with the unused high bits of the
-last byte zero.
+An interval ``(lo, hi)`` travels as ``lo`` and its ``length``,
+``(hi - lo) mod 2^32``, and the decoder rebuilds ``hi = (lo + length) mod
+2^32``: a bisection interval is at most half a block, so its length takes
+a byte or two wherever the interval lies in the frame.  ``(lo, length)``
+maps one to one onto ``(lo, hi)``, so an interval with ``hi < lo`` travels
+too, its length wrapped.  ``packed`` is ceil(count / 8) bytes holding the
+parities in order, the first in the low bit of the first byte, with the
+unused high bits of the last byte zero.
 
 Schedule parameters ride as f64 (estimated error rate) plus u32 (growth
 factor) for the geometric variant, or f64 alone for the adaptive variant.
@@ -30,9 +35,9 @@ Each fixed layout is one ``struct.Struct`` and each byte-coded value
 indexed by its byte; the encoder, the decoder and the transcript reader and
 writer all use the same ones, so the format is stated once for both
 directions.  The four counted messages (block parities, queries, answers
-and round ends) have one writer, which holds the varint encoding, and one
-header reader, which the eavesdropper's tap also calls when a round or a
-count takes more than one byte.
+and round ends) have one writer, which holds the varint encoding and the
+interval lengths, and one header reader, which the eavesdropper's tap also
+calls when a round or a count takes more than one byte.
 
 Each field has exactly one encoding, and the encoder is the validity
 check: it accepts exactly the messages that decode back equal (bit
@@ -69,7 +74,7 @@ from .bitframe import PERMUTATION_KINDS
 from .errors import ConfigurationError, DecodeError, TransportError
 from .schedule import BREAKS, SCHEDULES, BreakCondition, ScheduleConfig
 
-WIRE_VERSION = 2
+WIRE_VERSION = 3
 TRANSCRIPT_MAGIC = b"CSCT"
 _RECORD_HEADER = struct.Struct(">BII")  # direction, sequence, payload length
 
@@ -213,12 +218,12 @@ _RESULT = _layout("type:B", "status:B")
 
 # Varints.  Below 2^7 a value is its own byte; below 2^14 it is its low
 # seven bits with the continuation bit, then the high seven: the
-# little-endian u16 ``high << 8 | 0x80 | low``.  _counted looks each bound
-# below 2^14 up in this table inside one comprehension per message, so it
-# makes no Python call per value.  A bound below 2^21 (three bytes, as most
-# bounds of a 2^18-bit frame) is its low seven bits with the continuation
-# bit, then the table's entry for the rest; only wider values go through
-# _varint.
+# little-endian u16 ``high << 8 | 0x80 | low``.  _counted looks each ``lo``
+# below 2^14 and each length below 2^14 up in this table inside one
+# comprehension per message, so it makes no Python call per interval.  A
+# ``lo`` below 2^21 (three bytes, as most of a 2^18-bit frame) is its low
+# seven bits with the continuation bit, then the table's entry for the rest.
+# Only the other intervals go through _interval.
 _TABLED = 1 << 14
 _VARINTS = tuple(map(bytes, zip(range(0x80)))) + tuple(
     map(
@@ -243,7 +248,7 @@ _PACKED_BYTES = {
 _BIT_DIGITS = bytes.maketrans(b"\0\1", b"01")  # a parity byte to its binary digit
 _NOT_BITS = bytes(range(2))  # translate() deletes these; anything left is not a bit
 _ONLY_TUPLES = frozenset((tuple,))
-_PARITY_OF = operator.itemgetter(2)  # an answer entry's parity
+_INTERVAL_OF = operator.itemgetter(0, 1)  # an answer entry's (lo, hi)
 
 
 def _varint(value: int) -> bytes:
@@ -259,26 +264,44 @@ def _varint(value: int) -> bytes:
     return bytes(out)
 
 
+def _interval(lo: int, hi: int) -> bytes:
+    """``lo`` and the length ``(hi - lo) mod 2^32`` as varints, for any interval.
+
+    ``hi`` must fit in 32 bits itself, as the length would fit whatever it is.
+    """
+    if not 0 <= hi < 1 << 32:
+        raise DecodeError(f"{hi} does not fit in 32 bits")
+    return _varint(lo) + _varint((hi - lo) % (1 << 32))
+
+
 def _counted(
-    type_byte: int, round_index: int, count: int, pairs: Iterable[Interval] = (), packed: bytes = b""
+    type_byte: int,
+    round_index: int,
+    count: int,
+    intervals: Iterable[Interval] = (),
+    packed: bytes = b"",
 ) -> bytes:
     """The bytes of a counted message, the only writer of its varints.
 
-    ``type_byte``, then ``round_index``, ``count`` and each pair's ``lo``
-    and ``hi`` as varints, then the ``packed`` parities.  Unpacking refuses
-    a member of ``pairs`` that is not a pair.
+    ``type_byte``, then ``round_index`` and ``count`` as varints, then each
+    interval's ``lo`` and length as varints, then the ``packed`` parities.
+    Unpacking refuses a member of ``intervals`` that is not a pair.
     """
     if round_index < 0x80 and count < 0x80:  # one byte each; bytes() refuses a negative
         head = bytes((type_byte, round_index, count))
     else:
         head = bytes((type_byte,)) + _varint(round_index) + _varint(count)
+    # ``lo >> 21`` is 0 exactly when 0 <= lo < 2^21, and ``length >> 14``
+    # when 0 <= length < 2^14; then hi = lo + length fits in 32 bits too.
+    # Every other interval, hi < lo included, is _interval's.
     bounds = b"".join(
         [
-            _VARINTS[bound] if 0 <= bound < _TABLED
-            else _CONTINUED[bound & 0x7F] + _VARINTS[bound >> 7] if _TABLED <= bound < _TABLED << 7
-            else _varint(bound)
-            for lo, hi in pairs
-            for bound in (lo, hi)
+            (_VARINTS[lo] if lo < _TABLED else _CONTINUED[lo & 0x7F] + _VARINTS[lo >> 7])
+            + _VARINTS[length]
+            if not lo >> 21 | length >> 14
+            else _interval(lo, hi)
+            for lo, hi in intervals
+            for length in (hi - lo,)
         ]
     )
     return head + bounds + packed
@@ -341,12 +364,11 @@ def _encode_parity_query(message: ParityQuery) -> bytes:
 def _encode_parity_answer(message: ParityAnswer) -> bytes:
     entries = message.entries
     _require_tuples("parity_answer.entries", entries, nested=True)
-    # Unpacking checks that each entry is a triple before _PARITY_OF reads it,
-    # which would raise IndexError on a pair.
-    pairs = [(lo, hi) for lo, hi, _ in entries]
-    bits = bytes(map(_PARITY_OF, entries))
+    # Unpacking refuses an entry that is not a triple, so _INTERVAL_OF sees
+    # only triples.
+    bits = bytes([parity for _, _, parity in entries])
     packed = _PACKED_BYTES.get(bits) or _packed_bits("parity_answer.entries[{}].parity", bits)
-    return _counted(4, message.round_index, len(entries), pairs, packed)
+    return _counted(4, message.round_index, len(entries), map(_INTERVAL_OF, entries), packed)
 
 
 _ENCODERS = {
@@ -361,7 +383,7 @@ _ENCODERS = {
 
 
 def encode_message(message: Message) -> bytes:
-    """Serialize one message to its schema-2 byte string.
+    """Serialize one message to its schema-3 byte string.
 
     The encoder is the validity check: it accepts exactly the messages that
     decode back equal.  Anything else (a field that does not fit its wire
@@ -444,11 +466,15 @@ def _read_header(payload: bytes, message: str, second: str = "count") -> Tuple[i
 
 
 def _read_bounds(payload: bytes, offset: int, count: int, name: str) -> Tuple[list, list, int]:
-    """The ``lo`` and ``hi`` of ``count`` pairs, and the offset after them."""
-    bounds, offset = _read_varints(
-        payload, offset, 2 * count, lambda i: f"{name}[{i >> 1}].{('lo', 'hi')[i & 1]}"
+    """The ``lo`` and ``hi`` of ``count`` intervals, and the offset after them.
+
+    Each travels as ``lo`` and its length, so ``hi = (lo + length) mod 2^32``.
+    """
+    values, offset = _read_varints(
+        payload, offset, 2 * count, lambda i: f"{name}[{i >> 1}].{('lo', 'length')[i & 1]}"
     )
-    return bounds[0::2], bounds[1::2], offset
+    los = values[0::2]
+    return los, [(lo + length) & 0xFFFFFFFF for lo, length in zip(los, values[1::2])], offset
 
 
 def _read_bits(payload: bytes, offset: int, count: int, name: Callable[[int], str]) -> tuple:
@@ -468,7 +494,7 @@ def _read_bits(payload: bytes, offset: int, count: int, name: Callable[[int], st
 
 
 def decode_message(payload: bytes) -> Message:
-    """Parse one schema-2 byte string back into a message."""
+    """Parse one schema-3 byte string back into a message."""
     if not payload:
         raise _truncated("type")
     type_byte = payload[0]

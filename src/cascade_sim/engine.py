@@ -902,11 +902,14 @@ def run_session_pair(
     ``scheduling`` names the driver in ``DRIVERS``: "lockstep" single-steps
     both parties on the calling thread; "threaded" gives each its own
     thread.  The half-duplex protocol makes both produce identical
-    transcripts.
+    transcripts.  ``timeout`` bounds each wait of the threaded driver, in
+    seconds; it may be infinite, but not NaN, whichever the driver.
     """
     drive = DRIVERS.get(scheduling)
     if drive is None:
         raise ConfigurationError(f"unknown scheduling mode: {scheduling!r}")
+    if math.isnan(timeout):
+        raise ConfigurationError("timeout must be a number of seconds, got NaN")
     if channel_obj is None:
         channel_obj = wire.Channel()
     a_to_b, b_to_a = wire.Direction.A_TO_B, wire.Direction.B_TO_A

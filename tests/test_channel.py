@@ -236,17 +236,18 @@ def test_truncation_names_the_missing_field():
     assert blob == bytes([2, 1, 9, 0b01001101, 0b1])
     with pytest.raises(DecodeError, match=r"parities\[8\]"):
         decode_message(blob[:-1])
+    # An interval travels as its lo and its length: (8, 200) as 8 and 192.
     blob = encode_message(ParityQuery(1, ((0, 4), (8, 200))))
-    assert blob == bytes([3, 1, 2, 0, 4, 8, 0xC8, 0x01])
-    with pytest.raises(DecodeError, match=r"parity_query.intervals\[1\].hi"):
+    assert blob == bytes([3, 1, 2, 0, 4, 8, 0xC0, 0x01])
+    with pytest.raises(DecodeError, match=r"parity_query.intervals\[1\].length"):
         decode_message(blob[:-1])  # the second byte of a two-byte varint
     with pytest.raises(DecodeError, match=r"parity_query.intervals\[1\].lo"):
         decode_message(blob[:-3])
     blob = encode_message(ParityAnswer(1, ((0, 4, 1), (8, 16, 0), (20, 24, 1))))
-    assert blob == bytes([4, 1, 3, 0, 4, 8, 16, 20, 24, 0b101])
+    assert blob == bytes([4, 1, 3, 0, 4, 8, 8, 20, 4, 0b101])
     with pytest.raises(DecodeError, match=r"parity_answer.entries\[0\].parity"):
         decode_message(blob[:-1])
-    with pytest.raises(DecodeError, match=r"parity_answer.entries\[2\].hi"):
+    with pytest.raises(DecodeError, match=r"parity_answer.entries\[2\].length"):
         decode_message(blob[:-2])
     blob = encode_message(RoundDone(200, 3))
     assert blob == bytes([5, 0xC8, 0x01, 3])
@@ -321,15 +322,21 @@ def reference_packed(parities):
 def test_counted_messages_match_a_reference_encoder_at_each_width_edge():
     # Round trips cannot see a fault the encoder and the decoder share, so
     # each counted message is compared with bytes built by the reference
-    # above.  Every width edge is a round, a lo and a hi; the counts of the
-    # three messages with entries go up to 2^14 entries, and RoundDone's
-    # second varint, which sits where their count does, takes every edge.
+    # above.  Every width edge is a round, a lo, a hi and an interval's
+    # length, which is what travels in place of hi; with hi < lo the length
+    # wraps past 2^32.  The counts of the three messages with entries go up
+    # to 2^14 entries, and RoundDone's second varint, which sits where their
+    # count does, takes every edge.
     assert [len(reference_varint(value)) for value in _WIDTH_EDGES] == [1, 1, 2, 2, 3, 3, 4, 5]
     edge_pairs = list(product(_WIDTH_EDGES, repeat=2))
+    edge_lengths = [(lo, (lo + length) % 2**32) for lo, length in edge_pairs]
+    assert {(hi - lo) % 2**32 for lo, hi in edge_lengths} == set(_WIDTH_EDGES)
     for count in (0, 1, 127, 128, 2**14 - 1, 2**14):
-        intervals = tuple(islice(cycle(edge_pairs), count))
+        intervals = tuple(islice(cycle(edge_pairs + edge_lengths), count))
         parities = tuple(islice(cycle((1, 0, 0, 1, 1, 0, 1)), count))
-        bounds = b"".join(reference_varint(lo) + reference_varint(hi) for lo, hi in intervals)
+        bounds = b"".join(
+            reference_varint(lo) + reference_varint((hi - lo) % 2**32) for lo, hi in intervals
+        )
         packed = reference_packed(parities)
         entries = tuple((lo, hi, parity) for (lo, hi), parity in zip(intervals, parities))
         for round_index in _WIDTH_EDGES:
@@ -346,6 +353,28 @@ def test_counted_messages_match_a_reference_encoder_at_each_width_edge():
     for round_index, corrected in edge_pairs:
         expected = b"\x05" + reference_varint(round_index) + reference_varint(corrected)
         assert encode_message(RoundDone(round_index, corrected)) == expected
+
+
+def test_a_length_that_is_overlong_truncated_or_too_wide_names_its_interval():
+    # Interval 1 is (5, 9): lo 5, then the length 4 as a canonical varint;
+    # a length of 2^32 - 1 wraps to hi = 4.
+    query = b"\x03\x00\x02\x00\x01\x05"
+    answer = b"\x04\x00\x02\x00\x01\x05"
+    assert decode_message(query + b"\x04") == ParityQuery(0, ((0, 1), (5, 9)))
+    assert decode_message(answer + b"\x04\x01") == ParityAnswer(0, ((0, 1, 1), (5, 9, 0)))
+    assert decode_message(query + b"\xff\xff\xff\xff\x0f") == ParityQuery(0, ((0, 1), (5, 4)))
+    for prefix, suffix, name in (
+        (query, b"", r"parity_query.intervals\[1\].length"),
+        (answer, b"\x01", r"parity_answer.entries\[1\].length"),
+    ):
+        with pytest.raises(DecodeError, match=rf"overlong varint for {name}"):
+            decode_message(prefix + b"\x84\x00" + suffix)
+        with pytest.raises(DecodeError, match=rf"missing field '{name}'"):
+            decode_message(prefix + b"\x84")
+        with pytest.raises(DecodeError, match=rf"missing field '{name}'"):
+            decode_message(prefix)
+        with pytest.raises(DecodeError, match=rf"{name} does not fit in 32 bits"):
+            decode_message(prefix + b"\x80\x80\x80\x80\x10" + suffix)
 
 
 def test_trailing_garbage_rejected():
@@ -697,6 +726,10 @@ def test_sender_side_validation_rejects_malformed_messages():
         ParityQuery(0, ((0, -(2**14)),)),
         ParityQuery(-1, ((0, 2),)),
         ParityQuery(0, ((2**32, 2**32 + 1),)),
+        # The length fits, but hi = lo + length does not.
+        ParityQuery(0, ((2**32 - 1, 2**32),)),
+        ParityQuery(0, ((2**21, 2**32 + 2**21),)),
+        ParityAnswer(0, ((2**32 - 2**14, 2**32 + 1, 0),)),
         RoundDone(-1, 0),
         RoundDone(0, -1),
         RoundDone(2**32, 0),
@@ -853,12 +886,14 @@ def test_transcript_file_corruption_detected(tmp_path):
     with pytest.raises(DecodeError, match="version"):
         read_transcript(str(bad_version))
 
-    # A file of the fixed-width schema before this one is refused, not misread.
-    assert blob[4] == WIRE_VERSION == 2
-    version_1 = tmp_path / "version_1.bin"
-    version_1.write_bytes(blob[:4] + bytes([1]) + blob[5:])
-    with pytest.raises(DecodeError, match="unsupported version 1"):
-        read_transcript(str(version_1))
+    # A file of an earlier schema (fixed-width fields, or intervals sent as
+    # lo and hi) is refused, not misread.
+    assert blob[4] == WIRE_VERSION == 3
+    for version in (1, 2):
+        older = tmp_path / f"version_{version}.bin"
+        older.write_bytes(blob[:4] + bytes([version]) + blob[5:])
+        with pytest.raises(DecodeError, match=f"unsupported version {version}"):
+            read_transcript(str(older))
 
     truncated = tmp_path / "trunc.bin"
     truncated.write_bytes(blob[:-3])

@@ -395,6 +395,17 @@ def test_a_threaded_session_with_an_endless_timeout_succeeds():
 
 
 @pytest.mark.parametrize("scheduling", ["lockstep", "threaded"])
+def test_a_nan_timeout_is_a_configuration_error_and_starts_no_thread(scheduling):
+    frame_a = BitFrame.random(256, seed=31)
+    frame_b, _ = apply_noise(frame_a, FixedErrors(4), seed=32)
+    config = basic_config(256, 0.03, 3, seed=33)
+    before = set(threading.enumerate())
+    with pytest.raises(ConfigurationError, match="NaN"):
+        run_pair(config, frame_a, frame_b, scheduling=scheduling, timeout=float("nan"))
+    assert set(threading.enumerate()) <= before
+
+
+@pytest.mark.parametrize("scheduling", ["lockstep", "threaded"])
 @pytest.mark.parametrize("aggregation", [False, True])
 def test_no_search_outlives_its_session(scheduling, aggregation):
     # At 10% errors flips abort live searches.  Any reference cycle through a
@@ -953,7 +964,7 @@ def test_initiator_rejects_malformed_queries(query):
 # SHA-256 over transcript bytes and the responder's final frame for the
 # configurations below.  It pins the wire behaviour: a change that alters
 # transcripts on purpose updates this value and says why.
-TRANSCRIPT_PIN = "90f8d535add931687e7292a6cb8b4a33642ef61da93e7d24970c796b3ea9c60e"
+TRANSCRIPT_PIN = "42135a4eaf2a88fbea5ff4e3fff3c4eceedaeb7272d15eddc1844dbabdb3c053"
 # SHA-256 over each transcript's messages, as (direction, sequence, message)
 # reprs, for the same configurations.  It pins what the parties say apart
 # from how the wire encodes it, so a change of byte layout alone leaves it.
@@ -997,7 +1008,7 @@ def test_transcripts_match_the_pinned_hash():
 # SHA-256 over the transcript bytes and the responder's final frame of one
 # 262,144-bit session: it covers the whole-frame kernels (permutations and
 # fingerprint) at the size where they dominate a session.
-LONG_FRAME_PIN = "792eba86c01aa0392d8b92dca30519626cd955bb90b1bb9ae270a5e95a06058a"
+LONG_FRAME_PIN = "7e3269d0de06cbaa45990e3a6f80e2d28689a5e19e3a4754413c46d099f2ff43"
 
 
 def test_long_frame_transcript_matches_the_pinned_hash():
@@ -1014,7 +1025,7 @@ def test_long_frame_transcript_matches_the_pinned_hash():
 # SHA-256 over the transcript bytes and the responder's final frame at odd
 # and tiny lengths.  High error rates give blocks of one to three bits and a
 # short last block, the edges of the vectorised block check on round entry.
-ODD_LENGTH_PIN = "830bbb167c9180703ce58fc046a38d6f2321775fa50e51e6576a20edba9b3ffc"
+ODD_LENGTH_PIN = "96e4b9ed08b61c2f3bf734de1e31ebb9fd4c3d7b590e8a831419807848739a9b"
 
 
 def test_odd_length_transcripts_match_the_pinned_hash():
@@ -1032,10 +1043,10 @@ def test_odd_length_transcripts_match_the_pinned_hash():
 # perfbench/digest.py's SHA-256 over each benchmark workload's transcripts,
 # so the workloads the benchmark times are tied to a pinned wire behaviour.
 WORKLOAD_DIGESTS = {
-    "chatty-threaded-4k": "af78bd7d76f4a85cc4e03c6df1c0f9e631cd15ae8ac9b3b444b988912108290d",
-    "dense-batched-4k": "46a48d2065ed97d1c36566d30b33952a26a4d3f8ab3328ca903cf203a7cbbcf1",
-    "long-sparse-256k": "8b4375ab78d52e9c08dd5a99c102595c5ecc60628063db8738549e59046923de",
-    "qber-sweep-2w": "8f14601cda65a7c2bf42fda9f0fa56cc35991234258ef65dd1c729e786449116",
+    "chatty-threaded-4k": "3a3f3040e6f747a1cb4b121d794f92c57c8659f06ce4a92e81c06f25b3ca4756",
+    "dense-batched-4k": "06068776d4d894eb9cedc5c52de28fc8ec5082fd875a404cee7670234e20a6a8",
+    "long-sparse-256k": "76af7b72f62c9066bf23fc737e91aab8731ed72cd873e66066ebac7c7e31cc1d",
+    "qber-sweep-2w": "074b1c61e3a96aa1be64dec9634a99ce1613e6fd100acc1988d2347c2ac0d523",
 }
 
 
