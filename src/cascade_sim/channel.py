@@ -36,8 +36,10 @@ indexed by its byte; the encoder, the decoder and the transcript reader and
 writer all use the same ones, so the format is stated once for both
 directions.  The four counted messages (block parities, queries, answers
 and round ends) have one writer, which holds the varint encoding and the
-interval lengths, and one header reader, which the eavesdropper's tap also
-calls when a round or a count takes more than one byte.
+interval lengths.  Bytes from outside have one reader, a cursor that
+checks every read against their end and names the first field missing:
+the decoder, the transcript file reader and the eavesdropper's tap (when a
+round or a count takes more than one byte) all read through it.
 
 Each field has exactly one encoding, and the encoder is the validity
 check: it accepts exactly the messages that decode back equal (bit
@@ -68,7 +70,7 @@ import weakref
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import chain, product, repeat, starmap
-from typing import Callable, Deque, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .bitframe import PERMUTATION_KINDS
 from .errors import ConfigurationError, DecodeError, TransportError
@@ -76,7 +78,6 @@ from .schedule import BREAKS, SCHEDULES, BreakCondition, ScheduleConfig
 
 WIRE_VERSION = 3
 TRANSCRIPT_MAGIC = b"CSCT"
-_RECORD_HEADER = struct.Struct(">BII")  # direction, sequence, payload length
 
 Interval = Tuple[int, int]
 
@@ -197,24 +198,25 @@ _LAYOUT_FIELDS: Dict[struct.Struct, Tuple[str, ...]] = {}
 def _layout(*fields: str) -> struct.Struct:
     """A big-endian wire layout of ``"name:code"`` fields, in wire order.
 
-    The names serve the decoder, which names the first field a short
-    payload lacks.
+    The names serve ``_Reader.fields``, which names the first field that
+    short bytes lack.  Each code is one character.
     """
     layout = struct.Struct(">" + "".join(field.partition(":")[2] for field in fields))
     _LAYOUT_FIELDS[layout] = fields
     return layout
 
 
-# The fixed layouts; a leading B is the type byte.  The encoders pack these,
-# and the decoder checks a payload's length against them and unpacks them.
-_INIT_HEAD = _layout("type:B", "frame_length:I", "permutation_kind:B", "schedule:B")
+# The fixed layouts after a message's type byte.  The encoders pack these,
+# and the decoder reads them through _Reader.fields.  An Init's schedule
+# byte picks the layout of the fields after its head.
+_INIT_HEAD = _layout("frame_length:I", "permutation_kind:B", "schedule:B")
 _INIT_TAIL = ("break_condition:B", "break_condition.parameter:I", "seed:Q")
-_INIT_LAYOUTS = (  # indexed by schedule byte
-    _layout(*_LAYOUT_FIELDS[_INIT_HEAD], "schedule.qber_estimate:d", "schedule.k:I", *_INIT_TAIL),
-    _layout(*_LAYOUT_FIELDS[_INIT_HEAD], "schedule.qber_estimate:d", *_INIT_TAIL),
+_INIT_TAILS = (  # indexed by schedule byte
+    _layout("schedule.qber_estimate:d", "schedule.k:I", *_INIT_TAIL),
+    _layout("schedule.qber_estimate:d", *_INIT_TAIL),
 )
-_FINALIZE = _layout("type:B", "fingerprint:Q")
-_RESULT = _layout("type:B", "status:B")
+_FINALIZE = _layout("fingerprint:Q")
+_RECORD_HEADER = _layout("direction:B", "sequence:I", "length:I")  # per transcript file record
 
 # Varints.  Below 2^7 a value is its own byte; below 2^14 it is its low
 # seven bits with the continuation bit, then the high seven: the
@@ -247,7 +249,6 @@ _PACKED_BYTES = {
 }
 _BIT_DIGITS = bytes.maketrans(b"\0\1", b"01")  # a parity byte to its binary digit
 _NOT_BITS = bytes(range(2))  # translate() deletes these; anything left is not a bit
-_ONLY_TUPLES = frozenset((tuple,))
 _INTERVAL_OF = operator.itemgetter(0, 1)  # an answer entry's (lo, hi)
 
 
@@ -324,9 +325,19 @@ def _packed_bits(name: str, bits: bytes) -> bytes:
 
 
 def _require_tuples(name: str, value, nested: bool) -> None:
-    """Containers must be tuples (of tuples), or they would not decode back equal."""
-    if type(value) is not tuple or (nested and not set(map(type, value)) <= _ONLY_TUPLES):
-        raise DecodeError(f"{name} must be a tuple{' of tuples' if nested else ''}")
+    """Containers must be tuples (of tuples), or they would not decode back equal.
+
+    The scan stops at the first entry that is not exactly a tuple.
+    """
+    if type(value) is tuple:
+        if not nested:
+            return
+        for item in value:
+            if type(item) is not tuple:
+                break
+        else:
+            return
+    raise DecodeError(f"{name} must be a tuple{' of tuples' if nested else ''}")
 
 
 def _encode_init(message: Init) -> bytes:
@@ -335,16 +346,11 @@ def _encode_init(message: Init) -> bytes:
     # An estimate that is not a float (a Fraction, say) would read back unequal.
     if float(schedule.qber_estimate) != schedule.qber_estimate:
         raise DecodeError(f"schedule estimate {schedule.qber_estimate!r} is not an f64")
-    return _INIT_LAYOUTS[variant].pack(
-        1,
-        message.frame_length,
-        _wire_byte(PERMUTATION_KINDS, message.permutation_kind, "permutation kind"),
-        variant,
-        *vars(schedule).values(),
-        _wire_byte(_BREAKS, type(condition), "break variant"),
-        *vars(condition).values(),
-        message.seed,
-    )
+    kind = _wire_byte(PERMUTATION_KINDS, message.permutation_kind, "permutation kind")
+    rule = _wire_byte(_BREAKS, type(condition), "break variant")
+    tail = (*vars(schedule).values(), rule, *vars(condition).values(), message.seed)
+    head = _INIT_HEAD.pack(message.frame_length, kind, variant)
+    return b"\x01" + head + _INIT_TAILS[variant].pack(*tail)
 
 
 def _encode_block_parities(message: BlockParities) -> bytes:
@@ -377,8 +383,8 @@ _ENCODERS = {
     ParityQuery: _encode_parity_query,
     ParityAnswer: _encode_parity_answer,
     RoundDone: lambda message: _counted(5, message.round_index, message.corrected),
-    Finalize: lambda message: _FINALIZE.pack(6, message.fingerprint),
-    Result: lambda message: _RESULT.pack(7, _wire_byte(_STATUSES, message.status, "status")),
+    Finalize: lambda message: b"\x06" + _FINALIZE.pack(message.fingerprint),
+    Result: lambda message: bytes((7, _wire_byte(_STATUSES, message.status, "status"))),
 }
 
 
@@ -402,110 +408,119 @@ def encode_message(message: Message) -> bytes:
         raise DecodeError(f"cannot encode {type(message).__name__}: {exc}") from exc
 
 
-def _truncated(name: str) -> DecodeError:
-    return DecodeError(f"truncated message: missing field {name!r}")
+class _Reader:
+    """A cursor over bytes from outside the program: every read checks its
+    bounds here, and only ``DecodeError`` leaves.
 
-
-def _require_end(payload: bytes, size: int) -> None:
-    if len(payload) > size:
-        raise DecodeError(f"trailing garbage: {len(payload) - size} unconsumed bytes")
-
-
-def _unpack_from(layout: struct.Struct, payload: bytes, message: str) -> tuple:
-    """The fields of ``layout`` that open ``payload``; a short payload names the first it lacks."""
-    if len(payload) < layout.size:
-        fields = _LAYOUT_FIELDS[layout]
-        ends = (struct.calcsize(layout.format[: i + 2]) for i in range(len(fields)))
-        missing = next(field for field, end in zip(fields, ends) if end > len(payload))
-        raise _truncated(f"{message}.{missing.partition(':')[0]}")
-    return layout.unpack_from(payload)
-
-
-def _unpack(layout: struct.Struct, payload: bytes, message: str) -> tuple:
-    """The fields of ``layout``, which ``payload`` must fill exactly."""
-    fields = _unpack_from(layout, payload, message)
-    _require_end(payload, layout.size)
-    return fields
-
-
-def _read_varints(
-    payload: bytes, offset: int, count: int, name: Callable[[int], str]
-) -> Tuple[List[int], int]:
-    """``count`` canonical varints from ``offset``, and the offset after them.
-
-    ``name(i)`` names the i-th value in an error: one that runs past the
-    payload, has a redundant high zero group or does not fit in 32 bits.
+    Each read names its field; one that runs past the end names the first
+    field missing, in a ``truncated {source}`` error.  ``offset`` is where
+    the next read starts.
     """
-    values = []
-    end = len(payload)
-    for i in range(count):
+
+    __slots__ = ("data", "source", "offset")
+
+    def __init__(self, data: bytes, source: str = "message", offset: int = 0) -> None:
+        self.data = data
+        self.source = source
+        self.offset = offset
+
+    def _missing(self, name: str) -> DecodeError:
+        return DecodeError(f"truncated {self.source}: missing field {name!r}")
+
+    def run(self, size: int, name: str) -> bytes:
+        """The next ``size`` bytes, the field ``name``."""
+        start = self.offset
+        if start + size > len(self.data):
+            raise self._missing(name)
+        self.offset = start + size
+        return self.data[start : self.offset]
+
+    def fields(self, layout: struct.Struct, name: str) -> tuple:
+        """The fields of ``layout``, named ``name.<field>``."""
+        left = len(self.data) - self.offset
+        if left < layout.size:
+            fields = _LAYOUT_FIELDS[layout]
+            ends = (struct.calcsize(layout.format[: i + 2]) for i in range(len(fields)))
+            missing = next(field for field, end in zip(fields, ends) if end > left)
+            raise self._missing(f"{name}.{missing.partition(':')[0]}")
+        return layout.unpack(self.run(layout.size, name))
+
+    def varint(self, name: str) -> int:
+        """A canonical varint: below 2^32, with no redundant high zero group."""
         value = 0
         for shift in range(0, 7 * _VARINT_BYTES, 7):
-            if offset >= end:
-                raise _truncated(name(i))
-            byte = payload[offset]
-            offset += 1
+            byte = self.run(1, name)[0]
             value |= (byte & 0x7F) << shift
             if byte < 0x80:
                 break
         else:
-            raise DecodeError(f"{name(i)} does not fit in 32 bits")
+            raise DecodeError(f"{name} does not fit in 32 bits")
         if byte == 0 and shift:
-            raise DecodeError(f"overlong varint for {name(i)}")
+            raise DecodeError(f"overlong varint for {name}")
         if value >> 32:
-            raise DecodeError(f"{name(i)} does not fit in 32 bits")
-        values.append(value)
-    return values, offset
+            raise DecodeError(f"{name} does not fit in 32 bits")
+        return value
+
+    def interval(self, name: str) -> Interval:
+        """An interval as it travels: ``lo``, then ``hi = (lo + length) mod 2^32``."""
+        lo = self.varint(f"{name}.lo")
+        return lo, (lo + self.varint(f"{name}.length")) & 0xFFFFFFFF
+
+    def bits(self, count: int, name: str) -> Tuple[int, ...]:
+        """The ``count`` packed parities that close the bytes.
+
+        ``name.format(i)`` names the i-th parity.  Padding bits must be zero.
+        """
+        first_missing = 8 * (len(self.data) - self.offset)  # if a byte is missing
+        value = int.from_bytes(self.run((count + 7) >> 3, name.format(first_missing)), "little")
+        self.end()
+        if value >> count:
+            raise DecodeError(f"nonzero padding bits after {name.format(count - 1)}")
+        return tuple(map(int, format(value, f"0{count}b")[::-1])) if count else ()
+
+    def more(self) -> bool:
+        return self.offset < len(self.data)
+
+    def end(self) -> None:
+        """Refuse bytes after the last field."""
+        if self.more():
+            raise DecodeError(f"trailing garbage: {len(self.data) - self.offset} unconsumed bytes")
 
 
-def _read_header(payload: bytes, message: str, second: str = "count") -> Tuple[int, int, int]:
-    """The round index and the ``second`` varint after the type byte, and the offset after them."""
-    names = (f"{message}.round_index", f"{message}.{second}")
-    (round_index, value), offset = _read_varints(payload, 1, 2, names.__getitem__)
-    return round_index, value, offset
-
-
-def _read_bounds(payload: bytes, offset: int, count: int, name: str) -> Tuple[list, list, int]:
-    """The ``lo`` and ``hi`` of ``count`` intervals, and the offset after them.
-
-    Each travels as ``lo`` and its length, so ``hi = (lo + length) mod 2^32``.
-    """
-    values, offset = _read_varints(
-        payload, offset, 2 * count, lambda i: f"{name}[{i >> 1}].{('lo', 'length')[i & 1]}"
-    )
-    los = values[0::2]
-    return los, [(lo + length) & 0xFFFFFFFF for lo, length in zip(los, values[1::2])], offset
-
-
-def _read_bits(payload: bytes, offset: int, count: int, name: Callable[[int], str]) -> tuple:
-    """The ``count`` packed parities that end ``payload`` at ``offset``.
-
-    ``name(i)`` names the i-th parity.  Padding bits must be zero.
-    """
-    size = (count + 7) >> 3
-    packed = payload[offset : offset + size]
-    if len(packed) < size:
-        raise _truncated(name(8 * len(packed)))
-    _require_end(payload, offset + size)
-    value = int.from_bytes(packed, "little")
-    if value >> count:
-        raise DecodeError(f"nonzero padding bits after {name(count - 1)}")
-    return tuple(map(int, format(value, f"0{count}b")[::-1])) if count else ()
+# The counted messages by type byte: the message, the name its fields go
+# by, the name of the varint after its round index, and the names of its
+# intervals and of its packed parities, empty where it has none.  Its second
+# field is that varint, its intervals, its parities, or the intervals and
+# parities zipped into entries.
+_COUNTED = {
+    2: (BlockParities, "block_parities", "count", "", "parities[{}]"),
+    3: (ParityQuery, "parity_query", "count", "intervals", ""),
+    4: (ParityAnswer, "parity_answer", "count", "entries", "entries[{}].parity"),
+    5: (RoundDone, "round_done", "corrected", "", ""),
+}
 
 
 def decode_message(payload: bytes) -> Message:
     """Parse one schema-3 byte string back into a message."""
-    if not payload:
-        raise _truncated("type")
-    type_byte = payload[0]
+    reader = _Reader(payload)
+    type_byte = reader.run(1, "type")[0]
+    if type_byte in _COUNTED:
+        cls, name, second, intervals, parities = _COUNTED[type_byte]
+        round_index = reader.varint(f"{name}.round_index")
+        count = reader.varint(f"{name}.{second}")
+        if intervals:
+            spans = tuple(reader.interval(f"{name}.{intervals}[{i}]") for i in range(count))
+        if not parities:
+            reader.end()
+            return cls(round_index, spans if intervals else count)
+        bits = reader.bits(count, f"{name}.{parities}")
+        return cls(round_index, tuple(map(tuple.__add__, spans, zip(bits))) if intervals else bits)
     if type_byte == 1:
-        # The schedule byte picks the layout; every Init layout opens with _INIT_HEAD.
-        _, frame_length, kind, variant = _unpack_from(_INIT_HEAD, payload, "init")
+        frame_length, kind, variant = reader.fields(_INIT_HEAD, "init")
         kind = _from_byte(PERMUTATION_KINDS, kind, "permutation")
         schedule_type = _from_byte(_SCHEDULES, variant, "schedule variant")
-        _, _, _, _, *parameters, rule, parameter, seed = _unpack(
-            _INIT_LAYOUTS[variant], payload, "init"
-        )
+        *parameters, rule, parameter, seed = reader.fields(_INIT_TAILS[variant], "init")
+        reader.end()
         break_type = _from_byte(_BREAKS, rule, "break variant")
         try:
             schedule = schedule_type(*parameters)
@@ -516,29 +531,13 @@ def decode_message(payload: bytes) -> Message:
         except ConfigurationError as exc:
             raise DecodeError(f"invalid break.parameter: {exc}") from exc
         return Init(frame_length, kind, schedule, condition, seed)
-    if type_byte == 2:
-        round_index, count, offset = _read_header(payload, "block_parities")
-        bits = _read_bits(payload, offset, count, "block_parities.parities[{}]".format)
-        return BlockParities(round_index, bits)
-    if type_byte == 3:
-        round_index, count, offset = _read_header(payload, "parity_query")
-        los, his, offset = _read_bounds(payload, offset, count, "parity_query.intervals")
-        _require_end(payload, offset)
-        return ParityQuery(round_index, tuple(zip(los, his)))
-    if type_byte == 4:
-        round_index, count, offset = _read_header(payload, "parity_answer")
-        los, his, offset = _read_bounds(payload, offset, count, "parity_answer.entries")
-        bits = _read_bits(payload, offset, count, "parity_answer.entries[{}].parity".format)
-        return ParityAnswer(round_index, tuple(zip(los, his, bits)))
-    if type_byte == 5:
-        round_index, corrected, offset = _read_header(payload, "round_done", "corrected")
-        _require_end(payload, offset)
-        return RoundDone(round_index, corrected)
     if type_byte == 6:
-        _, fingerprint = _unpack(_FINALIZE, payload, "finalize")
+        (fingerprint,) = reader.fields(_FINALIZE, "finalize")
+        reader.end()
         return Finalize(fingerprint)
     if type_byte == 7:
-        _, status = _unpack(_RESULT, payload, "result")
+        status = reader.run(1, "result.status")[0]
+        reader.end()
         return Result(_from_byte(_STATUSES, status, "status"))
     raise DecodeError(f"unknown message type byte: {type_byte}")
 
@@ -592,13 +591,15 @@ class EveTap:
         self.messages_seen += 1
         # Only block parities (type 2) and parity answers (type 4) disclose
         # parities, one per counted entry.  The count is the varint after
-        # the round's; when either takes more than one byte, the decoder's
-        # header reader reads it.
+        # the round's; when either takes more than one byte, the reader
+        # reads both.
         if payload[0] in (2, 4):
             if payload[1] < 0x80 and payload[2] < 0x80:
                 self.parity_bits_seen += payload[2]
             else:
-                self.parity_bits_seen += _read_header(payload, "disclosure")[1]
+                reader = _Reader(payload, offset=1)
+                reader.varint("disclosure.round_index")
+                self.parity_bits_seen += reader.varint("disclosure.count")
 
 
 _A_TO_B, _B_TO_A = _DIRECTIONS
@@ -823,35 +824,24 @@ def read_transcript(path: str) -> List[TranscriptEntry]:
     as a ``Channel`` numbers them.
     """
     with open(path, "rb") as handle:
-        blob = handle.read()
-    if blob[: len(TRANSCRIPT_MAGIC)] != TRANSCRIPT_MAGIC:
+        reader = _Reader(handle.read(), "transcript file")
+    if reader.run(len(TRANSCRIPT_MAGIC), "magic") != TRANSCRIPT_MAGIC:
         raise DecodeError("transcript file: bad magic")
-    offset = len(TRANSCRIPT_MAGIC)
-    if offset >= len(blob):
-        raise DecodeError("transcript file: missing version")
-    version = blob[offset]
-    offset += 1
+    version = reader.run(1, "version")[0]
     if version != WIRE_VERSION:
         raise DecodeError(f"transcript file: unsupported version {version}")
     entries: List[TranscriptEntry] = []
     sequences = [0, 0]
-    while offset < len(blob):
-        if offset + _RECORD_HEADER.size > len(blob):
-            raise DecodeError("transcript file: truncated record header")
-        direction_byte, sequence, length = _RECORD_HEADER.unpack_from(blob, offset)
-        offset += _RECORD_HEADER.size
-        if direction_byte >= len(_DIRECTIONS):
-            raise DecodeError(f"transcript file: bad direction byte {direction_byte}")
-        direction = _DIRECTIONS[direction_byte]
+    while reader.more():
+        record = f"record[{len(entries)}]"
+        direction_byte, sequence, length = reader.fields(_RECORD_HEADER, record)
+        direction = _from_byte(_DIRECTIONS, direction_byte, f"transcript file {record}.direction")
         if sequence != sequences[direction_byte]:
             raise DecodeError(
                 f"transcript file: sequence {sequence} in direction {direction.value}, "
                 f"expected {sequences[direction_byte]}"
             )
         sequences[direction_byte] += 1
-        if offset + length > len(blob):
-            raise DecodeError("transcript file: truncated record payload")
-        payload = blob[offset : offset + length]
-        offset += length
+        payload = reader.run(length, f"{record}.payload")
         entries.append(TranscriptEntry(direction, sequence, decode_message(payload), payload))
     return entries

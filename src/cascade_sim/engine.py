@@ -369,6 +369,7 @@ def initiator_session(config: SessionConfig, frame: BitFrame):
 
     prefixes: List[bytearray] = []
     history: List[int] = []
+    corrected = 0
     round_index = 0
     while True:
         # Kept until the next round's, so the responder finds this round's
@@ -380,10 +381,23 @@ def initiator_session(config: SessionConfig, frame: BitFrame):
         parity_bits += len(parities)
         inbound = yield [wire.BlockParities(round_index, parities)]
 
+        # The responder starts a round's searches at its entry, at most one
+        # per block, and after its flips, at most one per flip and opened
+        # round; a bit flips at most once per session, so a round has at
+        # most n flips.  A search asks at most one interval per bisection
+        # step, at most n.bit_length() of them, with reuse on or off.  An
+        # empty query counts as one interval, so queries are bounded too.
+        most_answered = (len(parities) + (round_index + 1) * n) * n.bit_length()
+        answered = 0
         while isinstance(inbound, wire.ParityQuery):
             if not 0 <= inbound.round_index < len(prefixes):
                 raise ProtocolError(
                     f"query references round {inbound.round_index} before it was opened"
+                )
+            answered += len(inbound.intervals) or 1
+            if answered > most_answered:
+                raise ProtocolError(
+                    f"round {round_index} asks for more than {most_answered} intervals"
                 )
             qprefix = prefixes[inbound.round_index]
             entries = []
@@ -396,6 +410,10 @@ def initiator_session(config: SessionConfig, frame: BitFrame):
 
         if not isinstance(inbound, wire.RoundDone) or inbound.round_index != round_index:
             raise ProtocolError(f"expected RoundDone for round {round_index}, got {inbound!r}")
+        # An honest responder flips each bit at most once.
+        corrected += inbound.corrected
+        if corrected > n:
+            raise ProtocolError(f"the responder reports {corrected} corrections of {n} bits")
         history.append(inbound.corrected)
         if should_terminate(config.break_condition, tuple(history)):
             break

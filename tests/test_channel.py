@@ -899,3 +899,66 @@ def test_transcript_file_corruption_detected(tmp_path):
     truncated.write_bytes(blob[:-3])
     with pytest.raises(DecodeError, match="truncated"):
         read_transcript(str(truncated))
+
+
+def test_the_encoder_refuses_an_unknown_type_and_an_estimate_that_is_not_an_f64():
+    with pytest.raises(DecodeError, match="unknown message type: str"):
+        encode_message("init")
+    # A third has no f64, so it could not read back equal.
+    init = Init(16, "lcg", StaticSchedule(Fraction(1, 3)), FixedRoundsBreak(1), 0)
+    with pytest.raises(DecodeError, match=r"schedule estimate Fraction\(1, 3\) is not an f64"):
+        encode_message(init)
+    assert encode_message(Init(16, "lcg", StaticSchedule(Fraction(1, 4)), FixedRoundsBreak(1), 0))
+
+
+def test_a_channel_refuses_an_unknown_direction():
+    chan = Channel()
+    for call in (lambda direction: chan.send(direction, RoundDone(0, 0)), chan.recv, chan.pending):
+        with pytest.raises(TransportError, match="unknown direction: 'a->b'"):
+            call("a->b")
+    assert chan.transcript == ()
+
+
+def test_each_transcript_file_refusal_names_what_is_missing_or_wrong(tmp_path):
+    chan = Channel()
+    chan.send(Direction.A_TO_B, Finalize(12))
+    chan.send(Direction.B_TO_A, RoundDone(0, 1))
+    blob = chan.transcript_bytes()
+    # The head is magic and version; each record is direction u8, sequence
+    # u32 and length u32, then its payload.
+    head = len(TRANSCRIPT_MAGIC) + 1
+    second = head + 9 + len(encode_message(Finalize(12)))
+    assert len(blob) == second + 9 + len(encode_message(RoundDone(0, 1)))
+    bad_direction = bytearray(blob)
+    bad_direction[second] = 2
+
+    def missing(name):
+        return f"truncated transcript file: missing field '{name}'"
+
+    cases = [
+        (b"", missing("magic")),
+        (TRANSCRIPT_MAGIC[:2], missing("magic")),
+        (TRANSCRIPT_MAGIC, missing("version")),
+        (blob[: head + 1], missing("record[0].sequence")),
+        (blob[: head + 4], missing("record[0].sequence")),
+        (blob[: head + 5], missing("record[0].length")),
+        (blob[: head + 8], missing("record[0].length")),
+        (blob[: head + 9], missing("record[0].payload")),
+        (blob[: second - 1], missing("record[0].payload")),
+        (blob[: second + 1], missing("record[1].sequence")),
+        (blob[: second + 6], missing("record[1].length")),
+        (blob[:-1], missing("record[1].payload")),
+        (bytes(bad_direction), "unknown transcript file record[1].direction byte: 2"),
+        (blob + b"\x01\x00", missing("record[2].sequence")),
+        (blob + struct.pack(">BII", 0, 1, 5) + b"\x06", missing("record[2].payload")),
+        # A whole record whose payload is empty reaches the decoder.
+        (blob + struct.pack(">BII", 0, 1, 0), "truncated message: missing field 'type'"),
+    ]
+    path = tmp_path / "t.bin"
+    for data, message in cases:
+        path.write_bytes(data)
+        with pytest.raises(DecodeError) as refusal:
+            read_transcript(str(path))
+        assert str(refusal.value) == message, data
+    path.write_bytes(blob)
+    assert read_transcript(str(path)) == list(chan.transcript)

@@ -6,6 +6,7 @@ import hashlib
 import itertools
 import os
 import random
+import re
 import subprocess
 import sys
 import threading
@@ -1059,6 +1060,25 @@ def test_benchmark_workload_transcripts_match_the_pinned_digests():
     )
     assert proc.returncode == 0, proc.stderr
     assert dict(line.split() for line in proc.stdout.splitlines()) == WORKLOAD_DIGESTS
+
+
+def test_the_benchmark_layer_tracer_still_fits_the_engine():
+    # perfbench/layers.py wraps engine and channel names (binary_search.step
+    # and the paritytree imports among them); an engine change that drops
+    # one breaks the benchmark's own test, so tier-1 runs it.
+    script = Path(__file__).resolve().parents[1] / "perfbench" / "test_layers.py"
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", str(script)],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=script.parents[1],
+        timeout=600,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    # Every test ran and passed: none skipped.
+    assert re.fullmatch(r"\d+ passed in .*", proc.stdout.splitlines()[-1]), proc.stdout
 
 
 # ------------------------------------------------------------ prefix state

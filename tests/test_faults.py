@@ -580,3 +580,170 @@ def test_no_search_outlives_a_session_that_ends_in_an_error(lying_initiator):
         assert not [obj for obj in gc.get_objects() if isinstance(obj, engine._Responder)]
     finally:
         gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# a hostile responder, and a peer that sends the wrong message type
+# ---------------------------------------------------------------------------
+
+
+def _correcting_every_round(rounds):
+    """A responder that echoes the initiator's ``Init`` and then closes every
+    round at once, reporting one correction."""
+
+    def session(config, frame):
+        inbound = yield []
+        inbound = yield [inbound]
+        while True:
+            rounds.append(inbound.round_index)
+            inbound = yield [wire.RoundDone(inbound.round_index, 1)]
+
+    return session
+
+
+def _asking_forever(intervals, answered):
+    """A responder that echoes the initiator's ``Init`` and then sends the
+    query ``intervals`` of round 0 for ever."""
+
+    def session(config, frame):
+        inbound = yield []
+        inbound = yield [inbound]
+        while True:
+            inbound = yield [wire.ParityQuery(0, intervals)]
+            answered.append(inbound)
+
+    return session
+
+
+def _hostile_session(monkeypatch, responder, scheduling, error):
+    """Run the honest initiator against ``responder`` on a 64-bit frame with a
+    break rule that only quiet rounds end, expecting ``error`` at once and no
+    session thread left behind."""
+    monkeypatch.setattr(engine, "responder_session", responder)
+    frame = BitFrame.random(64, seed=3)
+    config = engine.SessionConfig(64, StaticSchedule(0.125), QuietRoundsBreak(2), seed=5)
+    threads_before = set(threading.enumerate())
+    started = time.monotonic()
+    with pytest.raises(ProtocolError, match=error):
+        engine.run_session_pair(config, config, frame, frame, scheduling=scheduling, timeout=5.0)
+    assert time.monotonic() - started < 10.0
+    assert set(threading.enumerate()) <= threads_before, "a session thread is still alive"
+    return config
+
+
+@pytest.mark.parametrize("scheduling", ["lockstep", "threaded"])
+def test_a_responder_that_reports_more_corrections_than_bits_is_refused(
+    monkeypatch, scheduling
+):
+    # One correction a round keeps a quiet-rounds session alive for ever;
+    # an honest responder flips each of the 64 bits at most once.
+    rounds = []
+    _hostile_session(
+        monkeypatch,
+        _correcting_every_round(rounds),
+        scheduling,
+        "the responder reports 65 corrections of 64 bits",
+    )
+    assert rounds == list(range(65))
+
+
+@pytest.mark.parametrize("scheduling", ["lockstep", "threaded"])
+@pytest.mark.parametrize("intervals", [((0, 1),), ()])
+def test_a_responder_that_asks_past_the_round_bound_is_refused(
+    monkeypatch, scheduling, intervals
+):
+    # Round 0 of 64 bits in blocks of 8: (8 blocks + 64 flips) searches of
+    # at most 7 steps each.  An empty query counts as one interval.
+    answered = []
+    config = _hostile_session(
+        monkeypatch,
+        _asking_forever(intervals, answered),
+        scheduling,
+        r"round 0 asks for more than 504 intervals",
+    )
+    assert len(engine.plan_round(config.schedule, 0, 64, ()).intervals) == 8
+    assert len(answered) == 504
+    assert all(isinstance(answer, wire.ParityAnswer) for answer in answered)
+
+
+_lying_party = _lying_initiator  # the wrapper serves either party
+
+
+def _swap(kind, replacement):
+    """Send ``replacement`` in place of a party's first message of type ``kind``."""
+    swapped = []
+
+    def lie(message):
+        if isinstance(message, kind) and not swapped:
+            swapped.append(message)
+            return replacement
+        return message
+
+    return lie
+
+
+# The message a party's peer sends in place of the one expected, and the
+# party's refusal.  The frames differ in one bit, so round 0 has a query.
+WRONG_TO_INITIATOR = {
+    "Init": (wire.Init, wire.Finalize(0), "expected Init or Result, got Finalize"),
+    "RoundDone": (wire.RoundDone, wire.Finalize(0), r"expected RoundDone for round 0, got Fin"),
+    "Finalize": (wire.Finalize, wire.RoundDone(0, 0), "expected Finalize, got RoundDone"),
+}
+WRONG_TO_RESPONDER = {
+    "Init": (wire.Init, wire.Finalize(0), "expected Init, got Finalize"),
+    "ParityAnswer": (wire.ParityAnswer, wire.RoundDone(0, 0), "expected ParityAnswer, got Round"),
+    "Finalize": (
+        wire.Finalize,
+        wire.Result(wire.SessionStatus.SUCCESS),
+        "expected Finalize, got Result",
+    ),
+    "Result": (wire.Result, wire.Finalize(0), "expected Result, got Finalize"),
+}
+
+
+def _one_round_pair(scheduling):
+    reference = BitFrame([0] * 16)
+    noisy = BitFrame([0] * 5 + [1] + [0] * 10)
+    config = engine.SessionConfig(16, StaticSchedule(0.25), FixedRoundsBreak(1), seed=5)
+    return engine.run_session_pair(
+        config, config, reference, noisy, scheduling=scheduling, timeout=5.0
+    )
+
+
+@pytest.mark.parametrize("scheduling", ["lockstep", "threaded"])
+@pytest.mark.parametrize(
+    "party, point",
+    [("initiator", point) for point in WRONG_TO_INITIATOR]
+    + [("responder", point) for point in WRONG_TO_RESPONDER],
+)
+def test_a_message_of_the_wrong_type_is_a_protocol_error(monkeypatch, scheduling, party, point):
+    # The peer of ``party`` sends the wrong message type where ``point`` belongs.
+    peer = "responder" if party == "initiator" else "initiator"
+    wrong = WRONG_TO_INITIATOR if party == "initiator" else WRONG_TO_RESPONDER
+    kind, replacement, error = wrong[point]
+    honest = getattr(engine, f"{peer}_session")
+    monkeypatch.setattr(engine, f"{peer}_session", _lying_party(honest, _swap(kind, replacement)))
+    threads_before = set(threading.enumerate())
+    with pytest.raises(ProtocolError, match=error):
+        _one_round_pair(scheduling)
+    assert set(threading.enumerate()) <= threads_before, "a session thread is still alive"
+
+
+@pytest.mark.parametrize("scheduling", ["lockstep", "threaded"])
+def test_an_initiator_ends_a_handshake_whose_init_differs_in_config_mismatch(
+    monkeypatch, scheduling
+):
+    # The responder accepts the initiator's Init but returns another; the
+    # initiator must refuse it with Result(CONFIG_MISMATCH), which the
+    # responder takes as the end of the session.
+    other = wire.Init(16, "lcg", StaticSchedule(0.25), FixedRoundsBreak(1), 6)
+    honest = engine.responder_session
+    monkeypatch.setattr(engine, "responder_session", _lying_party(honest, _swap(wire.Init, other)))
+    result = _one_round_pair(scheduling)
+    mismatch = wire.SessionStatus.CONFIG_MISMATCH
+    assert (result.initiator.status, result.responder.status) == (mismatch, mismatch)
+    assert [type(entry.message) for entry in result.channel.transcript] == [
+        wire.Init,
+        wire.Init,
+        wire.Result,
+    ]
