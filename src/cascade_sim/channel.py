@@ -68,9 +68,9 @@ import threading
 import time
 import weakref
 from collections import deque
-from dataclasses import dataclass, field
-from itertools import chain, product, repeat, starmap
-from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from itertools import chain, product, repeat
+from typing import Deque, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .bitframe import PERMUTATION_KINDS
 from .errors import ConfigurationError, DecodeError, TransportError
@@ -556,24 +556,17 @@ def message_parity_bits(message: Message) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TranscriptEntry:
+class TranscriptEntry(NamedTuple):
     """One message as it crossed the channel, with its encoded bytes.
 
-    ``payload`` is ``encode_message(message)``: the channel and the
-    transcript reader pass the bytes they already hold, and an entry built
-    without them encodes its message once here.  Equality and hashing
-    ignore it.
+    ``payload`` is ``encode_message(message)``, the bytes the channel sent
+    or the transcript file held.
     """
 
     direction: Direction
     sequence: int
     message: Message
-    payload: Optional[bytes] = field(default=None, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.payload is None:
-            object.__setattr__(self, "payload", encode_message(self.message))
+    payload: bytes
 
 
 class EveTap:
@@ -634,8 +627,8 @@ class Channel:
     ``os.write`` releases it, a free GIL.  A lane makes its pipe on its
     first wait, so a channel no one waits on opens no file descriptor, and
     the pipes close when the channel is collected.  ``send`` keeps a plain
-    record per message; ``transcript`` builds each entry once, when it is
-    first read.
+    record per message; ``transcript`` builds the entries from them each
+    time it is read.
     """
 
     def __init__(self, taps: Sequence[EveTap] = ()):
@@ -646,7 +639,6 @@ class Channel:
         self._waiting = [0, 0]  # receivers blocked on each lane
         self._sequences = [0, 0]
         self._records: List[Tuple[Direction, int, Message, bytes]] = []
-        self._entries: Tuple[TranscriptEntry, ...] = ()
         self._taps = list(taps)
         self._closed = False
 
@@ -742,11 +734,7 @@ class Channel:
     @property
     def transcript(self) -> Tuple[TranscriptEntry, ...]:
         with self._lock:
-            built = len(self._entries)
-            if built < len(self._records):
-                new = starmap(TranscriptEntry, self._records[built:])
-                self._entries += tuple(new)
-            return self._entries
+            return tuple(map(TranscriptEntry._make, self._records))
 
     def transcript_bytes(self) -> bytes:
         """The whole conversation as one canonical byte string."""

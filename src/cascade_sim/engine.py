@@ -75,7 +75,6 @@ produce bit-identical corrections.
 
 from __future__ import annotations
 
-import enum
 import math
 import threading
 import weakref
@@ -113,11 +112,6 @@ from .schedule import (
 _FINGERPRINT_PRIME = (1 << 61) - 1
 _FINGERPRINT_LABEL = label_from_text("frame-fingerprint-base")
 _PIECE_SHIFTS = np.array([0, 16, 32, 48], dtype=np.uint64)
-
-
-class Role(enum.Enum):
-    INITIATOR = "initiator"
-    RESPONDER = "responder"
 
 
 @dataclass(frozen=True)
@@ -180,14 +174,14 @@ class CorrectionEvent(NamedTuple):
 
 @dataclass(frozen=True)
 class SessionSummary:
-    """One party's account of a finished session.
+    """One party's account of a finished session; ``PairResult`` names the
+    party.
 
     ``corrected_history`` holds each executed round's correction count;
     ``corrections`` is the responder's own record (the initiator's is
     empty).  The other counts are derived from these two.
     """
 
-    role: Role
     status: wire.SessionStatus
     final_frame: BitFrame
     corrected_history: Tuple[int, ...]
@@ -208,11 +202,9 @@ class SessionSummary:
         return frozenset(event.original_position for event in self.corrections)
 
 
-def _unreconciled(
-    role: Role, status: wire.SessionStatus, frame: BitFrame, parity_bits: int
-) -> SessionSummary:
+def _unreconciled(status: wire.SessionStatus, frame: BitFrame, parity_bits: int) -> SessionSummary:
     """Summary of a session that ended before any round was reconciled."""
-    return SessionSummary(role, status, frame, (), parity_bits, None)
+    return SessionSummary(status, frame, (), parity_bits, None)
 
 
 def frame_fingerprint(frame: BitFrame, seed: int) -> int:
@@ -360,12 +352,12 @@ def initiator_session(config: SessionConfig, frame: BitFrame):
         # Only the responder's handshake rejection may end a session here.
         if inbound.status is not wire.SessionStatus.CONFIG_MISMATCH:
             raise ProtocolError(f"unexpected verdict {inbound.status.value} in the handshake")
-        return _unreconciled(Role.INITIATOR, inbound.status, frame, parity_bits), []
+        return _unreconciled(inbound.status, frame, parity_bits), []
     if not isinstance(inbound, wire.Init):
         raise ProtocolError(f"expected Init or Result, got {type(inbound).__name__}")
     if inbound != my_init:
         mismatch = wire.SessionStatus.CONFIG_MISMATCH
-        return _unreconciled(Role.INITIATOR, mismatch, frame, parity_bits), [wire.Result(mismatch)]
+        return _unreconciled(mismatch, frame, parity_bits), [wire.Result(mismatch)]
 
     prefixes: List[bytearray] = []
     history: List[int] = []
@@ -427,9 +419,7 @@ def initiator_session(config: SessionConfig, frame: BitFrame):
         status = wire.SessionStatus.SUCCESS
     else:
         status = wire.SessionStatus.FAILURE
-    summary = SessionSummary(
-        Role.INITIATOR, status, frame, tuple(history), parity_bits, own_fingerprint
-    )
+    summary = SessionSummary(status, frame, tuple(history), parity_bits, own_fingerprint)
     return summary, [wire.Result(status)]
 
 
@@ -774,13 +764,13 @@ def responder_session(config: SessionConfig, frame: BitFrame):
         raise ProtocolError(f"expected Init, got {type(inbound).__name__}")
     if inbound != my_init:
         mismatch = wire.SessionStatus.CONFIG_MISMATCH
-        return _unreconciled(Role.RESPONDER, mismatch, frame, 0), [wire.Result(mismatch)]
+        return _unreconciled(mismatch, frame, 0), [wire.Result(mismatch)]
     inbound = yield [my_init]
     if isinstance(inbound, wire.Result):
         # Only the handshake abort may end a session before round 0.
         if inbound.status is not wire.SessionStatus.CONFIG_MISMATCH:
             raise ProtocolError(f"unexpected verdict {inbound.status.value} before round 0")
-        return _unreconciled(Role.RESPONDER, inbound.status, frame, 0), []
+        return _unreconciled(inbound.status, frame, 0), []
 
     round_index = 0
     while True:
@@ -806,12 +796,7 @@ def responder_session(config: SessionConfig, frame: BitFrame):
             f"verdict {inbound.status.value} contradicts fingerprint comparison"
         )
     summary = SessionSummary(
-        Role.RESPONDER,
-        inbound.status,
-        final_frame,
-        tuple(core.history),
-        core.parity_bits,
-        own_fingerprint,
+        inbound.status, final_frame, tuple(core.history), core.parity_bits, own_fingerprint,
         tuple(core.corrections),
     )
     return summary, []
@@ -873,8 +858,13 @@ def _drive_lockstep(
 def _drive_threaded(
     parties, channel_obj: wire.Channel, timeout: float
 ) -> List[Optional[SessionSummary]]:
+    """Run each party on its own thread.  A session takes as long as it
+    takes while both parties are healthy: a stalled party fails within one
+    ``timeout`` in ``recv``, and once one has failed, the other is given one
+    more ``timeout`` to end before the session is refused."""
     summaries: List[Optional[SessionSummary]] = [None, None]
     failures: List[BaseException] = []
+    ended = threading.Semaphore(0)  # released once by each party as it ends
 
     def worker(index: int) -> None:
         generator, outbound, inbound = parties[index]
@@ -888,14 +878,18 @@ def _drive_threaded(
             failures.append(exc)
             # Wake the other party at once instead of letting it time out.
             channel_obj.close()
+        finally:
+            ended.release()
 
     threads = [threading.Thread(target=worker, args=(index,), daemon=True) for index in (0, 1)]
     for thread in threads:
         thread.start()
-    for thread in threads:
-        thread.join(timeout=min(timeout * 4, threading.TIMEOUT_MAX))
-        if thread.is_alive():
+    grace = min(max(timeout, 0.0), threading.TIMEOUT_MAX)
+    for _ in threads:
+        if not ended.acquire(timeout=grace if failures else None):
             raise TransportError("session thread failed to finish in time")
+    for thread in threads:
+        thread.join()
     if failures:
         raise failures[0]
     return summaries

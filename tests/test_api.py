@@ -24,6 +24,7 @@ REMOVED = [
     (rng, "bit_stream"),
     (channel.Direction, "wire_byte"),
     (engine, "error_frontier"),
+    (engine, "Role"),
     (paritytree, "format_tree"),
 ]
 

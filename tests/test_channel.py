@@ -783,14 +783,22 @@ def test_the_tap_counts_the_parity_bits_in_each_payload():
 
 
 def test_leakage_report_counts_per_round():
+    messages = [BlockParities(0, (1, 1)), ParityAnswer(0, ((0, 1, 0),)), BlockParities(1, (0,))]
     entries = [
-        TranscriptEntry(Direction.A_TO_B, 0, BlockParities(0, (1, 1))),
-        TranscriptEntry(Direction.A_TO_B, 1, ParityAnswer(0, ((0, 1, 0),))),
-        TranscriptEntry(Direction.A_TO_B, 2, BlockParities(1, (0,))),
+        TranscriptEntry(Direction.A_TO_B, sequence, message, encode_message(message))
+        for sequence, message in enumerate(messages)
     ]
     report = leakage_report(entries)
     assert report.per_round_parity_bits == ((0, 3), (1, 1))
     assert report.parity_bits_disclosed == 4
+
+
+def test_a_transcript_entry_compares_its_payload_and_requires_one():
+    message = RoundDone(0, 0)
+    entry = TranscriptEntry(Direction.A_TO_B, 0, message, b"\x05\x00\x00")
+    assert entry != TranscriptEntry(Direction.A_TO_B, 0, message, b"\x05\x00\x01")
+    with pytest.raises(TypeError):
+        TranscriptEntry(Direction.A_TO_B, 0, message)
 
 
 # -------------------------------------------------------------- transcript

@@ -37,7 +37,6 @@ from cascade_sim.channel import (
 )
 from cascade_sim.engine import (
     CorrectionEvent,
-    Role,
     SessionConfig,
     _Responder,
     _Round,

@@ -250,7 +250,7 @@ def _verdict_in_place_of_round(honest, fake_round):
         ):
             outbound = inner.send((yield outbound))
         status = wire.SessionStatus.SUCCESS
-        return engine._unreconciled(engine.Role.INITIATOR, status, frame, 0), [wire.Result(status)]
+        return engine._unreconciled(status, frame, 0), [wire.Result(status)]
 
     return session
 
@@ -327,7 +327,7 @@ def _verdict_in_place_of_handshake(config, frame):
     """A responder that answers the initiator's ``Init`` with ``Result(SUCCESS)``."""
     yield []
     status = wire.SessionStatus.SUCCESS
-    return engine._unreconciled(engine.Role.RESPONDER, status, frame, 0), [wire.Result(status)]
+    return engine._unreconciled(status, frame, 0), [wire.Result(status)]
 
 
 @pytest.mark.parametrize("scheduling", ["lockstep", "threaded"])
@@ -377,6 +377,69 @@ def test_a_silent_responder_times_out_under_threaded(monkeypatch):
     assert time.monotonic() - started < 5.0
     assert set(threading.enumerate()) <= threads_before, "a session thread is still alive"
     assert [type(message) for message in received] == [wire.Init]
+
+
+def _slowed(honest, first, each=0.0):
+    """The honest party, sleeping ``first`` seconds before its first step and
+    ``each`` before every later one: time spent outside ``recv``."""
+
+    def session(config, frame):
+        inner = honest(config, frame)
+        message = None
+        time.sleep(first)
+        while True:
+            try:
+                outbound = inner.send(message)
+            except StopIteration as stop:
+                return stop.value
+            message = yield outbound
+            time.sleep(each)
+
+    return session
+
+
+def test_a_threaded_session_longer_than_a_few_waits_is_not_cut(monkeypatch):
+    # The responder sleeps 10 ms on each of the 75 messages it takes: the
+    # session outlasts four 100 ms waits by far, but no single wait stalls,
+    # so it must run to its verdict.
+    monkeypatch.setattr(
+        engine, "responder_session", _slowed(engine.responder_session, 0.0, each=0.01)
+    )
+    frame = BitFrame.random(256, seed=3)
+    noisy, _ = apply_noise(frame, Bsc(0.05), 4)
+    config = SessionTemplate().config_for(256, 0.05, 5)
+    threads_before = set(threading.enumerate())
+    started = time.monotonic()
+    pair = engine.run_session_pair(
+        config, config, frame, noisy, scheduling="threaded", timeout=0.1
+    )
+    assert time.monotonic() - started > 4 * 0.1
+    assert pair.responder.status is wire.SessionStatus.SUCCESS
+    assert pair.responder.final_frame == frame
+    assert set(threading.enumerate()) <= threads_before, "a session thread is still alive"
+
+
+@pytest.mark.parametrize(
+    "timeout, sleep, limit", [(0.2, 1.5, 1.0), (0.0, 0.3, 0.2), (-1.0, 0.3, 0.2)]
+)
+def test_a_party_blocked_outside_recv_is_refused_one_timeout_after_a_failure(
+    monkeypatch, timeout, sleep, limit
+):
+    # The initiator's wait for the handshake fails after ``timeout``; the
+    # sleeping responder gets one more ``timeout`` (none for a zero or
+    # negative one) and the session is refused long before the sleep ends.
+    monkeypatch.setattr(engine, "responder_session", _slowed(engine.responder_session, sleep))
+    frame = BitFrame.random(256, seed=3)
+    config = SessionTemplate().config_for(256, 0.05, 5)
+    threads_before = set(threading.enumerate())
+    started = time.monotonic()
+    with pytest.raises(TransportError, match="session thread failed to finish in time"):
+        engine.run_session_pair(
+            config, config, frame, frame, scheduling="threaded", timeout=timeout
+        )
+    assert time.monotonic() - started < limit
+    for thread in set(threading.enumerate()) - threads_before:
+        thread.join()
 
 
 def _talking_past_the_verdict(honest):
